@@ -16,7 +16,7 @@ from . import __version__
 from .backends import SubprocessBackend, SubprocessScorer
 from .diagnostics import render_histogram, repetition_after_policy, target_repetition_stats
 from .directions import Direction, enumerate_directions, expand
-from .downsampling import DownsampleStats, RetentionPolicy, classify, downsample, retained
+from .downsampling import DownsampleStats, RetentionPolicy, downsample
 from .errors import RecordParseError, ToolkitError
 from .evaluation import aggregate, read_eval_records, render_table
 from .filtering import (
@@ -28,10 +28,8 @@ from .filtering import (
     threshold_filter,
 )
 from .mixture import MixtureSpec, build_sft_mixture
-from .parallel import ordered_map
 from .prompts import write_prompted
 from .records import (
-    json_line,
     read_examples,
     read_multiway,
     read_score_sidecar,
@@ -39,7 +37,7 @@ from .records import (
     write_score_sidecar,
     write_scored,
 )
-from .registry import load_registry
+from .registry import load_registry, parse_json_lines
 from .synthesis import InferenceStrategy, build_inference_prompt, synth_direct, synth_pivot
 
 log = logging.getLogger("mmtkit")
@@ -81,18 +79,11 @@ def cmd_validate(args) -> int:
 def cmd_expand(args) -> int:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
-
-    def render(record) -> list[str]:
-        return [json_line(ex.to_json()) for ex in expand(record, dirset)]
-
     n_records = n_examples = 0
     with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
-        records = read_multiway(fin, registry, path=args.infile)
-        for lines in ordered_map(render, records, workers=args.workers):
+        for record in read_multiway(fin, registry, path=args.infile):
             n_records += 1
-            for line in lines:
-                fout.write(line + "\n")
-            n_examples += len(lines)
+            n_examples += write_examples(expand(record, dirset), fout)
     _summary({"records": n_records, "examples": n_examples})
     return 0
 
@@ -100,18 +91,8 @@ def cmd_expand(args) -> int:
 def cmd_downsample(args) -> int:
     policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
     stats = DownsampleStats()
-
-    def decide(ex):
-        keep = classify(ex).value == "Forward" or retained(policy, ex.id)
-        return ex, keep
-
     with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
-        examples = read_examples(fin, path=args.infile)
-        for ex, keep in ordered_map(decide, examples, workers=args.workers):
-            cls = classify(ex)
-            (stats.retained if keep else stats.dropped)[cls] += 1
-            if keep:
-                fout.write(json_line(ex.to_json()) + "\n")
+        write_examples(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
     _summary(stats.as_dict())
     return 0
 
@@ -180,13 +161,10 @@ def cmd_filter(args) -> int:
 
 
 def cmd_score(args) -> int:
-    n = 0
     with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
         pairs = read_examples(fin, path=args.infile)
         with SubprocessScorer(args.scorer_cmd) as scorer:
-            for item in scorer.score_stream(pairs):
-                fout.write(json_line({"id": item[0], "qe_score": item[1]}) + "\n")
-                n += 1
+            n = write_score_sidecar(scorer.score_stream(pairs), fout)
     _summary({"scored": n})
     return 0
 
@@ -202,8 +180,6 @@ def cmd_synth(args) -> int:
 
                 def mono():
                     nonlocal n_in
-                    from .records import parse_json_lines
-
                     for line_no, obj in parse_json_lines(fin, args.infile):
                         if "id" not in obj or "text" not in obj:
                             raise RecordParseError("need fields 'id' and 'text'", line_no, args.infile)
@@ -238,8 +214,6 @@ def cmd_infer_prompt(args) -> int:
     n_req = n_prompts = 0
     try:
         with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
-            from .records import parse_json_lines
-
             for line_no, obj in parse_json_lines(fin, args.infile):
                 for f in ("id", "src_lang", "tgt_lang", "src"):
                     if f not in obj:
@@ -319,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--registry", default="builtin", help="language registry: 'builtin' or a JSONL path")
     common.add_argument("--auxiliaries", default=None, help="auxiliary map JSONL path (default: builtin with builtin registry, none otherwise)")
     common.add_argument("--seed", type=int, default=None, help="seed for all hash-based decisions (default 42)")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers; output is identical for any value")
+    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
     common.add_argument("-v", "--verbose", action="count", default=0, help="-v for info logs, -vv for debug")
 
     p = sub.add_parser("validate", parents=[common], help="load a registry and print its direction arithmetic")

@@ -15,8 +15,7 @@ from typing import Iterable, Iterator
 
 from .directions import Direction
 from .errors import DuplicateRecord, RecordParseError, UnknownLanguage
-from .records import parse_json_lines
-from .registry import Registry, Tier
+from .registry import Registry, Tier, parse_json_lines
 
 METRICS = ("COMET22", "SacreBLEU")
 

@@ -13,6 +13,7 @@ character counts by 4 to stay comparable across scripts.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,7 +27,7 @@ CHARS_PER_TOKEN = 4
 DEFAULT_THRESHOLDS = (0.6, 0.7, 0.8)
 
 # C0 controls are disallowed except tab and newline.
-_ALLOWED_CONTROLS = {"\t", "\n"}
+_CONTROL_CHAR = re.compile(r"[\x00-\x08\x0b-\x1f]")
 
 
 def token_length(lang: str, text: str) -> float:
@@ -106,12 +107,8 @@ class LengthBounds(FilterRule):
 class ControlCharFree(FilterRule):
     name = "ControlCharFree"
 
-    @staticmethod
-    def _clean(text: str) -> bool:
-        return all(ch >= " " or ch in _ALLOWED_CONTROLS for ch in text)
-
     def passes(self, ex: DirectionalExample) -> bool:
-        return self._clean(ex.src) and self._clean(ex.tgt)
+        return _CONTROL_CHAR.search(ex.src) is None and _CONTROL_CHAR.search(ex.tgt) is None
 
 
 class ExactDedup(FilterRule):

@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .directions import Direction, DirectionSet, expand
+from .directions import DirectionSet, expand
 from .downsampling import RetentionPolicy, retained
 from .errors import MissingScore
 from .hashing import unit_uniform
@@ -130,28 +130,28 @@ def build_sft_mixture(
     Memory is bounded by per_direction_max per direction without scores; with
     scores all candidates are buffered so the global top-k is exact.
     """
-    selectors: dict[Direction, _Selector] = {
-        d: _Selector(spec.per_direction_max, scores is not None) for d in dirset.directions
+    selectors: dict[tuple[str, str], _Selector] = {
+        (d.src, d.tgt): _Selector(spec.per_direction_max, scores is not None) for d in dirset.directions
     }
-    aux_of = {d: registry.auxiliary_for(d.src, d.tgt) for d in dirset.directions}
+    aux_of = {(d.src, d.tgt): registry.auxiliary_for(d.src, d.tgt) for d in dirset.directions}
 
     for record in records:
         for ex in expand(record, dirset):
-            d = Direction(ex.src_lang, ex.tgt_lang)
-            aux = aux_of[d]
+            key = (ex.src_lang, ex.tgt_lang)
+            aux = aux_of[key]
             aux_text = record.sentences.get(aux) if aux is not None else None
             score = None
             if scores is not None:
                 if ex.id not in scores:
                     raise MissingScore(ex.id)
                 score = scores[ex.id]
-            selectors[d].offer(_Candidate(ex, aux, aux_text, score))
+            selectors[key].offer(_Candidate(ex, aux, aux_text, score))
 
     policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
     report = MixtureReport()
     out: list[PromptedExample] = []
     for d in dirset.directions:
-        sel = selectors[d]
+        sel = selectors[(d.src, d.tgt)]
         rep = DirectionMixReport(candidates=sel.seen)
         chosen = sel.selected()
         rep.selected = len(chosen)

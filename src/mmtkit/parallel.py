@@ -2,6 +2,9 @@
 
 Worker outputs are merged back in input order, so results are identical for
 any worker count; parallelism can only change timing, never content.
+
+No CLI stage calls this: the work is GIL-bound, so threads only added time
+and memory. It stays only for the benchmark's parallel.* layer metrics.
 """
 from __future__ import annotations
 

@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptySource, NoAuxiliaryDefined, RecordParseError
-from .records import DirectionalExample, json_line, parse_json_lines
-from .registry import Registry
+from .records import DirectionalExample, json_line
+from .registry import Registry, parse_json_lines
 
 PROMPT_SCHEMA = "prompt_schema_v1"
 
@@ -71,41 +71,52 @@ def _spanned(prefix: str, target: str) -> tuple[str, int, int]:
     return text, start, len(text.encode("utf-8"))
 
 
-def _stp_prefix(src_name: str, tgt_name: str, src: str) -> str:
-    return (
-        f"Translate the following text from {src_name} to {tgt_name}.\n"
-        f"{src_name}: {src}\n"
-        f"{tgt_name}: "
-    )
-
-
-def _pmp_prefix(src_name: str, tgt_name: str, aux_name: str, src: str, aux_text: str) -> str:
-    return (
-        f"Translate the following text from {src_name} to {tgt_name}.\n"
-        f"{src_name}: {src}\n"
-        f"{aux_name}: {aux_text}\n"
-        f"{tgt_name}: "
-    )
-
-
-def render_stp(example: DirectionalExample, registry: Registry) -> PromptedExample:
-    if not example.src:
-        raise EmptySource(f"example {example.id!r} has an empty source")
-    if not example.tgt:
-        raise ValueError(f"example {example.id!r} has an empty target")
-    prefix = _stp_prefix(
-        registry.name_of(example.src_lang), registry.name_of(example.tgt_lang), example.src
-    )
-    text, start, end = _spanned(prefix, example.tgt)
+def _render_translation(
+    fmt: PromptFormat,
+    item_id: str,
+    src_lang: str,
+    tgt_lang: str,
+    src: str,
+    tgt: str | None,
+    registry: Registry,
+    aux_lang: str | None = None,
+    aux_text: str | None = None,
+) -> PromptedExample:
+    """Render an STP or PMP prompt. A tgt of None renders an inference prompt:
+    the training prefix with an empty loss span at end of text."""
+    owner = f"item {item_id!r}" if tgt is None else f"example {item_id!r}"
+    if fmt is PromptFormat.PMP:
+        expected = registry.auxiliary_for(src_lang, tgt_lang)
+        if expected is None:
+            raise NoAuxiliaryDefined(f"direction {src_lang}->{tgt_lang} has no auxiliary language")
+        if aux_lang != expected:
+            raise ValueError(f"auxiliary for {src_lang}->{tgt_lang} is {expected!r}, got {aux_lang!r}")
+    if not src:
+        raise EmptySource(f"{owner} has an empty source")
+    if fmt is PromptFormat.PMP and not aux_text:
+        raise ValueError(f"{owner}: empty auxiliary text")
+    if tgt is not None and not tgt:
+        raise ValueError(f"{owner} has an empty target")
+    src_name, tgt_name = registry.name_of(src_lang), registry.name_of(tgt_lang)
+    prefix = f"Translate the following text from {src_name} to {tgt_name}.\n{src_name}: {src}\n"
+    if fmt is PromptFormat.PMP:
+        prefix += f"{registry.name_of(aux_lang)}: {aux_text}\n"
+    text, start, end = _spanned(prefix + f"{tgt_name}: ", tgt or "")
     return PromptedExample(
         text=text,
         loss_start=start,
         loss_end=end,
-        format=PromptFormat.STP,
-        src_lang=example.src_lang,
-        tgt_lang=example.tgt_lang,
-        aux_lang=None,
-        id=example.id,
+        format=fmt,
+        src_lang=src_lang,
+        tgt_lang=tgt_lang,
+        aux_lang=aux_lang,
+        id=item_id,
+    )
+
+
+def render_stp(example: DirectionalExample, registry: Registry) -> PromptedExample:
+    return _render_translation(
+        PromptFormat.STP, example.id, example.src_lang, example.tgt_lang, example.src, example.tgt, registry
     )
 
 
@@ -115,38 +126,16 @@ def render_pmp(
     aux_lang: str,
     registry: Registry,
 ) -> PromptedExample:
-    expected = registry.auxiliary_for(example.src_lang, example.tgt_lang)
-    if expected is None:
-        raise NoAuxiliaryDefined(
-            f"direction {example.src_lang}->{example.tgt_lang} has no auxiliary language"
-        )
-    if aux_lang != expected:
-        raise ValueError(
-            f"auxiliary for {example.src_lang}->{example.tgt_lang} is {expected!r}, got {aux_lang!r}"
-        )
-    if not example.src:
-        raise EmptySource(f"example {example.id!r} has an empty source")
-    if not aux_text:
-        raise ValueError(f"example {example.id!r}: empty auxiliary text")
-    if not example.tgt:
-        raise ValueError(f"example {example.id!r} has an empty target")
-    prefix = _pmp_prefix(
-        registry.name_of(example.src_lang),
-        registry.name_of(example.tgt_lang),
-        registry.name_of(aux_lang),
+    return _render_translation(
+        PromptFormat.PMP,
+        example.id,
+        example.src_lang,
+        example.tgt_lang,
         example.src,
+        example.tgt,
+        registry,
+        aux_lang,
         aux_text,
-    )
-    text, start, end = _spanned(prefix, example.tgt)
-    return PromptedExample(
-        text=text,
-        loss_start=start,
-        loss_end=end,
-        format=PromptFormat.PMP,
-        src_lang=example.src_lang,
-        tgt_lang=example.tgt_lang,
-        aux_lang=aux_lang,
-        id=example.id,
     )
 
 
@@ -219,20 +208,7 @@ def render_stp_prompt(
     src_lang: str, tgt_lang: str, src: str, registry: Registry, item_id: str
 ) -> PromptedExample:
     """STP inference prompt: the training prefix with an empty loss span."""
-    if not src:
-        raise EmptySource(f"item {item_id!r} has an empty source")
-    prefix = _stp_prefix(registry.name_of(src_lang), registry.name_of(tgt_lang), src)
-    n = len(prefix.encode("utf-8"))
-    return PromptedExample(
-        text=prefix,
-        loss_start=n,
-        loss_end=n,
-        format=PromptFormat.STP,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        aux_lang=None,
-        id=item_id,
-    )
+    return _render_translation(PromptFormat.STP, item_id, src_lang, tgt_lang, src, None, registry)
 
 
 def render_pmp_prompt(
@@ -245,32 +221,8 @@ def render_pmp_prompt(
     item_id: str,
 ) -> PromptedExample:
     """PMP inference prompt: the training prefix with an empty loss span."""
-    expected = registry.auxiliary_for(src_lang, tgt_lang)
-    if expected is None:
-        raise NoAuxiliaryDefined(f"direction {src_lang}->{tgt_lang} has no auxiliary language")
-    if aux_lang != expected:
-        raise ValueError(f"auxiliary for {src_lang}->{tgt_lang} is {expected!r}, got {aux_lang!r}")
-    if not src:
-        raise EmptySource(f"item {item_id!r} has an empty source")
-    if not aux_text:
-        raise ValueError(f"item {item_id!r}: empty auxiliary text")
-    prefix = _pmp_prefix(
-        registry.name_of(src_lang),
-        registry.name_of(tgt_lang),
-        registry.name_of(aux_lang),
-        src,
-        aux_text,
-    )
-    n = len(prefix.encode("utf-8"))
-    return PromptedExample(
-        text=prefix,
-        loss_start=n,
-        loss_end=n,
-        format=PromptFormat.PMP,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        aux_lang=aux_lang,
-        id=item_id,
+    return _render_translation(
+        PromptFormat.PMP, item_id, src_lang, tgt_lang, src, None, registry, aux_lang, aux_text
     )
 
 

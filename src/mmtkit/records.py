@@ -21,7 +21,7 @@ from .errors import (
     RecordParseError,
     UnknownLanguage,
 )
-from .registry import CENTERS, Registry
+from .registry import CENTERS, Registry, parse_json_lines
 
 
 class Provenance(str, Enum):
@@ -105,20 +105,6 @@ def check_score(score, owner: str) -> float:
     if not 0.0 <= score <= 1.0:
         raise InvalidScore(f"score for {owner!r} outside [0, 1]: {score}")
     return float(score)
-
-
-def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
-        if not isinstance(obj, dict):
-            raise RecordParseError("expected a JSON object", line_no, path)
-        yield line_no, obj
 
 
 def _require(obj: dict, field: str, line_no: int, path: str | None):

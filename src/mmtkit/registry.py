@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateLanguage,
@@ -125,8 +125,9 @@ def _parse_language_line(obj: dict, line_no: int, path: str | None) -> Language:
     return Language(code, obj["name"], obj["script"], obj["family"], tier)
 
 
-def _iter_json_lines(lines: Iterable[str], path: str | None):
-    for line_no, raw in enumerate(lines, start=1):
+def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield (line_no, object) for each non-blank line; line numbers are 1-based."""
+    for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -141,7 +142,7 @@ def _iter_json_lines(lines: Iterable[str], path: str | None):
 
 def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Language]:
     languages: dict[str, Language] = {}
-    for line_no, obj in _iter_json_lines(lines, path):
+    for line_no, obj in parse_json_lines(lines, path):
         lang = _parse_language_line(obj, line_no, path)
         if lang.code in languages:
             raise DuplicateLanguage(f"duplicate language code {lang.code!r} (line {line_no})")
@@ -151,7 +152,7 @@ def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Languag
 
 def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[str, Language]) -> dict[str, str]:
     aux: dict[str, str] = {}
-    for line_no, obj in _iter_json_lines(lines, path):
+    for line_no, obj in parse_json_lines(lines, path):
         for f in ("lang", "aux"):
             if f not in obj or not isinstance(obj[f], str):
                 raise RecordParseError(f"auxiliary entry needs string field {f!r}", line_no, path)

@@ -80,6 +80,13 @@ def test_control_char_free(mk_example):
     assert rule.passes(mk_example(src="tab\there", tgt="line\nbreak"))
     assert not rule.passes(mk_example(src="nul\x00", tgt="b"))
     assert not rule.passes(mk_example(src="a", tgt="bell\x07"))
+    # Only C0 controls other than tab and newline are rejected; DEL, C1 (U+0085)
+    # and the Unicode line separator U+2028 pass.
+    for cp in [*range(0x80), 0x85, 0x2028]:
+        ch = chr(cp)
+        clean = cp >= 0x20 or ch in "\t\n"
+        assert rule.passes(mk_example(src=f"a{ch}b", tgt="t")) is clean, hex(cp)
+        assert rule.passes(mk_example(src="s", tgt=f"a{ch}b")) is clean, hex(cp)
 
 
 def test_exact_dedup_and_reset(mk_example):

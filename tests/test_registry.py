@@ -147,6 +147,20 @@ def test_invalid_json_line_reports_line_number(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_file", ["languages", "auxiliaries"])
+def test_non_object_line_reports_file_and_line(tmp_path, bad_file):
+    langs = tmp_path / "langs.jsonl"
+    aux = tmp_path / "aux.jsonl"
+    _write_jsonl(langs, [_lang("en"), _lang("zh"), _lang("fr"), _lang("de")])
+    _write_jsonl(aux, [{"lang": "fr", "aux": "de"}])
+    bad = langs if bad_file == "languages" else aux
+    bad.write_text(bad.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
+    with pytest.raises(RecordParseError) as exc:
+        load_registry(str(langs), str(aux))
+    line = 5 if bad_file == "languages" else 2
+    assert str(exc.value) == f"{bad}:line {line}: expected a JSON object"
+
+
 @pytest.mark.parametrize(
     "aux_row",
     [
