@@ -8,8 +8,10 @@ command prints a one-line JSON summary to stdout. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
 import sys
 
 from . import __version__
@@ -37,7 +39,7 @@ from .records import (
     write_score_sidecar,
     write_scored,
 )
-from .registry import load_registry, parse_json_lines
+from .registry import direction_error, load_registry, parse_json_lines, required_fields
 from .synthesis import InferenceStrategy, build_inference_prompt, synth_direct, synth_pivot
 
 log = logging.getLogger("mmtkit")
@@ -66,7 +68,40 @@ def _parse_direction(text: str) -> Direction:
     src, sep, tgt = text.partition("2")
     if not sep or not src or not tgt:
         raise RecordParseError(f"direction must look like 'en2fr', got {text!r}")
+    problem = direction_error(src, tgt)
+    if problem is not None:
+        raise RecordParseError(f"--direction: {problem}")
     return Direction(src, tgt)
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+@contextlib.contextmanager
+def _open_out(path: str, *inputs: str | None):
+    """Open --out, refusing one of the inputs; a regular file is replaced only
+    if the block succeeds, anything else (such as a FIFO) is written in place."""
+    for inp in inputs:
+        if inp is not None and os.path.exists(path) and os.path.samefile(path, inp):
+            raise RecordParseError(f"--out {path!r} is the same file as input {inp!r}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def cmd_validate(args) -> int:
@@ -80,7 +115,7 @@ def cmd_expand(args) -> int:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     n_records = n_examples = 0
-    with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         for record in read_multiway(fin, registry, path=args.infile):
             n_records += 1
             n_examples += write_examples(expand(record, dirset), fout)
@@ -91,7 +126,7 @@ def cmd_expand(args) -> int:
 def cmd_downsample(args) -> int:
     policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
     stats = DownsampleStats()
-    with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         write_examples(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
     _summary(stats.as_dict())
     return 0
@@ -115,17 +150,19 @@ def cmd_mix(args) -> int:
         if val is not None:
             config[key] = val
     config["seed"] = _seed(args, config)
-    spec = MixtureSpec.from_json(config)
+    try:
+        spec = MixtureSpec.from_json(config)
+    except (TypeError, ValueError) as e:
+        raise RecordParseError(f"mixture spec: {e}") from None
 
     scores = None
     if args.scores:
         with open(args.scores, encoding="utf-8") as f:
             scores = read_score_sidecar(f, path=args.scores)
 
-    with open(args.infile, encoding="utf-8") as fin:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
         records = read_multiway(fin, registry, path=args.infile)
         prompted, report = build_sft_mixture(records, registry, dirset, spec, scores=scores)
-    with open(args.out, "w", encoding="utf-8") as fout:
         write_prompted(prompted, fout)
     _summary({"emitted": report.emitted, "directions": len(report.per_direction), "warnings": len(report.warnings)})
     return 0
@@ -139,7 +176,7 @@ def cmd_filter(args) -> int:
         with open(args.rules, encoding="utf-8") as f:
             rules = rules_from_config(json.load(f))
 
-    with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
         pairs = read_examples(fin, path=args.infile, validate=False)
         kept, report = apply_heuristics(pairs, rules)
         if args.scores:
@@ -161,7 +198,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_score(args) -> int:
-    with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         pairs = read_examples(fin, path=args.infile)
         with SubprocessScorer(args.scorer_cmd) as scorer:
             n = write_score_sidecar(scorer.score_stream(pairs), fout)
@@ -173,7 +210,7 @@ def cmd_synth(args) -> int:
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
     written = n_in = 0
-    with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         with SubprocessBackend(args.backend_cmd) as backend:
             if args.mode == "direct":
                 direction = _parse_direction(args.direction)
@@ -181,8 +218,7 @@ def cmd_synth(args) -> int:
                 def mono():
                     nonlocal n_in
                     for line_no, obj in parse_json_lines(fin, args.infile):
-                        if "id" not in obj or "text" not in obj:
-                            raise RecordParseError("need fields 'id' and 'text'", line_no, args.infile)
+                        item_id, text = required_fields(obj, ("id", "text"), line_no, args.infile)
                         if obj.get("lang") not in (None, direction.src):
                             raise RecordParseError(
                                 f"item language {obj['lang']!r} does not match direction source "
@@ -191,7 +227,7 @@ def cmd_synth(args) -> int:
                                 args.infile,
                             )
                         n_in += 1
-                        yield obj["id"], obj["text"]
+                        yield item_id, text
 
                 written = write_examples(synth_direct(mono(), backend, direction), fout)
             else:
@@ -213,20 +249,14 @@ def cmd_infer_prompt(args) -> int:
     backend = SubprocessBackend(args.backend_cmd) if args.backend_cmd else None
     n_req = n_prompts = 0
     try:
-        with open(args.infile, encoding="utf-8") as fin, open(args.out, "w", encoding="utf-8") as fout:
+        with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
             for line_no, obj in parse_json_lines(fin, args.infile):
-                for f in ("id", "src_lang", "tgt_lang", "src"):
-                    if f not in obj:
-                        raise RecordParseError(f"missing field {f!r}", line_no, args.infile)
+                item_id, src_lang, tgt_lang, src = required_fields(
+                    obj, ("id", "src_lang", "tgt_lang", "src"), line_no, args.infile
+                )
                 prompts = build_inference_prompt(
-                    strategy,
-                    obj["src_lang"],
-                    obj["tgt_lang"],
-                    obj["src"],
-                    registry,
-                    backend=backend,
-                    aux_text=obj.get("aux"),
-                    item_id=obj["id"],
+                    strategy, src_lang, tgt_lang, src, registry,
+                    backend=backend, aux_text=obj.get("aux"), item_id=item_id,
                 )
                 n_req += 1
                 n_prompts += write_prompted(prompts, fout)
@@ -256,7 +286,7 @@ def cmd_eval(args) -> int:
         )
     text = render_table(table, fmt=args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _open_out(args.out, args.records) as f:
             f.write(text)
         _summary({"models": len(table.models), "skipped": table.skipped, "out": args.out})
     else:
@@ -274,7 +304,7 @@ def cmd_diagnose(args) -> int:
             stats = target_repetition_stats(examples)
     report = stats.as_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _open_out(args.out, args.infile) as f:
             json.dump(report, f, ensure_ascii=False, indent=2)
             f.write("\n")
     sys.stdout.write(render_histogram(stats))
@@ -305,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("downsample", parents=[common], help="strategic downsampling of reverse examples")
-    p.add_argument("--p", type=float, default=0.05, help="reverse retention probability (default 0.05)")
+    p.add_argument("--p", type=_probability, default=0.05, help="reverse retention probability (default 0.05)")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
     p.add_argument("--out", required=True, help="output .djsonl")
     p.set_defaults(func=cmd_downsample)
@@ -317,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", default=None, help="score sidecar for quality-descending selection")
     p.add_argument("--per-direction-min", type=int, default=None)
     p.add_argument("--per-direction-max", type=int, default=None)
-    p.add_argument("--forward-pmp-share", type=float, default=None)
-    p.add_argument("--reverse-retention", type=float, default=None)
-    p.add_argument("--reverse-pmp-share", type=float, default=None)
+    p.add_argument("--forward-pmp-share", type=_probability, default=None)
+    p.add_argument("--reverse-retention", type=_probability, default=None)
+    p.add_argument("--reverse-pmp-share", type=_probability, default=None)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("filter", parents=[common], help="heuristic cleaning and QE thresholding")
@@ -327,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .djsonl (or .sjsonl with --scores)")
     p.add_argument("--rules", default=None, help="JSON rule list (default: built-in rule set)")
     p.add_argument("--scores", default=None, help="score sidecar keyed by example id")
-    p.add_argument("--tau", type=float, default=None, help="keep pairs with qe_score >= tau")
+    p.add_argument("--tau", type=_probability, default=None, help="keep pairs with qe_score >= tau")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("score", parents=[common], help="produce a score sidecar via an external scorer")
@@ -363,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", parents=[common], help="target-repetition statistics")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
-    p.add_argument("--p", type=float, default=None, help="apply a retention policy before measuring")
+    p.add_argument("--p", type=_probability, default=None, help="apply a retention policy before measuring")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_diagnose)
 

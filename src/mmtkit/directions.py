@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import MissingCenter
 from .records import DirectionalExample, MultiWayRecord, Provenance
-from .registry import CENTERS, Registry
+from .registry import CENTERS, Registry, direction_error
 
 
 @dataclass(frozen=True, order=True)
@@ -19,10 +19,9 @@ class Direction:
     tgt: str
 
     def __post_init__(self):
-        if self.src == self.tgt:
-            raise ValueError(f"direction with identical sides: {self.src!r}")
-        if self.src not in CENTERS and self.tgt not in CENTERS:
-            raise ValueError(f"direction {self.src}->{self.tgt} does not involve a center language")
+        problem = direction_error(self.src, self.tgt)
+        if problem is not None:
+            raise ValueError(problem)
 
     @property
     def suffix(self) -> str:

@@ -53,8 +53,8 @@ class MissingScore(ToolkitError):
         super().__init__(f"no score for id {pair_id!r}")
 
 
-class InvalidScore(ToolkitError):
-    """A quality score fell outside [0, 1]."""
+class InvalidScore(RecordParseError):
+    """A quality score is not a number in [0, 1]; from a file, it names the line."""
 
 
 class DuplicateRecord(ToolkitError):

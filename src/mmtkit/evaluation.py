@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .directions import Direction
 from .errors import DuplicateRecord, RecordParseError, UnknownLanguage
-from .registry import Registry, Tier, parse_json_lines
+from .registry import Registry, Tier, parse_json_lines, required_fields
 
 METRICS = ("COMET22", "SacreBLEU")
 
@@ -42,18 +42,13 @@ class EvalRecord:
 
 def read_eval_records(stream: Iterable[str], path: str | None = None) -> Iterator[EvalRecord]:
     for line_no, obj in parse_json_lines(stream, path):
-        for f in ("model", "src", "tgt", "metric", "value"):
-            if f not in obj:
-                raise RecordParseError(f"missing field {f!r}", line_no, path)
+        model, src, tgt, metric = required_fields(obj, ("model", "src", "tgt", "metric"), line_no, path)
+        (value,) = required_fields(obj, ("value",), line_no, path, object)
         try:
-            yield EvalRecord(
-                model=obj["model"],
-                direction=Direction(obj["src"], obj["tgt"]),
-                metric=obj["metric"],
-                value=float(obj["value"]),
-            )
+            rec = EvalRecord(model, Direction(src, tgt), metric, float(value))
         except (TypeError, ValueError) as e:
             raise RecordParseError(str(e), line_no, path) from None
+        yield rec
 
 
 def classes_of(

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptySource, NoAuxiliaryDefined, RecordParseError
 from .records import DirectionalExample, json_line
-from .registry import Registry, parse_json_lines
+from .registry import Registry, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
 
@@ -236,19 +236,15 @@ def write_prompted(examples: Iterable[PromptedExample], stream) -> int:
 
 def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[PromptedExample]:
     for line_no, obj in parse_json_lines(stream, path):
+        text, fmt, src_lang, tgt_lang, item_id = required_fields(
+            obj, ("text", "format", "src_lang", "tgt_lang", "id"), line_no, path
+        )
+        loss_start, loss_end = required_fields(obj, ("loss_start", "loss_end"), line_no, path, int)
         try:
-            yield PromptedExample(
-                text=obj["text"],
-                loss_start=obj["loss_start"],
-                loss_end=obj["loss_end"],
-                format=PromptFormat(obj["format"]),
-                src_lang=obj["src_lang"],
-                tgt_lang=obj["tgt_lang"],
-                aux_lang=obj.get("aux_lang"),
-                id=obj["id"],
-                prompt_schema=obj.get("prompt_schema", PROMPT_SCHEMA),
+            pe = PromptedExample(
+                text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang,
+                obj.get("aux_lang"), item_id, obj.get("prompt_schema", PROMPT_SCHEMA),
             )
-        except KeyError as e:
-            raise RecordParseError(f"missing field {e.args[0]!r}", line_no, path) from None
         except ValueError as e:
             raise RecordParseError(str(e), line_no, path) from None
+        yield pe

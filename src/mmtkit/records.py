@@ -6,7 +6,8 @@ Three file flavors, all UTF-8, one JSON object per line:
   *.sjsonl   scored pairs        directional fields plus "qe_score"
 
 Readers yield one record at a time and never buffer the file; the only state
-kept across lines is the set of seen ids for uniqueness checking.
+kept across lines is the set of seen ids for uniqueness checking. Each reader
+checks a record once, as it reads it, and reports errors at path:line.
 """
 from __future__ import annotations
 
@@ -15,13 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator
 
-from .errors import (
-    DuplicateRecordId,
-    InvalidScore,
-    RecordParseError,
-    UnknownLanguage,
-)
-from .registry import CENTERS, Registry, parse_json_lines
+from .errors import DuplicateRecordId, InvalidScore, RecordParseError
+from .registry import Registry, direction_error, parse_json_lines, required_fields
 
 
 class Provenance(str, Enum):
@@ -39,15 +35,6 @@ class MultiWayRecord:
     id: str
     sentences: dict[str, str]
 
-    def validate(self, registry: Registry | None = None) -> None:
-        if not self.id:
-            raise RecordParseError("record id must be non-empty")
-        for lang, text in self.sentences.items():
-            if registry is not None and lang not in registry:
-                raise UnknownLanguage(lang)
-            if not isinstance(text, str) or not text:
-                raise RecordParseError(f"sentence for {lang!r} must be a non-empty string")
-
     def to_json(self) -> dict:
         return {"id": self.id, "sentences": dict(self.sentences)}
 
@@ -60,18 +47,6 @@ class DirectionalExample:
     src: str
     tgt: str
     provenance: Provenance = Provenance.HUMAN
-
-    def validate(self) -> None:
-        if not self.id:
-            raise RecordParseError("example id must be non-empty")
-        if self.src_lang == self.tgt_lang:
-            raise RecordParseError(f"identical source and target language {self.src_lang!r}")
-        if self.src_lang not in CENTERS and self.tgt_lang not in CENTERS:
-            raise RecordParseError(
-                f"direction {self.src_lang}->{self.tgt_lang} does not involve a center language"
-            )
-        if not self.src or not self.tgt:
-            raise RecordParseError(f"example {self.id!r} has an empty text side")
 
     def to_json(self) -> dict:
         return {
@@ -89,28 +64,18 @@ class ScoredPair:
     example: DirectionalExample
     qe_score: float
 
-    def validate(self) -> None:
-        self.example.validate()
-        check_score(self.qe_score, self.example.id)
-
     def to_json(self) -> dict:
         obj = self.example.to_json()
         obj["qe_score"] = self.qe_score
         return obj
 
 
-def check_score(score, owner: str) -> float:
+def check_score(score, owner: str, line_no: int | None = None, path: str | None = None) -> float:
     if not isinstance(score, (int, float)) or isinstance(score, bool):
-        raise InvalidScore(f"score for {owner!r} must be a number, got {score!r}")
+        raise InvalidScore(f"score for {owner!r} must be a number, got {score!r}", line_no, path)
     if not 0.0 <= score <= 1.0:
-        raise InvalidScore(f"score for {owner!r} outside [0, 1]: {score}")
+        raise InvalidScore(f"score for {owner!r} outside [0, 1]: {score}", line_no, path)
     return float(score)
-
-
-def _require(obj: dict, field: str, line_no: int, path: str | None):
-    if field not in obj:
-        raise RecordParseError(f"missing field {field!r}", line_no, path)
-    return obj[field]
 
 
 def read_multiway(
@@ -121,20 +86,20 @@ def read_multiway(
 ) -> Iterator[MultiWayRecord]:
     seen: set[str] = set()
     for line_no, obj in parse_json_lines(stream, path):
-        rec_id = _require(obj, "id", line_no, path)
-        sentences = _require(obj, "sentences", line_no, path)
-        if not isinstance(rec_id, str) or not isinstance(sentences, dict):
-            raise RecordParseError("fields 'id' (string) and 'sentences' (object) required", line_no, path)
-        rec = MultiWayRecord(id=rec_id, sentences=sentences)
-        try:
-            rec.validate(registry)
-        except (RecordParseError, UnknownLanguage) as e:
-            raise RecordParseError(str(e), line_no, path) from None
+        (rec_id,) = required_fields(obj, ("id",), line_no, path)
+        (sentences,) = required_fields(obj, ("sentences",), line_no, path, dict)
+        if not rec_id:
+            raise RecordParseError("record id must be non-empty", line_no, path)
+        for lang, text in sentences.items():
+            if registry is not None and lang not in registry:
+                raise RecordParseError(f"unknown language code: {lang!r}", line_no, path)
+            if not isinstance(text, str) or not text:
+                raise RecordParseError(f"sentence for {lang!r} must be a non-empty string", line_no, path)
         if check_unique:
-            if rec.id in seen:
-                raise DuplicateRecordId(f"duplicate record id {rec.id!r} (line {line_no})")
-            seen.add(rec.id)
-        yield rec
+            if rec_id in seen:
+                raise DuplicateRecordId(f"duplicate record id {rec_id!r} (line {line_no})")
+            seen.add(rec_id)
+        yield MultiWayRecord(id=rec_id, sentences=sentences)
 
 
 def read_examples(
@@ -155,43 +120,35 @@ def read_examples(
         yield ex
 
 
+_EXAMPLE_FIELDS = ("id", "src_lang", "tgt_lang", "src", "tgt")
+_PROVENANCE = {p.value: p for p in Provenance}
+
+
 def _example_from_json(
     obj: dict, line_no: int, path: str | None, validate: bool = True
 ) -> DirectionalExample:
-    for f in ("id", "src_lang", "tgt_lang", "src", "tgt"):
-        v = _require(obj, f, line_no, path)
-        if not isinstance(v, str):
-            raise RecordParseError(f"field {f!r} must be a string", line_no, path)
-    prov = obj.get("provenance", Provenance.HUMAN.value)
+    ex_id, src_lang, tgt_lang, src, tgt = required_fields(obj, _EXAMPLE_FIELDS, line_no, path)
+    prov = obj.get("provenance", "human")
     try:
-        provenance = Provenance(prov)
-    except ValueError:
+        provenance = _PROVENANCE[prov]
+    except (KeyError, TypeError):
         raise RecordParseError(f"unknown provenance {prov!r}", line_no, path) from None
-    ex = DirectionalExample(
-        id=obj["id"],
-        src_lang=obj["src_lang"],
-        tgt_lang=obj["tgt_lang"],
-        src=obj["src"],
-        tgt=obj["tgt"],
-        provenance=provenance,
-    )
     if validate:
-        try:
-            ex.validate()
-        except RecordParseError as e:
-            raise RecordParseError(str(e), line_no, path) from None
-    return ex
+        if not ex_id:
+            raise RecordParseError("example id must be non-empty", line_no, path)
+        problem = direction_error(src_lang, tgt_lang)
+        if problem is not None:
+            raise RecordParseError(problem, line_no, path)
+        if not src or not tgt:
+            raise RecordParseError(f"example {ex_id!r} has an empty text side", line_no, path)
+    return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
 
 
 def read_scored(stream: Iterable[str], path: str | None = None) -> Iterator[ScoredPair]:
     for line_no, obj in parse_json_lines(stream, path):
         ex = _example_from_json(obj, line_no, path)
-        raw = _require(obj, "qe_score", line_no, path)
-        try:
-            score = check_score(raw, ex.id)
-        except InvalidScore as e:
-            raise InvalidScore(f"{path or '<stream>'}:line {line_no}: {e}") from None
-        yield ScoredPair(example=ex, qe_score=score)
+        (raw,) = required_fields(obj, ("qe_score",), line_no, path, object)
+        yield ScoredPair(example=ex, qe_score=check_score(raw, ex.id, line_no, path))
 
 
 def write_multiway(records: Iterable[MultiWayRecord], stream: IO[str]) -> int:
@@ -223,13 +180,13 @@ def read_score_sidecar(stream: Iterable[str], path: str | None = None) -> dict[s
     so full scored-pair files double as sidecars."""
     scores: dict[str, float] = {}
     for line_no, obj in parse_json_lines(stream, path):
-        pair_id = _require(obj, "id", line_no, path)
-        raw = _require(obj, "qe_score", line_no, path)
-        if not isinstance(pair_id, str) or not pair_id:
+        (pair_id,) = required_fields(obj, ("id",), line_no, path)
+        (raw,) = required_fields(obj, ("qe_score",), line_no, path, object)
+        if not pair_id:
             raise RecordParseError("field 'id' must be a non-empty string", line_no, path)
         if pair_id in scores:
             raise RecordParseError(f"duplicate score entry for id {pair_id!r}", line_no, path)
-        scores[pair_id] = check_score(raw, pair_id)
+        scores[pair_id] = check_score(raw, pair_id, line_no, path)
     return scores
 
 

@@ -46,7 +46,6 @@ class Registry:
 
     languages: dict[str, Language]
     auxiliaries: dict[str, str] = field(default_factory=dict)
-    centers: tuple[str, str] = CENTERS
 
     def __contains__(self, code: str) -> bool:
         return code in self.languages
@@ -76,7 +75,7 @@ class Registry:
         return counts
 
     def is_center(self, code: str) -> bool:
-        return code in self.centers
+        return code in CENTERS
 
     def auxiliary_for(self, src: str, tgt: str) -> str | None:
         """Auxiliary language for a center-involving direction, or None.
@@ -88,41 +87,45 @@ class Registry:
         """
         self.language(src)
         self.language(tgt)
-        if src == tgt:
-            raise ValueError(f"direction with identical sides: {src!r}")
-        sides = {src, tgt}
-        centers = set(self.centers)
-        involved = sides & centers
-        if not involved:
-            raise ValueError(f"direction {src}->{tgt} does not involve a center language")
-        if sides <= centers:
+        problem = direction_error(src, tgt)
+        if problem is not None:
+            raise ValueError(problem)
+        if src in CENTERS and tgt in CENTERS:
             return None
-        x = (sides - centers).pop()
-        if "en" in involved:
+        x = tgt if src in CENTERS else src
+        if "en" in (src, tgt):
             return self.auxiliaries.get(x)
         return "en"
 
 
+def direction_error(src: str, tgt: str) -> str | None:
+    """Why src->tgt is not a supported direction, or None when it is.
+
+    A supported direction has two different sides, at least one of which is
+    a center language.
+    """
+    if src == tgt:
+        return f"direction with identical sides: {src!r}"
+    if src not in CENTERS and tgt not in CENTERS:
+        return f"direction {src}->{tgt} does not involve a center language"
+    return None
+
+
 def _parse_language_line(obj: dict, line_no: int, path: str | None) -> Language:
-    for f in _LANG_FIELDS:
-        if f not in obj:
-            raise RecordParseError(f"missing field {f!r}", line_no, path)
-        if not isinstance(obj[f], str):
-            raise RecordParseError(f"field {f!r} must be a string", line_no, path)
-    code = obj["code"]
+    code, name, script, family, tier = required_fields(obj, _LANG_FIELDS, line_no, path)
     if not code:
         raise RecordParseError("empty language code", line_no, path)
     if code != code.lower():
         raise RecordParseError(f"language code must be lowercase: {code!r}", line_no, path)
     try:
-        tier = Tier(obj["tier"])
+        tier = Tier(tier)
     except ValueError:
         raise RecordParseError(
-            f"field 'tier' must be one of {[t.value for t in Tier]}, got {obj['tier']!r}",
+            f"field 'tier' must be one of {[t.value for t in Tier]}, got {tier!r}",
             line_no,
             path,
         ) from None
-    return Language(code, obj["name"], obj["script"], obj["family"], tier)
+    return Language(code, name, script, family, tier)
 
 
 def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
@@ -140,6 +143,25 @@ def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator
         yield line_no, obj
 
 
+_KIND_NAMES = {str: "a string", dict: "an object", int: "an integer"}
+
+
+def required_fields(
+    obj: dict, names: tuple[str, ...], line_no: int, path: str | None, kind: type = str
+) -> list:
+    """Values of the named fields of one parsed line. Each must be present and
+    an instance of kind (kind=object checks presence only); else RecordParseError."""
+    values = []
+    for name in names:
+        if name not in obj:
+            raise RecordParseError(f"missing field {name!r}", line_no, path)
+        value = obj[name]
+        if not isinstance(value, kind):
+            raise RecordParseError(f"field {name!r} must be {_KIND_NAMES[kind]}", line_no, path)
+        values.append(value)
+    return values
+
+
 def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Language]:
     languages: dict[str, Language] = {}
     for line_no, obj in parse_json_lines(lines, path):
@@ -153,10 +175,7 @@ def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Languag
 def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[str, Language]) -> dict[str, str]:
     aux: dict[str, str] = {}
     for line_no, obj in parse_json_lines(lines, path):
-        for f in ("lang", "aux"):
-            if f not in obj or not isinstance(obj[f], str):
-                raise RecordParseError(f"auxiliary entry needs string field {f!r}", line_no, path)
-        lang, a = obj["lang"], obj["aux"]
+        lang, a = required_fields(obj, ("lang", "aux"), line_no, path)
         if lang not in languages:
             raise UnknownLanguage(lang)
         if a not in languages:

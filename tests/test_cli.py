@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -91,6 +92,7 @@ def test_expand_bad_record_exits_1(tmp_path):
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["error"] == "RecordParseError"
     assert "sentences" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_expand_worker_equivalence(tmp_path):
@@ -354,3 +356,132 @@ def test_custom_registry_cli(tmp_path):
     langs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     proc = run_cli("validate", "--registry", str(langs))
     assert proc.stdout.strip() == "3 languages, 6 directions"
+
+
+def last_error(proc):
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def test_synth_direct_non_string_item_exits_1(tmp_path, scripts_dir):
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text(json_line({"id": 7, "text": 5}) + "\n", encoding="utf-8")
+    out = tmp_path / "o.djsonl"
+    proc = run_cli(
+        "synth", "--mode", "direct", "--direction", "en2sw",
+        "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
+        "--in", str(mono), "--out", str(out),
+        expect=1,
+    )
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert f"{mono}:line 1" in last_error(proc)["message"]
+    assert not out.exists()
+
+
+def test_synth_direct_unsupported_direction_exits_1(tmp_path, scripts_dir):
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text(json_line({"id": "m0", "text": "x"}) + "\n", encoding="utf-8")
+    proc = run_cli(
+        "synth", "--mode", "direct", "--direction", "fr2de",
+        "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
+        "--in", str(mono), "--out", str(tmp_path / "o"),
+        expect=1,
+    )
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_infer_prompt_non_string_src_exits_1(tmp_path):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json_line({"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": 123}) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "dt", "--in", str(reqs), "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("same_as", ["--in", "--scores"])
+def test_out_same_as_input_refused(tmp_path, same_as):
+    pairs = tmp_path / "d.djsonl"
+    pairs.write_text(
+        json_line({"id": "a#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": "hi", "tgt": "salut"}) + "\n",
+        encoding="utf-8",
+    )
+    scores = tmp_path / "s.jsonl"
+    scores.write_text(json_line({"id": "a#en2fr", "qe_score": 0.5}) + "\n", encoding="utf-8")
+    if same_as == "--in":
+        args, victim = ("downsample", "--in", str(pairs), "--out", str(pairs)), pairs
+    else:
+        args, victim = ("filter", "--in", str(pairs), "--scores", str(scores), "--out", str(scores)), scores
+    before = victim.read_bytes()
+    proc = run_cli(*args, expect=1)
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert victim.read_bytes() == before
+
+
+def test_failed_run_keeps_existing_out(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=3)
+    with open(corpus, "a", encoding="utf-8") as f:
+        f.write('{"id": "broken"}\n')
+    out = tmp_path / "o.djsonl"
+    out.write_bytes(b"previous run\n")
+    run_cli("expand", "--in", str(corpus), "--out", str(out), expect=1)
+    assert out.read_bytes() == b"previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mwjsonl", "o.djsonl"]
+
+
+def test_out_fifo_receives_output(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # A reader opened first lets the writer open without blocking; the pipe
+    # buffer holds the few output lines until they are read below.
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        run_cli("expand", "--in", str(corpus), "--out", str(fifo))
+        data = b""
+        while chunk := os.read(fd, 65536):
+            data += chunk
+    finally:
+        os.close(fd)
+    assert [json.loads(l)["id"] for l in data.decode("utf-8").splitlines()] == [
+        "t0000#en2fr", "t0000#fr2en", "t0001#en2fr", "t0001#fr2en",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mwjsonl", "out.fifo"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("downsample", "--p", "2"),
+        ("diagnose", "--p", "-0.1"),
+        ("filter", "--tau", "1.5"),
+        ("mix", "--forward-pmp-share", "1.01"),
+        ("mix", "--reverse-retention", "nan"),
+        ("mix", "--reverse-pmp-share", "-1"),
+    ],
+)
+def test_out_of_range_probability_is_usage_error(tmp_path, args):
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--in", str(src), "--out", str(out), expect=2)
+    assert "must be in [0, 1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["min_over_max", "unknown_field"])
+def test_bad_mixture_spec_exits_1(tmp_path, bad):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"per_direction_maximum": 3}), encoding="utf-8")
+    extra = (
+        ("--per-direction-min", "5", "--per-direction-max", "2")
+        if bad == "min_over_max"
+        else ("--spec", str(spec))
+    )
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), *extra, expect=1)
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

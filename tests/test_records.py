@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmtkit.errors import DuplicateRecordId, InvalidScore, RecordParseError, UnknownLanguage
+from mmtkit.evaluation import read_eval_records
+from mmtkit.prompts import read_prompted
 from mmtkit.records import (
     DirectionalExample,
     MultiWayRecord,
@@ -25,6 +27,7 @@ from mmtkit.records import (
     write_score_sidecar,
     write_scored,
 )
+from mmtkit.registry import load_registry
 
 text_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30
@@ -180,3 +183,66 @@ def test_scored_roundtrip_property(src, tgt, score):
     write_scored([pair], buf)
     (back,) = read_scored(io.StringIO(buf.getvalue()))
     assert back == pair
+
+
+def _lang_row(code, **fields):
+    return {"code": code, "name": code.upper(), "script": "Latn", "family": "F", "tier": "High", **fields}
+
+
+def _reader(read):
+    def run(path):
+        with open(path, encoding="utf-8") as f:
+            return list(read(f, path=path))
+
+    return run
+
+
+_PAIR = {"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "a", "tgt": "b"}
+_PROMPTED = {
+    "text": "t", "loss_start": 0, "loss_end": 0, "format": "STP",
+    "src_lang": "en", "tgt_lang": "fr", "aux_lang": None, "id": "p1",
+}
+# case -> (reader of a path, lines with the bad one last and "" for a blank line, mistyped field)
+NON_STRING_CASES = {
+    "read_examples": (_reader(read_examples), ["", {**_PAIR, "src": 5}], "src"),
+    "read_scored": (_reader(read_scored), ["", {**_PAIR, "id": 7, "qe_score": 0.5}], "id"),
+    "read_multiway": (_reader(read_multiway), ["", {"id": 7, "sentences": {"en": "a"}}], "id"),
+    "read_score_sidecar": (_reader(read_score_sidecar), ["", {"id": 7, "qe_score": 0.5}], "id"),
+    "read_eval_records": (
+        _reader(read_eval_records),
+        ["", {"model": 5, "src": "en", "tgt": "fr", "metric": "COMET22", "value": 80.0}],
+        "model",
+    ),
+    "read_prompted": (_reader(read_prompted), ["", {**_PROMPTED, "text": 5}], "text"),
+    "load_registry": (load_registry, [_lang_row("en"), _lang_row("zh"), _lang_row("fr", name=5)], "name"),
+    "load_registry_aux": (lambda p: load_registry(None, p), ["", {"lang": "bg", "aux": 5}], "aux"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_STRING_CASES))
+def test_non_string_field_reports_file_and_line(tmp_path, case):
+    read, rows, field = NON_STRING_CASES[case]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join((json_line(r) if r else "") + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(RecordParseError) as exc:
+        read(str(path))
+    assert type(exc.value) is RecordParseError
+    assert str(exc.value) == f"{path}:line {len(rows)}: field {field!r} must be a string"
+
+
+def test_sidecar_out_of_range_score_names_file_and_line(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(
+        json_line({"id": "a", "qe_score": 0.5}) + "\n" + json_line({"id": "b", "qe_score": 1.5}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InvalidScore) as exc:
+        _reader(read_score_sidecar)(str(path))
+    assert str(exc.value).startswith(f"{path}:line 2: ")
+
+
+def test_unhashable_provenance_is_a_parse_error():
+    row = {"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "a", "tgt": "b", "provenance": [1]}
+    with pytest.raises(RecordParseError) as exc:
+        list(read_examples(io.StringIO(json_line(row) + "\n"), path="p.djsonl"))
+    assert str(exc.value).startswith("p.djsonl:line 1: ")
