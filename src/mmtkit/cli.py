@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands wire the library into file-to-file pipeline stages. Data flows
-through files (or stdout for tables); logs go to stderr; each mutating
-command prints a one-line JSON summary to stdout. Exit codes: 0 success,
-1 data error (with a JSON error line on stderr), 2 usage error.
+through files (or stdout for tables); logs go to stderr. Each stage returns
+its one-line JSON summary, which main prints to stdout (None when the stage
+wrote a table or histogram there itself). Exit codes: 0 success, 1 data
+error (with a JSON error line on stderr), 2 usage error.
 """
 from __future__ import annotations
 
@@ -29,22 +30,13 @@ from .filtering import (
     score_histogram,
     threshold_filter,
 )
+from .hashing import DEFAULT_SEED
 from .mixture import MixtureSpec, build_sft_mixture
-from .prompts import write_prompted
-from .records import (
-    read_examples,
-    read_multiway,
-    read_score_sidecar,
-    write_examples,
-    write_score_sidecar,
-    write_scored,
-)
+from .records import read_examples, read_multiway, read_score_sidecar, write_jsonl, write_score_sidecar
 from .registry import direction_error, load_registry, parse_json_lines, required_fields
 from .synthesis import InferenceStrategy, build_inference_prompt, synth_direct, synth_pivot
 
 log = logging.getLogger("mmtkit")
-
-DEFAULT_SEED = 42
 
 
 def _load_registry(args) -> "Registry":
@@ -52,16 +44,21 @@ def _load_registry(args) -> "Registry":
     return load_registry(lang_path, args.auxiliaries)
 
 
-def _seed(args, config: dict | None = None) -> int:
-    if args.seed is not None:
-        return args.seed
-    if config and "seed" in config:
-        return int(config["seed"])
-    return DEFAULT_SEED
+def _seed(args) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
 
 
-def _summary(obj: dict) -> None:
-    print(json.dumps(obj, ensure_ascii=False))
+def _read_config(path: str, kind: type):
+    """The JSON value of a config file (--spec, --rules); it must be a kind
+    (dict or list), and a parse error names the file and line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            value = json.load(f)
+        except json.JSONDecodeError as e:
+            raise RecordParseError(f"invalid JSON ({e.msg})", e.lineno, path) from None
+    if not isinstance(value, kind):
+        raise RecordParseError(f"expected a JSON {'object' if kind is dict else 'array'}", path=path)
+    return value
 
 
 def _parse_direction(text: str) -> Direction:
@@ -104,52 +101,44 @@ def _open_out(path: str, *inputs: str | None):
         raise
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     print(f"{len(registry)} languages, {dirset.direction_count} directions")
-    return 0
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> dict:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     n_records = n_examples = 0
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         for record in read_multiway(fin, registry, path=args.infile):
             n_records += 1
-            n_examples += write_examples(expand(record, dirset), fout)
-    _summary({"records": n_records, "examples": n_examples})
-    return 0
+            n_examples += write_jsonl(expand(record, dirset), fout)
+    return {"records": n_records, "examples": n_examples}
 
 
-def cmd_downsample(args) -> int:
+def cmd_downsample(args) -> dict:
     policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
     stats = DownsampleStats()
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
-        write_examples(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
-    _summary(stats.as_dict())
-    return 0
+        write_jsonl(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
+    return stats.as_dict()
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args) -> dict:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
-    config = {}
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as f:
-            config = json.load(f)
+    config = _read_config(args.spec, dict) if args.spec else {}
     overrides = {
         "per_direction_min": args.per_direction_min,
         "per_direction_max": args.per_direction_max,
         "forward_pmp_share": args.forward_pmp_share,
         "reverse_total_retention": args.reverse_retention,
         "reverse_pmp_share_of_retained": args.reverse_pmp_share,
+        "seed": args.seed,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            config[key] = val
-    config["seed"] = _seed(args, config)
+    config.update((key, val) for key, val in overrides.items() if val is not None)
     try:
         spec = MixtureSpec.from_json(config)
     except (TypeError, ValueError) as e:
@@ -163,111 +152,101 @@ def cmd_mix(args) -> int:
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
         records = read_multiway(fin, registry, path=args.infile)
         prompted, report = build_sft_mixture(records, registry, dirset, spec, scores=scores)
-        write_prompted(prompted, fout)
-    _summary({"emitted": report.emitted, "directions": len(report.per_direction), "warnings": len(report.warnings)})
-    return 0
+        write_jsonl(prompted, fout)
+    return {"emitted": report.emitted, "directions": len(report.per_direction), "warnings": len(report.warnings)}
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args) -> dict:
     if args.tau is not None and not args.scores:
         raise RecordParseError("--tau requires --scores")
-    rules = default_rules()
-    if args.rules:
-        with open(args.rules, encoding="utf-8") as f:
-            rules = rules_from_config(json.load(f))
+    rules = rules_from_config(_read_config(args.rules, list)) if args.rules else default_rules()
 
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
-        pairs = read_examples(fin, path=args.infile, validate=False)
-        kept, report = apply_heuristics(pairs, rules)
+        kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
         if args.scores:
             with open(args.scores, encoding="utf-8") as f:
                 sidecar = read_score_sidecar(f, path=args.scores)
-            scored = list(attach_scores(kept, sidecar))
-            report.histogram = score_histogram(scored)
+            kept = list(attach_scores(kept, sidecar))
+            report.histogram = score_histogram(kept)
             if args.tau is not None:
-                scored = list(threshold_filter(scored, args.tau))
-            write_scored(scored, fout)
-            out_obj = report.as_dict()
-            out_obj["written"] = len(scored)
-        else:
-            written = write_examples(kept, fout)
-            out_obj = report.as_dict()
-            out_obj["written"] = written
-    _summary(out_obj)
-    return 0
+                kept = threshold_filter(kept, args.tau)
+        written = write_jsonl(kept, fout)
+    return {**report.as_dict(), "written": written}
 
 
-def cmd_score(args) -> int:
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
-        pairs = read_examples(fin, path=args.infile)
-        with SubprocessScorer(args.scorer_cmd) as scorer:
-            n = write_score_sidecar(scorer.score_stream(pairs), fout)
-    _summary({"scored": n})
-    return 0
+def cmd_score(args) -> dict:
+    with (
+        open(args.infile, encoding="utf-8") as fin,
+        _open_out(args.out, args.infile) as fout,
+        SubprocessScorer(args.scorer_cmd) as scorer,
+    ):
+        n = write_score_sidecar(scorer.score_stream(read_examples(fin, path=args.infile)), fout)
+    return {"scored": n}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
-    written = n_in = 0
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
-        with SubprocessBackend(args.backend_cmd) as backend:
-            if args.mode == "direct":
-                direction = _parse_direction(args.direction)
+    n_in = 0
+    with (
+        open(args.infile, encoding="utf-8") as fin,
+        _open_out(args.out, args.infile) as fout,
+        SubprocessBackend(args.backend_cmd) as backend,
+    ):
+        if args.mode == "direct":
+            direction = _parse_direction(args.direction)
 
-                def mono():
-                    nonlocal n_in
-                    for line_no, obj in parse_json_lines(fin, args.infile):
-                        item_id, text = required_fields(obj, ("id", "text"), line_no, args.infile)
-                        if obj.get("lang") not in (None, direction.src):
-                            raise RecordParseError(
-                                f"item language {obj['lang']!r} does not match direction source "
-                                f"{direction.src!r}",
-                                line_no,
-                                args.infile,
-                            )
-                        n_in += 1
-                        yield item_id, text
+            def mono():
+                nonlocal n_in
+                for line_no, obj in parse_json_lines(fin, args.infile):
+                    item_id, text = required_fields(obj, ("id", "text"), line_no, args.infile)
+                    if obj.get("lang") not in (None, direction.src):
+                        raise RecordParseError(
+                            f"item language {obj['lang']!r} does not match direction source "
+                            f"{direction.src!r}",
+                            line_no,
+                            args.infile,
+                        )
+                    n_in += 1
+                    yield item_id, text
 
-                written = write_examples(synth_direct(mono(), backend, direction), fout)
-            else:
-                def pairs():
-                    nonlocal n_in
-                    for ex in read_examples(fin, path=args.infile):
-                        n_in += 1
-                        yield ex
+            written = write_jsonl(synth_direct(mono(), backend, direction), fout)
+        else:
+            def pairs():
+                nonlocal n_in
+                for ex in read_examples(fin, path=args.infile):
+                    n_in += 1
+                    yield ex
 
-                written = write_examples(synth_pivot(pairs(), backend), fout)
+            written = write_jsonl(synth_pivot(pairs(), backend), fout)
     per_item = 2 if args.mode == "pivot" else 1
-    _summary({"written": written, "failed": n_in - written // per_item})
-    return 0
+    return {"written": written, "failed": n_in - written // per_item}
 
 
-def cmd_infer_prompt(args) -> int:
+def cmd_infer_prompt(args) -> dict:
     registry = _load_registry(args)
     strategy = InferenceStrategy(args.strategy)
-    backend = SubprocessBackend(args.backend_cmd) if args.backend_cmd else None
     n_req = n_prompts = 0
-    try:
-        with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
-            for line_no, obj in parse_json_lines(fin, args.infile):
-                item_id, src_lang, tgt_lang, src = required_fields(
-                    obj, ("id", "src_lang", "tgt_lang", "src"), line_no, args.infile
-                )
-                prompts = build_inference_prompt(
-                    strategy, src_lang, tgt_lang, src, registry,
-                    backend=backend, aux_text=obj.get("aux"), item_id=item_id,
-                )
-                n_req += 1
-                n_prompts += write_prompted(prompts, fout)
-    finally:
-        if backend is not None:
-            backend.close()
-    _summary({"requests": n_req, "prompts": n_prompts})
-    return 0
+    with (
+        open(args.infile, encoding="utf-8") as fin,
+        _open_out(args.out, args.infile) as fout,
+        SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
+    ):
+        for line_no, obj in parse_json_lines(fin, args.infile):
+            item_id, src_lang, tgt_lang, src = required_fields(
+                obj, ("id", "src_lang", "tgt_lang", "src"), line_no, args.infile
+            )
+            (aux,) = required_fields(obj, ("aux",), line_no, args.infile) if "aux" in obj else (None,)
+            prompts = build_inference_prompt(
+                strategy, src_lang, tgt_lang, src, registry,
+                backend=backend, aux_text=aux, item_id=item_id,
+            )
+            n_req += 1
+            n_prompts += write_jsonl(prompts, fout)
+    return {"requests": n_req, "prompts": n_prompts}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict | None:
     registry = _load_registry(args)
     overlap = None
     if args.langs:
@@ -288,13 +267,12 @@ def cmd_eval(args) -> int:
     if args.out:
         with _open_out(args.out, args.records) as f:
             f.write(text)
-        _summary({"models": len(table.models), "skipped": table.skipped, "out": args.out})
-    else:
-        sys.stdout.write(text)
-    return 0
+        return {"models": len(table.models), "skipped": table.skipped, "out": args.out}
+    sys.stdout.write(text)
+    return None
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     with open(args.infile, encoding="utf-8") as fin:
         examples = read_examples(fin, path=args.infile)
         if args.p is not None:
@@ -308,7 +286,6 @@ def cmd_diagnose(args) -> int:
             json.dump(report, f, ensure_ascii=False, indent=2)
             f.write("\n")
     sys.stdout.write(render_histogram(stats))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--registry", default="builtin", help="language registry: 'builtin' or a JSONL path")
     common.add_argument("--auxiliaries", default=None, help="auxiliary map JSONL path (default: builtin with builtin registry, none otherwise)")
-    common.add_argument("--seed", type=int, default=None, help="seed for all hash-based decisions (default 42)")
+    common.add_argument("--seed", type=int, default=None, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
     common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
     common.add_argument("-v", "--verbose", action="count", default=0, help="-v for info logs, -vv for debug")
 
@@ -410,13 +387,16 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        summary = args.func(args)
     except ToolkitError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
     except OSError as e:
         print(json.dumps({"error": "OSError", "message": str(e)}), file=sys.stderr)
         return 1
+    if summary is not None:
+        print(json.dumps(summary, ensure_ascii=False))
+    return 0
 
 
 if __name__ == "__main__":

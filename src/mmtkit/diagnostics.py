@@ -90,7 +90,10 @@ def repetition_after_policy(
     return target_repetition_stats(downsample(examples, policy))
 
 
-def render_histogram(stats: RepetitionStats, width: int = 50) -> str:
+_HISTOGRAM_WIDTH = 50
+
+
+def render_histogram(stats: RepetitionStats) -> str:
     """ASCII histogram of repetition counts over distinct targets."""
     if not stats.histogram:
         return "(no targets)\n"
@@ -98,6 +101,6 @@ def render_histogram(stats: RepetitionStats, width: int = 50) -> str:
     lines = []
     for count in sorted(stats.histogram):
         freq = stats.histogram[count]
-        bar = "#" * max(1, round(width * freq / peak))
+        bar = "#" * max(1, round(_HISTOGRAM_WIDTH * freq / peak))
         lines.append(f"{count:>6} sources | {bar} {freq}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .hashing import unit_uniform
+from .hashing import DEFAULT_SEED, unit_uniform
 from .records import DirectionalExample
 from .registry import CENTERS
 
@@ -25,7 +25,7 @@ class SampleClass(str, Enum):
 @dataclass(frozen=True)
 class RetentionPolicy:
     p_reverse: float
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not 0.0 <= self.p_reverse <= 1.0:

@@ -25,7 +25,7 @@ class RecordParseError(ToolkitError):
         super().__init__(where + message)
 
 
-class DuplicateLanguage(ToolkitError):
+class DuplicateLanguage(RecordParseError):
     """Registry file declared the same language code twice."""
 
 
@@ -33,15 +33,16 @@ class MissingCenter(ToolkitError):
     """Registry lacks en or zh; the direction space is undefined without both."""
 
 
-class UnknownLanguage(ToolkitError):
-    """A language code that is not present in the active registry."""
+class UnknownLanguage(RecordParseError):
+    """A language code that is not present in the active registry; from a
+    file, it names the line."""
 
-    def __init__(self, code: str):
+    def __init__(self, code: str, line_no: int | None = None, path: str | None = None):
         self.code = code
-        super().__init__(f"unknown language code: {code!r}")
+        super().__init__(f"unknown language code: {code!r}", line_no, path)
 
 
-class DuplicateRecordId(ToolkitError):
+class DuplicateRecordId(RecordParseError):
     """Two records in one corpus share an id."""
 
 
@@ -67,6 +68,12 @@ class NoAuxiliaryDefined(ToolkitError):
 
 class EmptySource(ToolkitError):
     """A prompt render was asked to work with an empty source text."""
+
+
+class InvalidInput(ToolkitError, ValueError):
+    """A request the inputs cannot satisfy, such as a direction a synthesis
+    mode does not support or a strategy without the input it needs. It is
+    also a ValueError, so library callers catching ValueError still catch it."""
 
 
 class BackendError(ToolkitError):

@@ -195,13 +195,11 @@ class FilterReport:
 def apply_heuristics(
     pairs: Iterable[DirectionalExample],
     rules: list[FilterRule],
-    report: FilterReport | None = None,
 ) -> tuple[Iterator[DirectionalExample], FilterReport]:
     """Stream kept pairs; the report is complete once the stream is consumed."""
     if not rules:
         raise ValueError("rules must be non-empty")
-    if report is None:
-        report = FilterReport()
+    report = FilterReport()
 
     def run() -> Iterator[DirectionalExample]:
         for rule in rules:

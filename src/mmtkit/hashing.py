@@ -7,6 +7,8 @@ sequential RNG state to share or synchronize.
 """
 from __future__ import annotations
 
+DEFAULT_SEED = 42
+
 FNV64_OFFSET = 14695981039346656037
 FNV64_PRIME = 1099511628211
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .directions import DirectionSet, expand
 from .downsampling import RetentionPolicy, retained
 from .errors import MissingScore
-from .hashing import unit_uniform
+from .hashing import DEFAULT_SEED, unit_uniform
 from .prompts import PromptedExample, render_pmp, render_stp
 from .records import DirectionalExample, MultiWayRecord
 from .registry import Registry
@@ -37,9 +37,11 @@ class MixtureSpec:
     forward_pmp_share: float = 0.5
     reverse_total_retention: float = 0.05
     reverse_pmp_share_of_retained: float = 0.5
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name in ("forward_pmp_share", "reverse_total_retention", "reverse_pmp_share_of_retained"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

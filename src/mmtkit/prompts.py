@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptySource, NoAuxiliaryDefined, RecordParseError
-from .records import DirectionalExample, json_line
+from .records import DirectionalExample, write_jsonl
 from .registry import Registry, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
@@ -226,12 +226,7 @@ def render_pmp_prompt(
     )
 
 
-def write_prompted(examples: Iterable[PromptedExample], stream) -> int:
-    n = 0
-    for pe in examples:
-        stream.write(json_line(pe.to_json()) + "\n")
-        n += 1
-    return n
+write_prompted = write_jsonl
 
 
 def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[PromptedExample]:

@@ -97,7 +97,7 @@ def read_multiway(
                 raise RecordParseError(f"sentence for {lang!r} must be a non-empty string", line_no, path)
         if check_unique:
             if rec_id in seen:
-                raise DuplicateRecordId(f"duplicate record id {rec_id!r} (line {line_no})")
+                raise DuplicateRecordId(f"duplicate record id {rec_id!r}", line_no, path)
             seen.add(rec_id)
         yield MultiWayRecord(id=rec_id, sentences=sentences)
 
@@ -115,7 +115,7 @@ def read_examples(
         ex = _example_from_json(obj, line_no, path, validate=validate)
         if check_unique:
             if ex.id in seen:
-                raise DuplicateRecordId(f"duplicate example id {ex.id!r} (line {line_no})")
+                raise DuplicateRecordId(f"duplicate example id {ex.id!r}", line_no, path)
             seen.add(ex.id)
         yield ex
 
@@ -151,28 +151,16 @@ def read_scored(stream: Iterable[str], path: str | None = None) -> Iterator[Scor
         yield ScoredPair(example=ex, qe_score=check_score(raw, ex.id, line_no, path))
 
 
-def write_multiway(records: Iterable[MultiWayRecord], stream: IO[str]) -> int:
+def write_jsonl(items: Iterable, stream: IO[str]) -> int:
+    """Write each item's to_json() as one JSON line; return the count."""
     n = 0
-    for rec in records:
-        stream.write(json_line(rec.to_json()) + "\n")
+    for item in items:
+        stream.write(json_line(item.to_json()) + "\n")
         n += 1
     return n
 
 
-def write_examples(examples: Iterable[DirectionalExample], stream: IO[str]) -> int:
-    n = 0
-    for ex in examples:
-        stream.write(json_line(ex.to_json()) + "\n")
-        n += 1
-    return n
-
-
-def write_scored(pairs: Iterable[ScoredPair], stream: IO[str]) -> int:
-    n = 0
-    for pair in pairs:
-        stream.write(json_line(pair.to_json()) + "\n")
-        n += 1
-    return n
+write_multiway = write_examples = write_scored = write_jsonl
 
 
 def read_score_sidecar(stream: Iterable[str], path: str | None = None) -> dict[str, float]:

@@ -167,7 +167,7 @@ def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Languag
     for line_no, obj in parse_json_lines(lines, path):
         lang = _parse_language_line(obj, line_no, path)
         if lang.code in languages:
-            raise DuplicateLanguage(f"duplicate language code {lang.code!r} (line {line_no})")
+            raise DuplicateLanguage(f"duplicate language code {lang.code!r}", line_no, path)
         languages[lang.code] = lang
     return languages
 
@@ -176,10 +176,9 @@ def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[st
     aux: dict[str, str] = {}
     for line_no, obj in parse_json_lines(lines, path):
         lang, a = required_fields(obj, ("lang", "aux"), line_no, path)
-        if lang not in languages:
-            raise UnknownLanguage(lang)
-        if a not in languages:
-            raise UnknownLanguage(a)
+        for code in (lang, a):
+            if code not in languages:
+                raise UnknownLanguage(code, line_no, path)
         if lang in CENTERS:
             raise RecordParseError(f"center language {lang!r} cannot have an auxiliary", line_no, path)
         if a in CENTERS:

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .backends import Backend, BackendItemError
-from .errors import BackendError, NoAuxiliaryDefined
+from .errors import BackendError, InvalidInput, NoAuxiliaryDefined
 from .prompts import PromptedExample, render_pmp_prompt, render_stp_prompt
 from .records import DirectionalExample, Provenance
 from .registry import CENTERS, Registry
@@ -63,7 +63,7 @@ def synth_direct(
 ) -> Iterator[DirectionalExample]:
     """Translate (item_id, text) monolingual items along a forward direction."""
     if direction.src not in CENTERS:
-        raise ValueError(f"direct synthesis needs a center source, got {direction}")
+        raise InvalidInput(f"direct synthesis needs a center source, got {direction}")
     budget = _FailureBudget(f"synth_direct {direction}")
     for item_id, text in mono:
         budget.item()
@@ -101,9 +101,9 @@ def synth_pivot(
         elif pair.tgt_lang == "en":
             en_text, x_lang, x_text = pair.tgt, pair.src_lang, pair.src
         else:
-            raise ValueError(f"pivot input {pair.id!r} has no en side")
+            raise InvalidInput(f"pivot input {pair.id!r} has no en side")
         if x_lang == "zh":
-            raise ValueError(f"pivot input {pair.id!r} pairs en with zh; nothing to synthesize")
+            raise InvalidInput(f"pivot input {pair.id!r} pairs en with zh; nothing to synthesize")
         budget.item()
         try:
             zh_text = en2zh_backend.translate(pair.id, "en", "zh", en_text)
@@ -152,9 +152,9 @@ def build_inference_prompt(
     if strategy is InferenceStrategy.PT:
         # The pivot is always en, so neither endpoint may be en.
         if "en" in (src_lang, tgt_lang):
-            raise ValueError(f"pivot strategy is undefined for {src_lang}->{tgt_lang}")
+            raise InvalidInput(f"pivot strategy is undefined for {src_lang}->{tgt_lang}")
         if backend is None:
-            raise ValueError("pivot strategy requires a backend for the first hop")
+            raise InvalidInput("pivot strategy requires a backend for the first hop")
         first = render_stp_prompt(src_lang, "en", src_text, registry, f"{item_id}#{src_lang}2en")
         en_text = backend.translate(item_id, src_lang, "en", src_text)
         if not en_text:
@@ -168,10 +168,10 @@ def build_inference_prompt(
 
     if strategy is InferenceStrategy.PMP_O:
         if not aux_text:
-            raise ValueError(f"item {item_id!r}: strategy pmp-o needs a gold auxiliary sentence")
+            raise InvalidInput(f"item {item_id!r}: strategy pmp-o needs a gold auxiliary sentence")
     else:
         if backend is None:
-            raise ValueError("strategy pmp-s requires a backend to produce the auxiliary")
+            raise InvalidInput("strategy pmp-s requires a backend to produce the auxiliary")
         aux_text = backend.translate(item_id, src_lang, aux_lang, src_text)
         if not aux_text:
             raise BackendError(f"item {item_id!r}: empty auxiliary translation")

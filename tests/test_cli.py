@@ -485,3 +485,116 @@ def test_bad_mixture_spec_exits_1(tmp_path, bad):
     assert last_error(proc)["error"] == "RecordParseError"
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+_PIVOT_ROW = {"id": "p0", "src_lang": "en", "tgt_lang": "sw", "src": "en 0", "tgt": "sw 0"}
+_REQUEST = {"id": "q1", "src_lang": "fr", "tgt_lang": "de", "src": "eau"}
+# case -> (arguments after the subcommand, whether a backend is passed, the one input line)
+INVALID_INPUT_CASES = {
+    "synth-direct-non-center-source": (
+        ("synth", "--mode", "direct", "--direction", "fr2en"), True, {"id": "m0", "text": "eau"},
+    ),
+    "synth-pivot-zh-x": (("synth", "--mode", "pivot"), True, {**_PIVOT_ROW, "src_lang": "zh"}),
+    "synth-pivot-en-zh": (("synth", "--mode", "pivot"), True, {**_PIVOT_ROW, "tgt_lang": "zh"}),
+    "pt-en-endpoint": (("infer-prompt", "--strategy", "pt"), True, {**_REQUEST, "tgt_lang": "en"}),
+    "pt-no-backend": (("infer-prompt", "--strategy", "pt"), False, _REQUEST),
+    "pmp-s-no-backend": (("infer-prompt", "--strategy", "pmp-s"), False, {**_REQUEST, "src_lang": "en", "tgt_lang": "bg"}),
+    "pmp-o-no-aux": (("infer-prompt", "--strategy", "pmp-o"), False, {**_REQUEST, "src_lang": "en", "tgt_lang": "bg"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUT_CASES))
+def test_invalid_input_is_data_error(tmp_path, scripts_dir, case):
+    args, with_backend, row = INVALID_INPUT_CASES[case]
+    src = tmp_path / "in.jsonl"
+    src.write_text(json_line(row) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    backend = ("--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}") if with_backend else ()
+    proc = run_cli(*args, *backend, "--in", str(src), "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "InvalidInput"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("aux", [5, ["x"], None])
+def test_infer_prompt_non_string_aux_exits_1(tmp_path, aux):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(
+        json_line({"id": "q", "src_lang": "en", "tgt_lang": "bg", "src": "water", "aux": aux}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "pmp-o", "--in", str(reqs), "--out", str(out), expect=1)
+    assert last_error(proc) == {
+        "error": "RecordParseError",
+        "message": f"{reqs}:line 1: field 'aux' must be a string",
+    }
+    assert not out.exists()
+
+
+def _config_case(tmp_path, command, text):
+    """Arguments for a mix or filter run whose --spec or --rules file holds text."""
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    if command == "mix":
+        corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
+        return config, ("mix", "--in", str(corpus), "--spec", str(config))
+    pairs = tmp_path / "p.djsonl"
+    pairs.write_text(json_line(_PIVOT_ROW) + "\n", encoding="utf-8")
+    return config, ("filter", "--in", str(pairs), "--rules", str(config))
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("mix", '{\n  "per_direction_min": 1,\n  bad\n}\n'),
+        ("filter", '[\n  {"kind": "NonEmpty"},\n  bad\n]\n'),
+    ],
+    ids=["spec", "rules"],
+)
+def test_invalid_config_json_names_file_and_line(tmp_path, command, text):
+    config, args = _config_case(tmp_path, command, text)
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--out", str(out), expect=1)
+    err = last_error(proc)
+    assert err["error"] == "RecordParseError"
+    assert err["message"].startswith(f"{config}:line 3: invalid JSON")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("mix", "[1]"),
+        ("mix", '{"seed": "x"}'),
+        ("mix", '{"seed": 7.5}'),
+        ("mix", '{"seed": true}'),
+        ("filter", "5"),
+    ],
+    ids=["spec-array", "spec-seed-string", "spec-seed-float", "spec-seed-bool", "rules-number"],
+)
+def test_bad_config_value_exits_1(tmp_path, command, text):
+    _, args = _config_case(tmp_path, command, text)
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_mix_seed_flag_beats_spec_seed(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"per_direction_min": 0, "seed": 9}), encoding="utf-8")
+
+    def mix(name, *extra):
+        out = tmp_path / name
+        run_cli("mix", "--in", str(corpus), "--out", str(out), *extra)
+        return out.read_bytes()
+
+    seed9 = mix("flag9", "--per-direction-min", "0", "--seed", "9")
+    seed3 = mix("flag3", "--per-direction-min", "0", "--seed", "3")
+    assert seed9 != seed3
+    assert mix("spec9", "--spec", str(spec)) == seed9
+    assert mix("spec9_flag3", "--spec", str(spec), "--seed", "3") == seed3

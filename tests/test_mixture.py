@@ -40,6 +40,12 @@ def test_spec_defaults_and_validation():
     assert MixtureSpec.from_json({"seed": 7}).seed == 7
 
 
+@pytest.mark.parametrize("seed", ["x", 7.5, True, None])
+def test_spec_refuses_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        MixtureSpec(seed=seed)
+
+
 def test_unscored_selection_keeps_corpus_order(registry, dirset):
     recs = records(5, ["en", "fr"])
     out, report = build_sft_mixture(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmtkit.errors import DuplicateRecordId, InvalidScore, RecordParseError, UnknownLanguage
+from mmtkit.errors import DuplicateLanguage, DuplicateRecordId, InvalidScore, RecordParseError, UnknownLanguage
 from mmtkit.evaluation import read_eval_records
 from mmtkit.prompts import read_prompted
 from mmtkit.records import (
@@ -228,6 +228,42 @@ def test_non_string_field_reports_file_and_line(tmp_path, case):
         read(str(path))
     assert type(exc.value) is RecordParseError
     assert str(exc.value) == f"{path}:line {len(rows)}: field {field!r} must be a string"
+
+
+# case -> (reader of a path, lines with the bad one last, error type, message)
+LOCATED_ERROR_CASES = {
+    "read_multiway": (
+        _reader(read_multiway),
+        [{"id": "a", "sentences": {"en": "x"}}] * 2,
+        DuplicateRecordId,
+        "duplicate record id 'a'",
+    ),
+    "read_examples": (_reader(read_examples), [_PAIR, _PAIR], DuplicateRecordId, "duplicate example id 'e1'"),
+    "load_registry": (
+        load_registry,
+        [_lang_row("en"), _lang_row("zh"), _lang_row("en")],
+        DuplicateLanguage,
+        "duplicate language code 'en'",
+    ),
+    "load_registry_aux": (
+        lambda p: load_registry(None, p),
+        [{"lang": "bg", "aux": "ru"}, {"lang": "uk", "aux": "xx"}],
+        UnknownLanguage,
+        "unknown language code: 'xx'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_ERROR_CASES))
+def test_duplicate_and_unknown_code_errors_name_file_and_line(tmp_path, case):
+    read, rows, error, message = LOCATED_ERROR_CASES[case]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(error) as exc:
+        read(str(path))
+    assert type(exc.value) is error
+    assert isinstance(exc.value, RecordParseError)
+    assert str(exc.value) == f"{path}:line {len(rows)}: {message}"
 
 
 def test_sidecar_out_of_range_score_names_file_and_line(tmp_path):
