@@ -4,7 +4,8 @@ Subcommands wire the library into file-to-file pipeline stages. Data flows
 through files (or stdout for tables); logs go to stderr. Each stage returns
 its one-line JSON summary, which main prints to stdout (None when the stage
 wrote a table or histogram there itself). Exit codes: 0 success, 1 data
-error (with a JSON error line on stderr), 2 usage error.
+error (with a JSON error line on stderr, also for an unreadable file or one
+that is not UTF-8), 2 usage error.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .backends import SubprocessBackend, SubprocessScorer
 from .diagnostics import render_histogram, repetition_after_policy, target_repetition_stats
 from .directions import Direction, enumerate_directions, expand
 from .downsampling import DownsampleStats, RetentionPolicy, downsample
-from .errors import RecordParseError, ToolkitError
+from .errors import RecordParseError, ToolkitError, UnknownLanguage
 from .evaluation import aggregate, read_eval_records, render_table
 from .filtering import (
     apply_heuristics,
@@ -237,6 +238,9 @@ def cmd_infer_prompt(args) -> dict:
                 obj, ("id", "src_lang", "tgt_lang", "src"), line_no, args.infile
             )
             (aux,) = required_fields(obj, ("aux",), line_no, args.infile) if "aux" in obj else (None,)
+            for code in (src_lang, tgt_lang):
+                if code not in registry:
+                    raise UnknownLanguage(code, line_no, args.infile)
             prompts = build_inference_prompt(
                 strategy, src_lang, tgt_lang, src, registry,
                 backend=backend, aux_text=aux, item_id=item_id,
@@ -388,11 +392,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         summary = args.func(args)
-    except ToolkitError as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(json.dumps({"error": "OSError", "message": str(e)}), file=sys.stderr)
+    except (ToolkitError, OSError, UnicodeDecodeError) as e:
+        name = "OSError" if isinstance(e, OSError) else type(e).__name__
+        print(json.dumps({"error": name, "message": str(e)}), file=sys.stderr)
         return 1
     if summary is not None:
         print(json.dumps(summary, ensure_ascii=False))

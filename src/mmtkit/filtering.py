@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import InvalidScore, MissingScore, RecordParseError
+from .errors import MissingScore, RecordParseError
 from .records import DirectionalExample, ScoredPair, check_score
 
 SPACELESS = frozenset({"zh", "ja", "th", "my", "km", "lo", "bo", "yue"})
@@ -139,14 +139,7 @@ def default_rules() -> list[FilterRule]:
     ]
 
 
-_RULE_KINDS = {
-    "NonEmpty": NonEmpty,
-    "SrcTgtDistinct": SrcTgtDistinct,
-    "MaxLengthRatio": MaxLengthRatio,
-    "LengthBounds": LengthBounds,
-    "ControlCharFree": ControlCharFree,
-    "ExactDedup": ExactDedup,
-}
+_RULE_KINDS = {type(rule).__name__: type(rule) for rule in default_rules()}
 
 
 def rules_from_config(entries: list[dict]) -> list[FilterRule]:

@@ -10,14 +10,16 @@ of the retention coin for the same id. Auxiliary sentences for PMP come from
 the same multi-way record as the pair itself; examples whose direction has no
 auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
 
-Output is grouped by direction in direction-set order and sorted by id within
-each direction, so scored mixtures are independent of input shard order.
+Selection holds at most 2 x per_direction_max + 1 candidates per direction,
+with or without scores, so memory does not grow with the corpus. Output is
+grouped by direction in direction-set order and sorted by id within each
+direction, so scored mixtures are independent of input shard order.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .directions import DirectionSet, expand
 from .downsampling import RetentionPolicy, retained
@@ -89,37 +91,6 @@ class MixtureReport:
         }
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    example: DirectionalExample
-    aux_lang: str | None
-    aux_text: str | None
-    score: float | None
-
-
-class _Selector:
-    """Per-direction candidate store honoring the selection rule."""
-
-    def __init__(self, cap: int, scored: bool):
-        self.cap = cap
-        self.scored = scored
-        self.seen = 0
-        self.items: list[_Candidate] = []
-
-    def offer(self, cand: _Candidate) -> None:
-        self.seen += 1
-        if self.scored:
-            self.items.append(cand)
-        elif len(self.items) < self.cap:
-            self.items.append(cand)
-
-    def selected(self) -> list[_Candidate]:
-        if not self.scored:
-            return self.items
-        ranked = sorted(self.items, key=lambda c: (-c.score, c.example.id))
-        return ranked[: self.cap]
-
-
 def build_sft_mixture(
     records: Iterable[MultiWayRecord],
     registry: Registry,
@@ -129,54 +100,62 @@ def build_sft_mixture(
 ) -> tuple[list[PromptedExample], MixtureReport]:
     """Assemble the SFT mixture. Returns (prompted examples, report).
 
-    Memory is bounded by per_direction_max per direction without scores; with
-    scores all candidates are buffered so the global top-k is exact.
+    Memory is bounded by per_direction_max per direction, with or without
+    scores: a direction's candidates are cut back to the best per_direction_max
+    whenever they pass twice that cap, and once more at the end.
     """
-    selectors: dict[tuple[str, str], _Selector] = {
-        (d.src, d.tgt): _Selector(spec.per_direction_max, scores is not None) for d in dirset.directions
-    }
-    aux_of = {(d.src, d.tgt): registry.auxiliary_for(d.src, d.tgt) for d in dirset.directions}
+    cap = spec.per_direction_max
+    keys = [(d.src, d.tgt) for d in dirset.directions]
+    pool: dict[tuple[str, str], list[tuple[DirectionalExample, str | None]]] = {k: [] for k in keys}
+    seen = dict.fromkeys(keys, 0)
+    aux_of = {k: registry.auxiliary_for(*k) for k in keys}
+
+    def cut(pairs: list) -> None:
+        if scores is not None:
+            pairs.sort(key=lambda p: (-scores[p[0].id], p[0].id))
+        del pairs[cap:]
 
     for record in records:
         for ex in expand(record, dirset):
+            if scores is not None and ex.id not in scores:
+                raise MissingScore(ex.id)
             key = (ex.src_lang, ex.tgt_lang)
             aux = aux_of[key]
-            aux_text = record.sentences.get(aux) if aux is not None else None
-            score = None
-            if scores is not None:
-                if ex.id not in scores:
-                    raise MissingScore(ex.id)
-                score = scores[ex.id]
-            selectors[key].offer(_Candidate(ex, aux, aux_text, score))
+            pairs = pool[key]
+            pairs.append((ex, record.sentences.get(aux) if aux is not None else None))
+            seen[key] += 1
+            if len(pairs) > 2 * cap:
+                cut(pairs)
 
     policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
     report = MixtureReport()
     out: list[PromptedExample] = []
-    for d in dirset.directions:
-        sel = selectors[(d.src, d.tgt)]
-        rep = DirectionMixReport(candidates=sel.seen)
-        chosen = sel.selected()
-        rep.selected = len(chosen)
+    for d, key in zip(dirset.directions, keys):
+        chosen = pool[key]
+        cut(chosen)
+        rep = DirectionMixReport(candidates=seen[key], selected=len(chosen))
         if rep.selected < spec.per_direction_min:
-            msg = (
+            report.warnings.append(
                 f"direction {d}: {rep.selected} selected examples, "
                 f"below per_direction_min={spec.per_direction_min}"
             )
-            report.warnings.append(msg)
-            log.warning(msg)
         if d.is_reverse:
-            chosen = [c for c in chosen if retained(policy, c.example.id)]
+            chosen = [c for c in chosen if retained(policy, c[0].id)]
             pmp_share = spec.reverse_pmp_share_of_retained
         else:
             pmp_share = spec.forward_pmp_share
         rep.retained = len(chosen)
-        for cand in sorted(chosen, key=lambda c: c.example.id):
-            want_pmp = unit_uniform(spec.seed, f"fmt:{cand.example.id}") < pmp_share
-            if want_pmp and cand.aux_text:
-                out.append(render_pmp(cand.example, cand.aux_text, cand.aux_lang, registry))
+        for ex, aux_text in sorted(chosen, key=lambda c: c[0].id):
+            if aux_text and unit_uniform(spec.seed, f"fmt:{ex.id}") < pmp_share:
+                out.append(render_pmp(ex, aux_text, aux_of[key], registry))
                 rep.pmp += 1
             else:
-                out.append(render_stp(cand.example, registry))
+                out.append(render_stp(ex, registry))
                 rep.stp += 1
         report.per_direction[str(d)] = rep
+    if report.warnings:
+        log.warning(
+            "%d of %d directions below per_direction_min=%d; first: %s",
+            len(report.warnings), len(keys), spec.per_direction_min, report.warnings[0],
+        )
     return out, report

@@ -105,7 +105,6 @@ def read_multiway(
 def read_examples(
     stream: Iterable[str],
     path: str | None = None,
-    check_unique: bool = True,
     validate: bool = True,
 ) -> Iterator[DirectionalExample]:
     """Parse directional examples. validate=False skips the semantic checks
@@ -113,10 +112,9 @@ def read_examples(
     seen: set[str] = set()
     for line_no, obj in parse_json_lines(stream, path):
         ex = _example_from_json(obj, line_no, path, validate=validate)
-        if check_unique:
-            if ex.id in seen:
-                raise DuplicateRecordId(f"duplicate example id {ex.id!r}", line_no, path)
-            seen.add(ex.id)
+        if ex.id in seen:
+            raise DuplicateRecordId(f"duplicate example id {ex.id!r}", line_no, path)
+        seen.add(ex.id)
         yield ex
 
 

@@ -598,3 +598,33 @@ def test_mix_seed_flag_beats_spec_seed(tmp_path):
     assert seed9 != seed3
     assert mix("spec9", "--spec", str(spec)) == seed9
     assert mix("spec9_flag3", "--spec", str(spec), "--seed", "3") == seed3
+
+
+@pytest.mark.parametrize("command", ["expand", "mix-spec"])
+def test_non_utf8_input_exits_1(tmp_path, command):
+    out = tmp_path / "o"
+    if command == "expand":
+        corpus = tmp_path / "c.mwjsonl"
+        corpus.write_bytes(b'{"id": "a", "sentences": {"en": "hi \xff\xfe there", "zh": "ni hao"}}\n')
+        args = ("expand", "--in", str(corpus))
+    else:
+        corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b"\xff")
+        args = ("mix", "--in", str(corpus), "--spec", str(spec))
+    proc = run_cli(*args, "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "UnicodeDecodeError"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json_line({**_REQUEST, "src_lang": "xx"}) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "dt", "--in", str(reqs), "--out", str(out), expect=1)
+    assert last_error(proc) == {
+        "error": "UnknownLanguage",
+        "message": f"{reqs}:line 1: unknown language code: 'xx'",
+    }
+    assert not out.exists()

@@ -1,6 +1,9 @@
 """SFT mixture: selection, retention, format assignment, output order."""
 from __future__ import annotations
 
+import logging
+import tracemalloc
+
 import pytest
 
 from mmtkit.directions import enumerate_directions
@@ -194,3 +197,63 @@ def test_custom_registry_mixture(tmp_path):
     )
     en2aa = [pe for pe in out if pe.id.endswith("#en2aa")]
     assert en2aa and all(pe.aux_lang == "bb" for pe in en2aa)
+
+
+def test_below_min_logs_one_warning_line(registry, dirset, caplog):
+    recs = records(3, ["en", "fr"])
+    with caplog.at_level(logging.WARNING, logger="mmtkit.mixture"):
+        _, report = build_sft_mixture(recs, registry, dirset, spec(per_direction_min=10))
+    assert len(report.warnings) == dirset.direction_count == 234
+    (rec,) = caplog.records
+    assert rec.levelno == logging.WARNING
+    assert "234 of 234 directions below per_direction_min=10" in rec.getMessage()
+    assert report.warnings[0] in rec.getMessage()
+
+
+def test_scored_selection_past_twice_the_cap_matches_brute_force(registry, dirset):
+    cap = 3
+    recs = records(40, ["en", "fr"])
+    # Scores rounded to one decimal, so many candidates tie and the id breaks them.
+    scores = {
+        f"{r.id}#{sfx}": round(unit_uniform(7, f"{r.id}#{sfx}"), 1)
+        for r in recs for sfx in ("en2fr", "fr2en")
+    }
+    out, report = build_sft_mixture(
+        recs, registry, dirset,
+        spec(per_direction_max=cap, reverse_total_retention=1.0), scores=scores,
+    )
+    for sfx, name in (("en2fr", "en->fr"), ("fr2en", "fr->en")):
+        cands = [f"{r.id}#{sfx}" for r in recs]
+        best = sorted(cands, key=lambda i: (-scores[i], i))[:cap]
+        assert [pe.id for pe in out if pe.id.endswith("#" + sfx)] == sorted(best)
+        assert (report.per_direction[name].candidates, report.per_direction[name].selected) == (40, cap)
+
+
+def test_unscored_selection_past_twice_the_cap_keeps_corpus_order(registry, dirset):
+    # Descending ids, so corpus order differs from id order.
+    recs = records(20, ["en", "fr"])[::-1]
+    out, report = build_sft_mixture(recs, registry, dirset, spec(per_direction_max=3))
+    fwd_ids = [pe.id for pe in out if pe.id.endswith("#en2fr")]
+    assert fwd_ids == ["m00017#en2fr", "m00018#en2fr", "m00019#en2fr"]
+    assert report.per_direction["en->fr"].candidates == 20
+
+
+def test_scored_selection_memory_bounded_by_cap(registry, dirset):
+    n = 10_000
+    scores = {f"m{i:05d}#{sfx}": unit_uniform(3, f"{i}{sfx}") for i in range(n) for sfx in ("en2fr", "fr2en")}
+
+    def lazy_records():
+        for i in range(n):
+            yield MultiWayRecord(id=f"m{i:05d}", sentences={"en": f"en text {i}", "fr": f"fr text {i}"})
+
+    tracemalloc.start()
+    try:
+        out, report = build_sft_mixture(
+            lazy_records(), registry, dirset, spec(per_direction_max=2), scores=scores
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.per_direction["en->fr"].candidates == n
+    assert report.per_direction["en->fr"].selected == 2
+    assert peak < 1_000_000
