@@ -26,8 +26,9 @@ class Provenance(str, Enum):
     SYNTH_PIVOT = "synth_pivot"
 
 
-def json_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every line: json.dumps with these arguments builds a new
+# JSONEncoder per call, for the same string.
+json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)

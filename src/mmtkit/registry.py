@@ -8,6 +8,8 @@ languages (en, zh); everything else about them is up to the caller.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -129,18 +131,42 @@ def _parse_language_line(obj: dict, line_no: int, path: str | None) -> Language:
 
 
 def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) for each non-blank line; line numbers are 1-based."""
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
-        if not isinstance(obj, dict):
-            raise RecordParseError("expected a JSON object", line_no, path)
-        yield line_no, obj
+    """Yield (line_no, object) for each non-blank line; line numbers are 1-based.
+    A stream that is not valid UTF-8 raises at its first undecodable line."""
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
+            if not isinstance(obj, dict):
+                raise RecordParseError("expected a JSON object", line_no, path)
+            yield line_no, obj
+    except UnicodeDecodeError:
+        # The decoder fails a whole read chunk ahead of the lines yielded so far.
+        raise RecordParseError("invalid UTF-8", _first_invalid_utf8_line(path), path) from None
+
+
+def _first_invalid_utf8_line(path: str | None) -> int | None:
+    """Number of the first line of the regular file at path that is not valid
+    UTF-8; None when there is no such file to read again."""
+    try:
+        if path is None or not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        # latin-1 maps each byte to one character, and UTF-8 multi-byte
+        # sequences hold no line-break bytes, so lines split as in a UTF-8 read.
+        with open(path, encoding="latin-1") as f:
+            for line_no, line in enumerate(f, start=1):
+                try:
+                    line.encode("latin-1").decode("utf-8")
+                except UnicodeDecodeError:
+                    return line_no
+    except OSError:
+        pass
+    return None
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", int: "an integer"}

@@ -65,7 +65,12 @@ def synth_direct(
     if direction.src not in CENTERS:
         raise InvalidInput(f"direct synthesis needs a center source, got {direction}")
     budget = _FailureBudget(f"synth_direct {direction}")
-    for item_id, text in mono:
+
+    def to_args(item: tuple[str, str]) -> tuple[str, str, str, str] | None:
+        item_id, text = item
+        return (item_id, direction.src, direction.tgt, text) if text else None
+
+    for item_id, text in backend.send_ahead(mono, to_args):
         budget.item()
         if not text:
             budget.failure(item_id, ValueError("empty source text"))
@@ -89,21 +94,27 @@ def synth_direct(
     budget.finish()
 
 
+def _pivot_sides(pair: DirectionalExample) -> tuple[str, str, str]:
+    """(en text, other language, other text) of an En-X pair."""
+    if pair.src_lang == "en":
+        en_text, x_lang, x_text = pair.src, pair.tgt_lang, pair.tgt
+    elif pair.tgt_lang == "en":
+        en_text, x_lang, x_text = pair.tgt, pair.src_lang, pair.src
+    else:
+        raise InvalidInput(f"pivot input {pair.id!r} has no en side")
+    if x_lang == "zh":
+        raise InvalidInput(f"pivot input {pair.id!r} pairs en with zh; nothing to synthesize")
+    return en_text, x_lang, x_text
+
+
 def synth_pivot(
     en_x_pairs: Iterable[DirectionalExample],
     en2zh_backend: Backend,
 ) -> Iterator[DirectionalExample]:
     """Turn En-X pairs into Zh-X pairs in both directions (2 outputs per input)."""
     budget = _FailureBudget("synth_pivot")
-    for pair in en_x_pairs:
-        if pair.src_lang == "en":
-            en_text, x_lang, x_text = pair.src, pair.tgt_lang, pair.tgt
-        elif pair.tgt_lang == "en":
-            en_text, x_lang, x_text = pair.tgt, pair.src_lang, pair.src
-        else:
-            raise InvalidInput(f"pivot input {pair.id!r} has no en side")
-        if x_lang == "zh":
-            raise InvalidInput(f"pivot input {pair.id!r} pairs en with zh; nothing to synthesize")
+    for pair in en2zh_backend.send_ahead(en_x_pairs, lambda p: (p.id, "en", "zh", _pivot_sides(p)[0])):
+        en_text, x_lang, x_text = _pivot_sides(pair)
         budget.item()
         try:
             zh_text = en2zh_backend.translate(pair.id, "en", "zh", en_text)

@@ -2,17 +2,23 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
+from mmtkit import backends
 from mmtkit.backends import (
+    WINDOW,
+    Backend,
     BackendItemError,
     DictionaryBackend,
     IdentityBackend,
     SubprocessBackend,
     SubprocessScorer,
 )
+from mmtkit.directions import Direction
 from mmtkit.errors import BackendError
+from mmtkit.synthesis import synth_direct, synth_pivot
 
 
 def backend_cmd(scripts_dir, *extra):
@@ -122,3 +128,159 @@ def test_close_terminates_process(scripts_dir):
     proc = b.client.proc
     b.close()
     assert proc.poll() is not None
+
+
+class Lockstep(Backend):
+    """A wrapper without send_ahead: every translate is one round trip."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def translate(self, item_id, src_lang, tgt_lang, text):
+        return self.inner.translate(item_id, src_lang, tgt_lang, text)
+
+    def close(self):
+        self.inner.close()
+
+
+def consume(stream):
+    """Outputs of a synthesis stream and the error that ended it, if any."""
+    out = []
+    try:
+        for ex in stream:
+            out.append(ex)
+    except BackendError as e:
+        return out, str(e)
+    return out, None
+
+
+def write_script(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_text("import json, sys\n" + body, encoding="utf-8")
+    return f"{sys.executable} {path}"
+
+
+def test_pipelined_synthesis_matches_lockstep(scripts_dir, mk_example):
+    cmd = backend_cmd(scripts_dir, "--fail-every", "7")
+    n = 3 * WINDOW + 5
+    # every 10th text is empty: a failure that sends no request
+    mono = [(f"m{i}", "" if i % 10 == 9 else f"text {i}") for i in range(n)]
+    pairs = [
+        mk_example(f"p{i}", "en", "fr", f"en {i}", f"fr {i}")
+        if i % 2
+        else mk_example(f"p{i}", "de", "en", f"de {i}", f"en {i}")
+        for i in range(n)
+    ]
+    for synth in (
+        lambda b: synth_direct(mono, b, Direction("en", "fr")),
+        lambda b: synth_pivot(pairs, b),
+    ):
+        with SubprocessBackend(cmd) as b:
+            pipelined = consume(synth(b))
+        with Lockstep(SubprocessBackend(cmd)) as b:
+            lockstep = consume(synth(b))
+        assert pipelined == lockstep
+        outputs, error = pipelined
+        assert len(outputs) > WINDOW
+        # 1 in 7 backend failures (plus the empty texts) is over the 10% budget
+        assert error is not None and "items failed" in error
+
+
+def test_pipelined_scores_match_lockstep(scripts_dir, mk_example):
+    pairs = [mk_example(f"p{i}", src=f"s{i}", tgt=f"t{i}") for i in range(2 * WINDOW + 3)]
+    with SubprocessScorer(scorer_cmd(scripts_dir)) as s:
+        pipelined = list(s.score_stream(pairs))
+    with SubprocessScorer(scorer_cmd(scripts_dir)) as s:
+        lockstep = [(ex.id, s.score(ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)) for ex in pairs]
+    assert pipelined == lockstep
+
+
+def test_crash_inside_window_is_transport_error(scripts_dir):
+    items = [(f"m{i}", f"text {i}") for i in range(2 * WINDOW)]
+    done = []
+    with SubprocessBackend(backend_cmd(scripts_dir, "--crash-after", "70")) as b:
+        with pytest.raises(BackendError) as exc:
+            for item_id, text in b.send_ahead(items, lambda it: (it[0], "en", "fr", it[1])):
+                done.append(b.translate(item_id, "en", "fr", text))
+    assert len(done) == 70
+    assert "m70" in str(exc.value)
+
+
+def test_wrong_id_inside_window_is_mismatch(tmp_path):
+    cmd = write_script(
+        tmp_path,
+        "wrong40.py",
+        "for n, line in enumerate(sys.stdin, 1):\n"
+        "    req = json.loads(line)\n"
+        "    rid = 'wrong' if n == 40 else req['id']\n"
+        "    print(json.dumps({'id': rid, 'text': req['text']}), flush=True)\n",
+    )
+    items = [(f"m{i}", f"text {i}") for i in range(WINDOW + 10)]
+    done = []
+    with SubprocessBackend(cmd) as b:
+        with pytest.raises(BackendError) as exc:
+            for item_id, text in b.send_ahead(items, lambda it: (it[0], "en", "fr", it[1])):
+                done.append(b.translate(item_id, "en", "fr", text))
+    assert len(done) == 39
+    assert "mismatch" in str(exc.value) and "'m39'" in str(exc.value)
+
+
+def test_large_texts_do_not_deadlock_the_pipes(scripts_dir, monkeypatch):
+    monkeypatch.setattr(backends, "RESPONSE_TIMEOUT_S", 10.0)
+    # 64 requests of 20 KB in flight are far more than both pipe buffers hold
+    items = [(f"m{i}", f"{i} " + "x" * 20_000) for i in range(200)]
+    start = time.monotonic()
+    with SubprocessBackend(backend_cmd(scripts_dir)) as b:
+        out = [
+            b.translate(item_id, "en", "fr", text)
+            for item_id, text in b.send_ahead(items, lambda it: (it[0], "en", "fr", it[1]))
+        ]
+    assert out == [f"[fr] {text}" for _, text in items]
+    assert time.monotonic() - start < 10.0
+
+
+def test_silent_backend_is_killed_after_the_deadline(monkeypatch):
+    monkeypatch.setattr(backends, "RESPONSE_TIMEOUT_S", 0.5)
+    b = SubprocessBackend("sleep 1000")
+    start = time.monotonic()
+    with pytest.raises(BackendError) as exc:
+        b.translate("a", "en", "fr", "t")
+    assert 0.5 <= time.monotonic() - start < 5.0
+    assert "sleep 1000" in str(exc.value)
+    assert b.client.proc.poll() is not None
+    b.close()
+
+
+def test_invalid_utf8_response_names_the_command(tmp_path):
+    cmd = write_script(
+        tmp_path,
+        "latin1.py",
+        "for line in sys.stdin:\n"
+        "    sys.stdout.buffer.write(b'{\"id\": \"a\", \"text\": \"\\xff\"}\\n')\n"
+        "    sys.stdout.flush()\n",
+    )
+    with SubprocessBackend(cmd) as b:
+        with pytest.raises(BackendError) as exc:
+            b.translate("a", "en", "fr", "t")
+    assert "latin1.py" in str(exc.value) and "UTF-8" in str(exc.value)
+
+
+def test_close_after_abort_does_not_wait_for_a_blocked_backend(tmp_path):
+    cmd = write_script(
+        tmp_path,
+        "verbose.py",
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    print(json.dumps({'id': req['id'], 'text': 'x' * 200_000}), flush=True)\n",
+    )
+    items = [(f"m{i}", "t") for i in range(WINDOW)]
+    b = SubprocessBackend(cmd)
+    stream = b.send_ahead(items, lambda it: (it[0], "en", "fr", it[1]))
+    item_id, text = next(stream)
+    b.translate(item_id, "en", "fr", text)
+    time.sleep(0.5)  # the backend blocks writing its next unread response
+    assert b.client.proc.poll() is None
+    start = time.monotonic()
+    b.close()
+    assert time.monotonic() - start < 5.0
+    assert b.client.proc.poll() is not None

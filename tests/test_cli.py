@@ -613,9 +613,36 @@ def test_non_utf8_input_exits_1(tmp_path, command):
         spec.write_bytes(b"\xff")
         args = ("mix", "--in", str(corpus), "--spec", str(spec))
     proc = run_cli(*args, "--out", str(out), expect=1)
-    assert last_error(proc)["error"] == "UnicodeDecodeError"
+    # a JSONL reader locates the bad line; the config reader does not
+    assert last_error(proc)["error"] == ("RecordParseError" if command == "expand" else "UnicodeDecodeError")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_non_utf8_line_past_the_first_read_chunk_names_file_and_line(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=300, langs=("en", "fr"))
+    with open(corpus, "ab") as f:
+        f.write(b'{"id": "bad", "sentences": {"en": "hi \xff\xfe there", "fr": "salut"}}\n')
+    assert corpus.stat().st_size > 8192
+    out = tmp_path / "o"
+    proc = run_cli("expand", "--in", str(corpus), "--out", str(out), expect=1)
+    assert last_error(proc) == {"error": "RecordParseError", "message": f"{corpus}:line 301: invalid UTF-8"}
+    assert not out.exists()
+
+
+def test_synth_silent_backend_exits_1_after_the_deadline(tmp_path, monkeypatch, capsys):
+    from mmtkit import backends, cli
+
+    monkeypatch.setattr(backends, "RESPONSE_TIMEOUT_S", 0.5)
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text(json_line({"id": "m0", "text": "line 0"}) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["synth", "--mode", "direct", "--direction", "en2fr", "--backend-cmd", "sleep 1000"]
+    assert cli.main([*args, "--in", str(mono), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BackendError" and "sleep 1000" in err["message"]
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["mono.jsonl"]
 
 
 def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
