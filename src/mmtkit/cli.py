@@ -4,8 +4,9 @@ Subcommands wire the library into file-to-file pipeline stages. Data flows
 through files (or stdout for tables); logs go to stderr. Each stage returns
 its one-line JSON summary, which main prints to stdout (None when the stage
 wrote a table or histogram there itself). Exit codes: 0 success, 1 data
-error (with a JSON error line on stderr, also for an unreadable file or one
-that is not UTF-8), 2 usage error.
+error (with a JSON error line on stderr, also for an unreadable file, one
+that is not UTF-8, or text that cannot be written as UTF-8, such as a lone
+surrogate), 2 usage error.
 """
 from __future__ import annotations
 
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         summary = args.func(args)
-    except (ToolkitError, OSError, UnicodeDecodeError) as e:
+    except (ToolkitError, OSError, UnicodeError) as e:
         name = "OSError" if isinstance(e, OSError) else type(e).__name__
         print(json.dumps({"error": name, "message": str(e)}), file=sys.stderr)
         return 1

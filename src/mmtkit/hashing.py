@@ -7,6 +7,8 @@ sequential RNG state to share or synchronize.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 DEFAULT_SEED = 42
 
 FNV64_OFFSET = 14695981039346656037
@@ -15,9 +17,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 2.0**64
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a over bytes, 64-bit."""
-    h = FNV64_OFFSET
+def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
+    """FNV-1a over bytes, 64-bit. h is the state to continue from: the
+    result for earlier bytes a gives fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)."""
     for b in data:
         h ^= b
         h = (h * FNV64_PRIME) & _MASK64
@@ -32,4 +34,11 @@ def unit_uniform(seed: int, key: str) -> float:
     collide across call sites; prefix keys with a short domain tag when a
     second independent decision is needed for the same id.
     """
-    return fnv1a64(f"{seed}:{key}".encode("utf-8")) / _TWO64
+    return fnv1a64(key.encode("utf-8"), _seed_state(seed)) / _TWO64
+
+
+@lru_cache(maxsize=256, typed=True)
+def _seed_state(seed: int) -> int:
+    """FNV-1a state after the f"{seed}:" prefix. typed=True keeps seeds that
+    compare equal but format differently (1, True, 1.0) apart."""
+    return fnv1a64(f"{seed}:".encode("utf-8"))

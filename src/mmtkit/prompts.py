@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring  # the escaper json_line uses
 from typing import Iterable, Iterator
 
 from .errors import EmptySource, NoAuxiliaryDefined, RecordParseError
@@ -63,6 +64,19 @@ class PromptedExample:
             "id": self.id,
             "prompt_schema": self.prompt_schema,
         }
+
+    def to_line(self) -> str:
+        """json_line(self.to_json()), joined from the quoted fields. The loss
+        offsets are written with int.__repr__, as json_line writes an int (a
+        bool offset would come out as 0 or 1, not false or true)."""
+        q = encode_basestring
+        aux = "null" if self.aux_lang is None else q(self.aux_lang)
+        return (
+            f'{{"text":{q(self.text)},"loss_start":{int.__repr__(self.loss_start)},'
+            f'"loss_end":{int.__repr__(self.loss_end)},"format":{q(self.format.value)},'
+            f'"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},"aux_lang":{aux},'
+            f'"id":{q(self.id)},"prompt_schema":{q(self.prompt_schema)}}}'
+        )
 
 
 def _spanned(prefix: str, target: str) -> tuple[str, int, int]:

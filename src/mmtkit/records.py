@@ -14,6 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+# The C escaper json_line uses under ensure_ascii=False: to_line methods quote
+# each string field with it, so their lines equal json_line(to_json()) byte for
+# byte, and lone surrogates pass through to the stream as there.
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator
 
 from .errors import DuplicateRecordId, InvalidScore, RecordParseError
@@ -39,6 +43,9 @@ class MultiWayRecord:
     def to_json(self) -> dict:
         return {"id": self.id, "sentences": dict(self.sentences)}
 
+    def to_line(self) -> str:
+        return json_line(self.to_json())
+
 
 @dataclass(frozen=True)
 class DirectionalExample:
@@ -59,6 +66,14 @@ class DirectionalExample:
             "provenance": self.provenance.value,
         }
 
+    def to_line(self) -> str:
+        """json_line(self.to_json()), joined from the quoted fields."""
+        q = encode_basestring
+        return (
+            f'{{"id":{q(self.id)},"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},'
+            f'"src":{q(self.src)},"tgt":{q(self.tgt)},"provenance":{q(self.provenance.value)}}}'
+        )
+
 
 @dataclass(frozen=True)
 class ScoredPair:
@@ -69,6 +84,9 @@ class ScoredPair:
         obj = self.example.to_json()
         obj["qe_score"] = self.qe_score
         return obj
+
+    def to_line(self) -> str:
+        return f'{self.example.to_line()[:-1]},"qe_score":{json_line(self.qe_score)}}}'
 
 
 def check_score(score, owner: str, line_no: int | None = None, path: str | None = None) -> float:
@@ -151,10 +169,11 @@ def read_scored(stream: Iterable[str], path: str | None = None) -> Iterator[Scor
 
 
 def write_jsonl(items: Iterable, stream: IO[str]) -> int:
-    """Write each item's to_json() as one JSON line; return the count."""
+    """Write each item's to_line(), which equals json_line(item.to_json()),
+    as one line; return the count."""
     n = 0
     for item in items:
-        stream.write(json_line(item.to_json()) + "\n")
+        stream.write(item.to_line() + "\n")
         n += 1
     return n
 

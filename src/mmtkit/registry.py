@@ -130,6 +130,10 @@ def _parse_language_line(obj: dict, line_no: int, path: str | None) -> Language:
     return Language(code, name, script, family, tier)
 
 
+# Decodes one JSON value at the start of a string and says where it ended.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) for each non-blank line; line numbers are 1-based.
     A stream that is not valid UTF-8 raises at its first undecodable line."""
@@ -138,10 +142,18 @@ def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator
             line = raw.strip()
             if not line:
                 continue
+            # A stripped line holds no JSON whitespace at either end, so a value
+            # that spans all of it is exactly what json.loads accepts. Anything
+            # else goes through json.loads for its error message.
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
+                obj, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
             if not isinstance(obj, dict):
                 raise RecordParseError("expected a JSON object", line_no, path)
             yield line_no, obj
@@ -179,9 +191,10 @@ def required_fields(
     an instance of kind (kind=object checks presence only); else RecordParseError."""
     values = []
     for name in names:
-        if name not in obj:
-            raise RecordParseError(f"missing field {name!r}", line_no, path)
-        value = obj[name]
+        try:
+            value = obj[name]
+        except KeyError:
+            raise RecordParseError(f"missing field {name!r}", line_no, path) from None
         if not isinstance(value, kind):
             raise RecordParseError(f"field {name!r} must be {_KIND_NAMES[kind]}", line_no, path)
         values.append(value)

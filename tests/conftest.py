@@ -2,7 +2,8 @@
 
 The oracle_unit fixture is an independent reimplementation of the hash rule,
 written from its definition, so hash-derived expectations in tests never
-depend on the code under test.
+depend on the code under test. any_text is the one strategy the line-codec
+property tests draw strings from.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from mmtkit.records import DirectionalExample, Provenance
 
@@ -25,6 +27,12 @@ settings.load_profile("det")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# Every code point, with the ones a JSON string escaper treats specially drawn
+# often: quote, backslash, C0 controls, DEL, U+2028/2029, lone surrogates and
+# non-BMP characters.
+ESCAPE_CASES = '"\\\x00\x08\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600'
+any_text = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(ESCAPE_CASES)), max_size=20)
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211

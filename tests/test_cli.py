@@ -630,6 +630,28 @@ def test_non_utf8_line_past_the_first_read_chunk_names_file_and_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["expand", "synth"])
+def test_lone_surrogate_exits_1(tmp_path, scripts_dir, command):
+    # "\ud800" is valid JSON but has no UTF-8 form, so writing it must fail cleanly.
+    out = tmp_path / "o"
+    if command == "expand":
+        inp = tmp_path / "c.mwjsonl"
+        inp.write_text('{"id": "a", "sentences": {"en": "hi \\ud800 there", "zh": "ni hao"}}\n', encoding="utf-8")
+        args = ("expand", "--in", str(inp))
+    else:
+        inp = tmp_path / "mono.jsonl"
+        inp.write_text('{"id": "m0", "text": "hi \\ud800 there"}\n', encoding="utf-8")
+        args = (
+            "synth", "--mode", "direct", "--direction", "en2fr", "--in", str(inp),
+            "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
+        )
+    proc = run_cli(*args, "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "UnicodeEncodeError"
+    assert "surrogates not allowed" in last_error(proc)["message"]
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_synth_silent_backend_exits_1_after_the_deadline(tmp_path, monkeypatch, capsys):
     from mmtkit import backends, cli
 

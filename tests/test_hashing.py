@@ -1,6 +1,7 @@
 """Hash primitive: published FNV-1a vectors, the digest rule, determinism."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -40,3 +41,23 @@ def test_unit_uniform_range_and_determinism(oracle_unit, seed, key):
     assert 0.0 <= v < 1.0
     assert v == unit_uniform(seed, key)
     assert v == oracle_unit(seed, key)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, 2**70])
+def test_cached_seed_state_matches_the_reference_digest(seed):
+    # unit_uniform hashes the "{seed}:" prefix once per seed and continues over
+    # the key; the floats must equal the one-shot digest of the whole string.
+    keys = [f"rec{i:05d}#{('fr2en', 'zh2ja', 'é2ü', '日本', '😀x')[i % 5]}" for i in range(50_000)]
+    for key in keys:
+        assert unit_uniform(seed, key) == fnv1a64(f"{seed}:{key}".encode()) / 2**64
+
+
+def test_fnv1a64_continues_from_a_state():
+    for a, b in [(b"", b""), (b"42:", b"x"), (b"-7:", "日本".encode())]:
+        assert fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)
+
+
+def test_equal_seeds_of_other_types_keep_their_own_prefix():
+    assert unit_uniform(True, "x") == fnv1a64(b"True:x") / 2**64
+    assert unit_uniform(1, "x") == fnv1a64(b"1:x") / 2**64
+    assert unit_uniform(1.0, "x") == fnv1a64(b"1.0:x") / 2**64

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import any_text
 from mmtkit.errors import EmptySource, NoAuxiliaryDefined, RecordParseError
 from mmtkit.prompts import (
     PROMPT_SCHEMA,
@@ -22,6 +23,7 @@ from mmtkit.prompts import (
     render_stp_prompt,
     write_prompted,
 )
+from mmtkit.records import json_line
 
 plain_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=40
@@ -218,3 +220,32 @@ def test_cpt_roundtrip_property(src, tgt):
     assert span_bytes(pe) == tgt.encode("utf-8")
     parsed = parse_cpt_bilingual(pe.text)
     assert parsed == ("fr", "zh", src, tgt)
+
+
+
+def _has_utf8_form(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@st.composite
+def prompted_examples(draw):
+    # The loss span counts UTF-8 bytes, so only the text must have a UTF-8
+    # form; every other field may hold lone surrogates.
+    text = draw(any_text.filter(_has_utf8_form))
+    n = len(text.encode("utf-8"))
+    start = draw(st.integers(0, n))
+    end = draw(st.integers(start, n))
+    fmt = draw(st.sampled_from(PromptFormat))
+    aux_lang = draw(any_text) if fmt is PromptFormat.PMP else None
+    return PromptedExample(
+        text, start, end, fmt, draw(any_text), draw(any_text), aux_lang, draw(any_text), draw(any_text)
+    )
+
+
+@given(pe=prompted_examples())
+def test_prompted_to_line_equals_json_line(pe):
+    assert pe.to_line() == json_line(pe.to_json())

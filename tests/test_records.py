@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import any_text
 from mmtkit.errors import DuplicateLanguage, DuplicateRecordId, InvalidScore, RecordParseError, UnknownLanguage
 from mmtkit.evaluation import read_eval_records
 from mmtkit.prompts import read_prompted
@@ -27,7 +28,7 @@ from mmtkit.records import (
     write_score_sidecar,
     write_scored,
 )
-from mmtkit.registry import load_registry
+from mmtkit.registry import load_registry, parse_json_lines
 
 text_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30
@@ -282,3 +283,57 @@ def test_unhashable_provenance_is_a_parse_error():
     with pytest.raises(RecordParseError) as exc:
         list(read_examples(io.StringIO(json_line(row) + "\n"), path="p.djsonl"))
     assert str(exc.value).startswith("p.djsonl:line 1: ")
+
+examples = st.builds(
+    DirectionalExample, any_text, any_text, any_text, any_text, any_text, st.sampled_from(Provenance)
+)
+
+
+@given(ex=examples)
+def test_example_to_line_equals_json_line(ex):
+    assert ex.to_line() == json_line(ex.to_json())
+
+
+@given(ex=examples, score=st.one_of(st.floats(), st.integers(), st.booleans()))
+def test_scored_to_line_equals_json_line(ex, score):
+    pair = ScoredPair(example=ex, qe_score=score)
+    assert pair.to_line() == json_line(pair.to_json())
+
+
+@given(rec_id=any_text, sentences=st.dictionaries(any_text, any_text, max_size=4))
+def test_multiway_to_line_equals_json_line(rec_id, sentences):
+    rec = MultiWayRecord(id=rec_id, sentences=sentences)
+    assert rec.to_line() == json_line(rec.to_json())
+
+
+def test_write_jsonl_leaves_lone_surrogates_to_the_stream(mk_example):
+    buf = io.StringIO()
+    write_examples([mk_example(src="hi \ud800 there")], buf)
+    assert buf.getvalue() == json_line(mk_example(src="hi \ud800 there").to_json()) + "\n"
+    with pytest.raises(UnicodeEncodeError):
+        buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"a":1} x', "invalid JSON (Extra data)"),
+        ('{"a":1}{"b":2}', "invalid JSON (Extra data)"),
+        ('\ufeff{"a":1}', "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        ("{", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"a": "x', "invalid JSON (Unterminated string starting at)"),
+        ("[1]", "expected a JSON object"),
+        ('"x"', "expected a JSON object"),
+        ("NaN", "expected a JSON object"),
+    ],
+)
+def test_parse_json_lines_error_messages(line, message):
+    with pytest.raises(RecordParseError) as exc:
+        list(parse_json_lines(["\n", line + "\n"], "f.jsonl"))
+    assert str(exc.value) == f"f.jsonl:line 2: {message}"
+
+
+@pytest.mark.parametrize("pad", [" ", "\x1c", "\t \u2028"])
+def test_parse_json_lines_strips_like_str_strip(pad):
+    line = f'{pad}{{"a": [1, {{"b": null}}], "c": "\\u00e9"}}{pad}'
+    assert list(parse_json_lines([line + "\n"])) == [(1, json.loads(line.strip()))]
