@@ -36,7 +36,7 @@ from .hashing import DEFAULT_SEED
 from .mixture import MixtureSpec, build_sft_mixture
 from .records import read_examples, read_multiway, read_score_sidecar, write_jsonl, write_score_sidecar
 from .registry import direction_error, load_registry, parse_json_lines, required_fields
-from .synthesis import InferenceStrategy, build_inference_prompt, synth_direct, synth_pivot
+from .synthesis import InferenceStrategy, SynthStats, build_inference_prompt, synth_direct, synth_pivot
 
 log = logging.getLogger("mmtkit")
 
@@ -186,10 +186,21 @@ def cmd_score(args) -> dict:
     return {"scored": n}
 
 
+def _read_mono(stream, path: str, lang: str):
+    """(id, text) of each monolingual item; an item's "lang", if given, must be lang."""
+    for line_no, obj in parse_json_lines(stream, path):
+        item_id, text = required_fields(obj, ("id", "text"), line_no, path)
+        if obj.get("lang") not in (None, lang):
+            raise RecordParseError(
+                f"item language {obj['lang']!r} does not match direction source {lang!r}", line_no, path
+            )
+        yield item_id, text
+
+
 def cmd_synth(args) -> dict:
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
-    n_in = 0
+    stats = SynthStats()
     with (
         open(args.infile, encoding="utf-8") as fin,
         _open_out(args.out, args.infile) as fout,
@@ -197,32 +208,11 @@ def cmd_synth(args) -> dict:
     ):
         if args.mode == "direct":
             direction = _parse_direction(args.direction)
-
-            def mono():
-                nonlocal n_in
-                for line_no, obj in parse_json_lines(fin, args.infile):
-                    item_id, text = required_fields(obj, ("id", "text"), line_no, args.infile)
-                    if obj.get("lang") not in (None, direction.src):
-                        raise RecordParseError(
-                            f"item language {obj['lang']!r} does not match direction source "
-                            f"{direction.src!r}",
-                            line_no,
-                            args.infile,
-                        )
-                    n_in += 1
-                    yield item_id, text
-
-            written = write_jsonl(synth_direct(mono(), backend, direction), fout)
+            synth = synth_direct(_read_mono(fin, args.infile, direction.src), backend, direction, stats)
         else:
-            def pairs():
-                nonlocal n_in
-                for ex in read_examples(fin, path=args.infile):
-                    n_in += 1
-                    yield ex
-
-            written = write_jsonl(synth_pivot(pairs(), backend), fout)
-    per_item = 2 if args.mode == "pivot" else 1
-    return {"written": written, "failed": n_in - written // per_item}
+            synth = synth_pivot(read_examples(fin, path=args.infile), backend, stats)
+        written = write_jsonl(synth, fout)
+    return {"written": written, "failed": stats.failed}
 
 
 def cmd_infer_prompt(args) -> dict:

@@ -44,6 +44,8 @@ def read_eval_records(stream: Iterable[str], path: str | None = None) -> Iterato
     for line_no, obj in parse_json_lines(stream, path):
         model, src, tgt, metric = required_fields(obj, ("model", "src", "tgt", "metric"), line_no, path)
         (value,) = required_fields(obj, ("value",), line_no, path, object)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise RecordParseError(f"field 'value' must be a number, got {value!r}", line_no, path)
         try:
             rec = EvalRecord(model, Direction(src, tgt), metric, float(value))
         except (TypeError, ValueError) as e:

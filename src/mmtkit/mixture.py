@@ -42,10 +42,14 @@ class MixtureSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("per_direction_min", "per_direction_max", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         for name in ("forward_pmp_share", "reverse_total_retention", "reverse_pmp_share_of_retained"):
             v = getattr(self, name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be a number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.per_direction_min < 0 or self.per_direction_min > self.per_direction_max:

@@ -101,7 +101,6 @@ def read_multiway(
     stream: Iterable[str],
     registry: Registry | None = None,
     path: str | None = None,
-    check_unique: bool = True,
 ) -> Iterator[MultiWayRecord]:
     seen: set[str] = set()
     for line_no, obj in parse_json_lines(stream, path):
@@ -114,10 +113,9 @@ def read_multiway(
                 raise RecordParseError(f"unknown language code: {lang!r}", line_no, path)
             if not isinstance(text, str) or not text:
                 raise RecordParseError(f"sentence for {lang!r} must be a non-empty string", line_no, path)
-        if check_unique:
-            if rec_id in seen:
-                raise DuplicateRecordId(f"duplicate record id {rec_id!r}", line_no, path)
-            seen.add(rec_id)
+        if rec_id in seen:
+            raise DuplicateRecordId(f"duplicate record id {rec_id!r}", line_no, path)
+        seen.add(rec_id)
         yield MultiWayRecord(id=rec_id, sentences=sentences)
 
 

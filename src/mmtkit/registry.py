@@ -7,6 +7,7 @@ languages (en, zh); everything else about them is up to the caller.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import stat
@@ -188,14 +189,16 @@ def required_fields(
     obj: dict, names: tuple[str, ...], line_no: int, path: str | None, kind: type = str
 ) -> list:
     """Values of the named fields of one parsed line. Each must be present and
-    an instance of kind (kind=object checks presence only); else RecordParseError."""
+    an instance of kind (kind=object checks presence only; kind=int refuses a
+    JSON boolean); else RecordParseError."""
     values = []
     for name in names:
         try:
             value = obj[name]
         except KeyError:
             raise RecordParseError(f"missing field {name!r}", line_no, path) from None
-        if not isinstance(value, kind):
+        # bool subclasses int, so kind=int takes the exact type alone.
+        if type(value) is not kind and (kind is int or not isinstance(value, kind)):
             raise RecordParseError(f"field {name!r} must be {_KIND_NAMES[kind]}", line_no, path)
         values.append(value)
     return values
@@ -230,8 +233,16 @@ def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[st
     return aux
 
 
-def _builtin_text(name: str) -> str:
-    return resources.files("mmtkit").joinpath(f"data/{name}").read_text(encoding="utf-8")
+@contextlib.contextmanager
+def _registry_file(path: str | None, builtin: str):
+    """(lines, name) of a registry file; the bundled data/<builtin>.jsonl when
+    path is None."""
+    if path is None:
+        text = resources.files("mmtkit").joinpath(f"data/{builtin}.jsonl").read_text(encoding="utf-8")
+        yield text.splitlines(), f"builtin:{builtin}"
+    else:
+        with open(path, encoding="utf-8") as f:
+            yield f, path
 
 
 def load_registry(lang_path: str | None = None, aux_path: str | None = None) -> Registry:
@@ -241,27 +252,13 @@ def load_registry(lang_path: str | None = None, aux_path: str | None = None) -> 
     empty (Zh-centric lookups still resolve to en by rule). The built-in
     auxiliary map is only used together with the built-in language table.
     """
-    if lang_path is None:
-        languages = _load_languages(_builtin_text("languages.jsonl").splitlines(), "builtin:languages")
-        if aux_path is None:
-            aux_lines = _builtin_text("auxiliaries.jsonl").splitlines()
-            aux_src = "builtin:auxiliaries"
-        else:
-            with open(aux_path, encoding="utf-8") as f:
-                aux_lines = f.read().splitlines()
-            aux_src = aux_path
-    else:
-        with open(lang_path, encoding="utf-8") as f:
-            languages = _load_languages(f.read().splitlines(), lang_path)
-        if aux_path is None:
-            aux_lines, aux_src = [], None
-        else:
-            with open(aux_path, encoding="utf-8") as f:
-                aux_lines = f.read().splitlines()
-            aux_src = aux_path
-
+    with _registry_file(lang_path, "languages") as (lines, name):
+        languages = _load_languages(lines, name)
     for center in CENTERS:
         if center not in languages:
             raise MissingCenter(f"registry must contain center language {center!r}")
-    auxiliaries = _load_auxiliaries(aux_lines, aux_src, languages)
+    auxiliaries: dict[str, str] = {}
+    if lang_path is None or aux_path is not None:
+        with _registry_file(aux_path, "auxiliaries") as (lines, name):
+            auxiliaries = _load_auxiliaries(lines, name, languages)
     return Registry(languages=languages, auxiliaries=auxiliaries)

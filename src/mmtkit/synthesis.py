@@ -11,8 +11,9 @@ auxiliary), PMP-S (auxiliary produced by the backend).
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .backends import Backend, BackendItemError
 from .errors import BackendError, InvalidInput, NoAuxiliaryDefined
@@ -22,6 +23,8 @@ from .registry import CENTERS, Registry
 from .directions import Direction
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 FAILURE_BUDGET = 0.10
 
@@ -33,65 +36,66 @@ class InferenceStrategy(str, Enum):
     PMP_S = "pmp-s"
 
 
-class _FailureBudget:
-    """Tracks per-item failures; enforces the 10% budget at stream end."""
+@dataclass
+class SynthStats:
+    """Items a synthesis stream read, and those it skipped as failed."""
 
-    def __init__(self, what: str):
-        self.what = what
-        self.total = 0
-        self.failed = 0
+    items: int = 0
+    failed: int = 0
 
-    def item(self) -> None:
-        self.total += 1
 
-    def failure(self, item_id: str, err: Exception) -> None:
-        self.failed += 1
-        log.warning("%s: skipping item %s: %s", self.what, item_id, err)
-
-    def finish(self) -> None:
-        if self.total and self.failed > FAILURE_BUDGET * self.total:
-            raise BackendError(
-                f"{self.what}: {self.failed}/{self.total} items failed, "
-                f"over the {FAILURE_BUDGET:.0%} budget"
-            )
+def _translated(
+    items: Iterable[T],
+    backend: Backend,
+    to_args: Callable[[T], tuple[str, str, str, str]],
+    what: str,
+    stats: SynthStats | None,
+) -> Iterator[tuple[T, str]]:
+    """Yield (item, translation) in input order. to_args(item) gives the
+    translate() arguments (item_id, src_lang, tgt_lang, text). An item with an
+    empty text, an item error or an empty translation is skipped and logged.
+    If more than FAILURE_BUDGET of the items counted in stats failed, the end
+    of the stream raises BackendError."""
+    stats = SynthStats() if stats is None else stats
+    with_args = ((item, to_args(item)) for item in items)
+    # An empty text is skipped without a request.
+    for item, args in backend.send_ahead(with_args, lambda pair: pair[1] if pair[1][3] else None):
+        stats.items += 1
+        if not args[3]:
+            err = "empty source text"
+        else:
+            try:
+                out = backend.translate(*args)
+            except BackendItemError as e:
+                err = e
+            else:
+                if out:
+                    yield item, out
+                    continue
+                err = "backend returned empty text"
+        stats.failed += 1
+        log.warning("%s: skipping item %s: %s", what, args[0], err)
+    if stats.items and stats.failed > FAILURE_BUDGET * stats.items:
+        raise BackendError(
+            f"{what}: {stats.failed}/{stats.items} items failed, over the {FAILURE_BUDGET:.0%} budget"
+        )
 
 
 def synth_direct(
     mono: Iterable[tuple[str, str]],
     backend: Backend,
     direction: Direction,
+    stats: SynthStats | None = None,
 ) -> Iterator[DirectionalExample]:
-    """Translate (item_id, text) monolingual items along a forward direction."""
-    if direction.src not in CENTERS:
+    """Translate (item_id, text) monolingual items along a forward direction.
+    stats, when given, is complete only after the iterator is exhausted."""
+    src, tgt = direction.src, direction.tgt
+    if src not in CENTERS:
         raise InvalidInput(f"direct synthesis needs a center source, got {direction}")
-    budget = _FailureBudget(f"synth_direct {direction}")
-
-    def to_args(item: tuple[str, str]) -> tuple[str, str, str, str] | None:
-        item_id, text = item
-        return (item_id, direction.src, direction.tgt, text) if text else None
-
-    for item_id, text in backend.send_ahead(mono, to_args):
-        budget.item()
-        if not text:
-            budget.failure(item_id, ValueError("empty source text"))
-            continue
-        try:
-            out = backend.translate(item_id, direction.src, direction.tgt, text)
-        except BackendItemError as e:
-            budget.failure(item_id, e)
-            continue
-        if not out:
-            budget.failure(item_id, ValueError("backend returned empty text"))
-            continue
-        yield DirectionalExample(
-            id=f"{item_id}#{direction.suffix}",
-            src_lang=direction.src,
-            tgt_lang=direction.tgt,
-            src=text,
-            tgt=out,
-            provenance=Provenance.SYNTH_DIRECT,
-        )
-    budget.finish()
+    for (item_id, text), out in _translated(
+        mono, backend, lambda item: (item[0], src, tgt, item[1]), f"synth_direct {direction}", stats
+    ):
+        yield DirectionalExample(f"{item_id}#{direction.suffix}", src, tgt, text, out, Provenance.SYNTH_DIRECT)
 
 
 def _pivot_sides(pair: DirectionalExample) -> tuple[str, str, str]:
@@ -110,37 +114,16 @@ def _pivot_sides(pair: DirectionalExample) -> tuple[str, str, str]:
 def synth_pivot(
     en_x_pairs: Iterable[DirectionalExample],
     en2zh_backend: Backend,
+    stats: SynthStats | None = None,
 ) -> Iterator[DirectionalExample]:
-    """Turn En-X pairs into Zh-X pairs in both directions (2 outputs per input)."""
-    budget = _FailureBudget("synth_pivot")
-    for pair in en2zh_backend.send_ahead(en_x_pairs, lambda p: (p.id, "en", "zh", _pivot_sides(p)[0])):
-        en_text, x_lang, x_text = _pivot_sides(pair)
-        budget.item()
-        try:
-            zh_text = en2zh_backend.translate(pair.id, "en", "zh", en_text)
-        except BackendItemError as e:
-            budget.failure(pair.id, e)
-            continue
-        if not zh_text:
-            budget.failure(pair.id, ValueError("backend returned empty text"))
-            continue
-        yield DirectionalExample(
-            id=f"{pair.id}#zh2{x_lang}",
-            src_lang="zh",
-            tgt_lang=x_lang,
-            src=zh_text,
-            tgt=x_text,
-            provenance=Provenance.SYNTH_PIVOT,
-        )
-        yield DirectionalExample(
-            id=f"{pair.id}#{x_lang}2zh",
-            src_lang=x_lang,
-            tgt_lang="zh",
-            src=x_text,
-            tgt=zh_text,
-            provenance=Provenance.SYNTH_PIVOT,
-        )
-    budget.finish()
+    """Turn En-X pairs into Zh-X pairs in both directions (2 outputs per input).
+    stats, when given, is complete only after the iterator is exhausted."""
+    sided = ((pair, *_pivot_sides(pair)) for pair in en_x_pairs)
+    for (pair, _, x, x_text), zh_text in _translated(
+        sided, en2zh_backend, lambda s: (s[0].id, "en", "zh", s[1]), "synth_pivot", stats
+    ):
+        yield DirectionalExample(f"{pair.id}#zh2{x}", "zh", x, zh_text, x_text, Provenance.SYNTH_PIVOT)
+        yield DirectionalExample(f"{pair.id}#{x}2zh", x, "zh", x_text, zh_text, Provenance.SYNTH_PIVOT)
 
 
 def build_inference_prompt(

@@ -266,6 +266,33 @@ def test_synth_budget_abort_cli(tmp_path, scripts_dir):
     assert err["error"] == "BackendError"
 
 
+@pytest.mark.parametrize("mode", ["direct", "pivot"])
+def test_synth_summary_counts_skipped_items(tmp_path, scripts_dir, mode):
+    # 20 items, 2 failures (the budget's edge): the toy backend fails every
+    # 10th request, and direct mode skips an empty text without a request.
+    inp = tmp_path / "in.jsonl"
+    if mode == "direct":
+        rows = [{"id": f"m{i}", "text": "" if i == 3 else f"line {i}"} for i in range(20)]
+        failed_ids, per_item, extra = ["m3", "m10"], 1, ("--direction", "en2sw")
+    else:
+        rows = [{"id": f"p{i}", "src_lang": "en", "tgt_lang": "sw", "src": f"en {i}", "tgt": f"sw {i}"}
+                for i in range(20)]
+        failed_ids, per_item, extra = ["p9", "p19"], 2, ()
+    inp.write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "out.djsonl"
+    proc = run_cli(
+        "synth", "--mode", mode, *extra,
+        "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'} --fail-every 10",
+        "--in", str(inp), "--out", str(out),
+    )
+    assert json.loads(proc.stdout) == {"written": 18 * per_item, "failed": 2}
+    warnings = [line for line in proc.stderr.splitlines() if "skipping item" in line]
+    assert [w.split("skipping item ")[1].split(":")[0] for w in warnings] == failed_ids
+    if mode == "direct":
+        assert warnings[0] == "WARNING mmtkit.synthesis: synth_direct en->sw: skipping item m3: empty source text"
+    assert len(read_lines(out)) == 18 * per_item
+
+
 def test_infer_prompt_dt_and_pmp(tmp_path):
     reqs = tmp_path / "reqs.jsonl"
     rows = [
@@ -484,6 +511,20 @@ def test_bad_mixture_spec_exits_1(tmp_path, bad):
     proc = run_cli("mix", "--in", str(corpus), "--out", str(out), *extra, expect=1)
     assert last_error(proc)["error"] == "RecordParseError"
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [2.5, True])
+def test_mix_spec_refuses_non_integer_cap(tmp_path, cap):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=4, langs=("en", "fr"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"per_direction_min": 0, "per_direction_max": cap}), encoding="utf-8")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--spec", str(spec), expect=1)
+    assert last_error(proc) == {
+        "error": "RecordParseError",
+        "message": f"mixture spec: per_direction_max must be an integer, got {cap!r}",
+    }
     assert not out.exists()
 
 

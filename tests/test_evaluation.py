@@ -170,3 +170,10 @@ def test_render_empty_table():
     table = TierTable(metric="COMET22", models=[])
     md = render_table(table)
     assert md.count("\n") == 2  # header and separator only
+
+
+@pytest.mark.parametrize("value", [True, "88.5", None])
+def test_read_eval_records_refuses_non_number_value(value):
+    line = json_line({"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": value})
+    with pytest.raises(RecordParseError, match="line 1: field 'value' must be a number"):
+        list(read_eval_records(io.StringIO(line + "\n")))

@@ -257,3 +257,19 @@ def test_scored_selection_memory_bounded_by_cap(registry, dirset):
     assert report.per_direction["en->fr"].candidates == n
     assert report.per_direction["en->fr"].selected == 2
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("field", ["per_direction_min", "per_direction_max"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_spec_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        MixtureSpec(**{"per_direction_min": 0, field: value})
+
+
+@pytest.mark.parametrize(
+    "field", ["forward_pmp_share", "reverse_total_retention", "reverse_pmp_share_of_retained"]
+)
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_spec_refuses_non_number_shares(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        MixtureSpec(**{field: value})

@@ -249,3 +249,12 @@ def prompted_examples(draw):
 @given(pe=prompted_examples())
 def test_prompted_to_line_equals_json_line(pe):
     assert pe.to_line() == json_line(pe.to_json())
+
+
+def test_read_prompted_refuses_boolean_span():
+    line = json_line({
+        "text": "ab", "loss_start": False, "loss_end": True, "format": "stp",
+        "src_lang": "en", "tgt_lang": "fr", "id": "x",
+    })
+    with pytest.raises(RecordParseError, match="line 1: field 'loss_start' must be an integer"):
+        list(read_prompted(io.StringIO(line + "\n")))

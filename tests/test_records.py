@@ -67,8 +67,6 @@ def test_multiway_duplicate_ids():
     stream = io.StringIO(line + "\n" + line + "\n")
     with pytest.raises(DuplicateRecordId):
         list(read_multiway(stream))
-    stream = io.StringIO(line + "\n" + line + "\n")
-    assert len(list(read_multiway(stream, check_unique=False))) == 2
 
 
 def test_examples_roundtrip(mk_example):

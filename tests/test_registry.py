@@ -188,3 +188,18 @@ def test_aux_unknown_language_and_duplicate(tmp_path):
     _write_jsonl(aux, [{"lang": "fr", "aux": "de"}, {"lang": "fr", "aux": "de"}])
     with pytest.raises(RecordParseError):
         load_registry(str(langs), str(aux))
+
+
+@pytest.mark.parametrize("bad_file", ["languages", "auxiliaries"])
+def test_invalid_utf8_reports_file_and_line(tmp_path, bad_file):
+    langs = tmp_path / "langs.jsonl"
+    aux = tmp_path / "aux.jsonl"
+    _write_jsonl(langs, [_lang("en"), _lang("zh"), _lang("fr"), _lang("de"), _lang("ru")])
+    _write_jsonl(aux, [{"lang": "fr", "aux": "de"}, {"lang": "de", "aux": "fr"}, {"lang": "ru", "aux": "de"}])
+    bad = langs if bad_file == "languages" else aux
+    lines = bad.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"', b'"\xff\xfe', 1)  # inside the first key
+    bad.write_bytes(b"".join(lines))
+    with pytest.raises(RecordParseError) as exc:
+        load_registry(str(langs), str(aux))
+    assert str(exc.value) == f"{bad}:line 3: invalid UTF-8"

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import pytest
 
-from mmtkit.backends import DictionaryBackend, IdentityBackend
+from mmtkit.backends import Backend, DictionaryBackend, IdentityBackend
 from mmtkit.directions import Direction
 from mmtkit.errors import BackendError, NoAuxiliaryDefined
 from mmtkit.prompts import PromptFormat
 from mmtkit.records import Provenance
 from mmtkit.synthesis import (
     InferenceStrategy,
+    SynthStats,
     build_inference_prompt,
     synth_direct,
     synth_pivot,
@@ -99,6 +100,33 @@ def test_synth_pivot_budget(mk_example):
     bad = [mk_example(f"q{i}#en2sw", "en", "sw", "mystery", "x") for i in range(3)]
     with pytest.raises(BackendError):
         list(synth_pivot(bad + pairs[1:], en2zh_backend()))
+
+
+def test_synth_stats_complete_after_the_stream():
+    backend = DictionaryBackend({("en", "sw"): SW})
+    mono = [("m0", ""), ("m1", "unknownword")] + [(f"k{i}", "bird") for i in range(18)]
+    stats = SynthStats()
+    out = synth_direct(mono, backend, Direction("en", "sw"), stats)
+    assert len(list(out)) == 18
+    assert stats == SynthStats(items=20, failed=2)
+
+
+class RecordingBackend(Backend):
+    def __init__(self):
+        self.calls = []
+
+    def translate(self, item_id, src_lang, tgt_lang, text):
+        self.calls.append(item_id)
+        return f"zh {text}"
+
+
+def test_synth_pivot_skips_empty_en_side_without_a_request(mk_example):
+    pairs = [mk_example(f"p{i}#en2sw", "en", "sw", f"en {i}", f"sw {i}") for i in range(10)]
+    pairs[4] = mk_example("p4#sw2en", "sw", "en", "sw 4", "")
+    backend, stats = RecordingBackend(), SynthStats()
+    out = list(synth_pivot(pairs, backend, stats))
+    assert "p4#sw2en" not in backend.calls and len(backend.calls) == 9
+    assert len(out) == 18 and stats == SynthStats(items=10, failed=1)
 
 
 def test_pivot_composes_with_direct_dictionary_oracle(mk_example):
