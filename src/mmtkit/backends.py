@@ -19,7 +19,6 @@ backends cover tests and offline pipelines.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import select
 import shlex
@@ -31,8 +30,6 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import BackendError
 from .records import check_score, json_line
-
-log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 

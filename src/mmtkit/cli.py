@@ -38,8 +38,6 @@ from .records import read_examples, read_multiway, read_score_sidecar, write_jso
 from .registry import direction_error, load_registry, parse_json_lines, required_fields
 from .synthesis import InferenceStrategy, SynthStats, build_inference_prompt, synth_direct, synth_pivot
 
-log = logging.getLogger("mmtkit")
-
 
 def _load_registry(args) -> "Registry":
     lang_path = None if args.registry == "builtin" else args.registry
@@ -132,15 +130,9 @@ def cmd_mix(args) -> dict:
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     config = _read_config(args.spec, dict) if args.spec else {}
-    overrides = {
-        "per_direction_min": args.per_direction_min,
-        "per_direction_max": args.per_direction_max,
-        "forward_pmp_share": args.forward_pmp_share,
-        "reverse_total_retention": args.reverse_retention,
-        "reverse_pmp_share_of_retained": args.reverse_pmp_share,
-        "seed": args.seed,
-    }
-    config.update((key, val) for key, val in overrides.items() if val is not None)
+    for name in MixtureSpec.__dataclass_fields__:
+        if getattr(args, name) is not None:
+            config[name] = getattr(args, name)
     try:
         spec = MixtureSpec.from_json(config)
     except (TypeError, ValueError) as e:
@@ -291,28 +283,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--registry", default="builtin", help="language registry: 'builtin' or a JSONL path")
-    common.add_argument("--auxiliaries", default=None, help="auxiliary map JSONL path (default: builtin with builtin registry, none otherwise)")
-    common.add_argument("--seed", type=int, default=None, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
-    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
-    common.add_argument("-v", "--verbose", action="count", default=0, help="-v for info logs, -vv for debug")
+    # Each subcommand takes only the parents whose options it reads.
+    registry = argparse.ArgumentParser(add_help=False)
+    registry.add_argument("--registry", default="builtin", help="language registry: 'builtin' or a JSONL path")
+    registry.add_argument("--auxiliaries", default=None, help="auxiliary map JSONL path (default: builtin with builtin registry, none otherwise)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
 
-    p = sub.add_parser("validate", parents=[common], help="load a registry and print its direction arithmetic")
+    p = sub.add_parser("validate", parents=[registry], help="load a registry and print its direction arithmetic")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("expand", parents=[common], help="expand multi-way records into directional examples")
+    p = sub.add_parser("expand", parents=[registry, workers], help="expand multi-way records into directional examples")
     p.add_argument("--in", dest="infile", required=True, help="input .mwjsonl")
     p.add_argument("--out", required=True, help="output .djsonl")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("downsample", parents=[common], help="strategic downsampling of reverse examples")
+    p = sub.add_parser("downsample", parents=[seed, workers], help="strategic downsampling of reverse examples")
     p.add_argument("--p", type=_probability, default=0.05, help="reverse retention probability (default 0.05)")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
     p.add_argument("--out", required=True, help="output .djsonl")
     p.set_defaults(func=cmd_downsample)
 
-    p = sub.add_parser("mix", parents=[common], help="build the SFT mixture from multi-way records")
+    p = sub.add_parser("mix", parents=[registry, seed], help="build the SFT mixture from multi-way records")
     p.add_argument("--in", dest="infile", required=True, help="input .mwjsonl")
     p.add_argument("--out", required=True, help="output .pjsonl")
     p.add_argument("--spec", default=None, help="JSON file with mixture spec fields")
@@ -320,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-direction-min", type=int, default=None)
     p.add_argument("--per-direction-max", type=int, default=None)
     p.add_argument("--forward-pmp-share", type=_probability, default=None)
-    p.add_argument("--reverse-retention", type=_probability, default=None)
-    p.add_argument("--reverse-pmp-share", type=_probability, default=None)
+    p.add_argument("--reverse-retention", dest="reverse_total_retention", type=_probability, default=None)
+    p.add_argument("--reverse-pmp-share", dest="reverse_pmp_share_of_retained", type=_probability, default=None)
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("filter", parents=[common], help="heuristic cleaning and QE thresholding")
+    p = sub.add_parser("filter", parents=[workers], help="heuristic cleaning and QE thresholding")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
     p.add_argument("--out", required=True, help="output .djsonl (or .sjsonl with --scores)")
     p.add_argument("--rules", default=None, help="JSON rule list (default: built-in rule set)")
@@ -332,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_probability, default=None, help="keep pairs with qe_score >= tau")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("score", parents=[common], help="produce a score sidecar via an external scorer")
+    p = sub.add_parser("score", help="produce a score sidecar via an external scorer")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
     p.add_argument("--scorer-cmd", required=True, help="scorer command speaking the line protocol")
     p.add_argument("--out", required=True, help="output score sidecar")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("synth", parents=[common], help="pseudo-parallel synthesis through a backend")
+    p = sub.add_parser("synth", help="pseudo-parallel synthesis through a backend")
     p.add_argument("--mode", choices=["direct", "pivot"], required=True)
     p.add_argument("--backend-cmd", required=True, help="translator command speaking the line protocol")
     p.add_argument("--in", dest="infile", required=True, help="monolingual jsonl (direct) or .djsonl (pivot)")
@@ -346,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default=None, help="direct mode: direction like en2fr")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("infer-prompt", parents=[common], help="build inference prompts with empty loss spans")
+    p = sub.add_parser("infer-prompt", parents=[registry], help="build inference prompts with empty loss spans")
     p.add_argument("--strategy", choices=[s.value for s in InferenceStrategy], required=True)
     p.add_argument("--in", dest="infile", required=True, help="requests jsonl: id, src_lang, tgt_lang, src[, aux]")
     p.add_argument("--out", required=True, help="output .pjsonl")
     p.add_argument("--backend-cmd", default=None, help="translator command (pt and pmp-s)")
     p.set_defaults(func=cmd_infer_prompt)
 
-    p = sub.add_parser("eval", parents=[common], help="aggregate per-direction metrics into a tier table")
+    p = sub.add_parser("eval", parents=[registry], help="aggregate per-direction metrics into a tier table")
     p.add_argument("--records", required=True, help="eval records jsonl")
     p.add_argument("--metric", default="COMET22", help="metric to aggregate (default COMET22)")
     p.add_argument("--models", default=None, help="comma-separated model filter and row order")
@@ -363,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the table here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("diagnose", parents=[common], help="target-repetition statistics")
+    p = sub.add_parser("diagnose", parents=[seed, workers], help="target-repetition statistics")
     p.add_argument("--in", dest="infile", required=True, help="input .djsonl")
     p.add_argument("--p", type=_probability, default=None, help="apply a retention policy before measuring")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -375,12 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         summary = args.func(args)
     except (ToolkitError, OSError, UnicodeError) as e:

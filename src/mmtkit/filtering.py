@@ -70,8 +70,9 @@ class MaxLengthRatio(FilterRule):
     name = "MaxLengthRatio"
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {self.ratio}")
+        r = self.ratio
+        if not isinstance(r, (int, float)) or isinstance(r, bool) or not r > 0:  # NaN fails r > 0
+            raise ValueError(f"ratio must be a positive number, got {r!r}")
 
     def passes(self, ex: DirectionalExample) -> bool:
         a = max(1.0, token_length(ex.src_lang, ex.src))
@@ -89,6 +90,10 @@ class LengthBounds(FilterRule):
     name = "LengthBounds"
 
     def __post_init__(self):
+        for name in ("min_len", "max_len"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError(f"need 0 < min_len <= max_len, got {self.min_len}..{self.max_len}")
 

@@ -124,8 +124,9 @@ def read_examples(
     path: str | None = None,
     validate: bool = True,
 ) -> Iterator[DirectionalExample]:
-    """Parse directional examples. validate=False skips the semantic checks
-    (empty texts, center rule) so that dirty pairs reach filter rules as data."""
+    """Parse directional examples. validate=False skips only the empty-text
+    check, so that empty pairs reach the NonEmpty filter rule as data; the id
+    and direction checks run in both modes."""
     seen: set[str] = set()
     for line_no, obj in parse_json_lines(stream, path):
         ex = _example_from_json(obj, line_no, path, validate=validate)
@@ -148,14 +149,13 @@ def _example_from_json(
         provenance = _PROVENANCE[prov]
     except (KeyError, TypeError):
         raise RecordParseError(f"unknown provenance {prov!r}", line_no, path) from None
-    if validate:
-        if not ex_id:
-            raise RecordParseError("example id must be non-empty", line_no, path)
-        problem = direction_error(src_lang, tgt_lang)
-        if problem is not None:
-            raise RecordParseError(problem, line_no, path)
-        if not src or not tgt:
-            raise RecordParseError(f"example {ex_id!r} has an empty text side", line_no, path)
+    if not ex_id:
+        raise RecordParseError("example id must be non-empty", line_no, path)
+    problem = direction_error(src_lang, tgt_lang)
+    if problem is not None:
+        raise RecordParseError(problem, line_no, path)
+    if validate and (not src or not tgt):
+        raise RecordParseError(f"example {ex_id!r} has an empty text side", line_no, path)
     return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
 
 

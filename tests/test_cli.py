@@ -55,6 +55,50 @@ def test_usage_errors_exit_2():
     run_cli("expand", expect=2)  # missing required flags
 
 
+# Each subcommand's required arguments; IN and OUT stand for the input and --out paths.
+_REQUIRED_ARGS = {
+    "validate": (),
+    "expand": ("--in", "IN", "--out", "OUT"),
+    "downsample": ("--in", "IN", "--out", "OUT"),
+    "mix": ("--in", "IN", "--out", "OUT"),
+    "filter": ("--in", "IN", "--out", "OUT"),
+    "score": ("--in", "IN", "--scorer-cmd", "true", "--out", "OUT"),
+    "synth": ("--mode", "pivot", "--backend-cmd", "true", "--in", "IN", "--out", "OUT"),
+    "infer-prompt": ("--strategy", "dt", "--in", "IN", "--out", "OUT"),
+    "eval": ("--records", "IN", "--out", "OUT"),
+    "diagnose": ("--in", "IN", "--out", "OUT"),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "filter --seed 3",
+        "filter --verbose",
+        "expand --seed 3",
+        "expand -v",
+        "downsample --registry builtin",
+        "downsample --auxiliaries aux.jsonl",
+        "score --workers 2",
+        "synth --seed 1",
+        "mix --workers 2",
+        "eval --seed 1",
+        "infer-prompt --workers 2",
+        "diagnose --registry builtin",
+        "validate --seed 1",
+    ],
+)
+def test_option_a_subcommand_does_not_read_is_usage_error(tmp_path, case):
+    command, *extra = case.split()
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    out = tmp_path / "o"
+    required = [{"IN": str(src), "OUT": str(out)}.get(a, a) for a in _REQUIRED_ARGS[command]]
+    proc = run_cli(command, *required, *extra, expect=2)
+    assert f"unrecognized arguments: {' '.join(extra)}" in proc.stderr
+    assert not out.exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     proc = run_cli(
         "expand", "--in", str(tmp_path / "absent.mwjsonl"), "--out", str(tmp_path / "o"),
@@ -198,6 +242,30 @@ def test_filter_custom_rules(tmp_path):
     proc = run_cli("filter", "--in", str(pairs), "--out", str(tmp_path / "o"), "--rules", str(rules))
     report = json.loads(proc.stdout)
     assert report["rejected"] == {"LengthBounds": 1}
+
+
+@pytest.mark.parametrize(
+    "bad,problem",
+    [
+        ({"id": "a#fr2de", "src_lang": "fr", "tgt_lang": "de"}, "fr->de does not involve a center language"),
+        ({"id": "a#en2en", "src_lang": "en", "tgt_lang": "en"}, "identical sides"),
+        ({"id": "", "src_lang": "en", "tgt_lang": "fr"}, "id must be non-empty"),
+    ],
+    ids=["off-center", "same-sides", "empty-id"],
+)
+def test_filter_refuses_pairs_other_readers_refuse(tmp_path, bad, problem):
+    dirty = tmp_path / "dirty.djsonl"
+    rows = [
+        {**bad, "src": "bonjour", "tgt": "hallo"},
+        {"id": "c#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": "good text", "tgt": "bon texte"},
+    ]
+    dirty.write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "clean.djsonl"
+    proc = run_cli("filter", "--in", str(dirty), "--out", str(out), expect=1)
+    err = last_error(proc)
+    assert err["error"] == "RecordParseError"
+    assert err["message"].startswith(f"{dirty}:line 1: ") and problem in err["message"]
+    assert not out.exists()
 
 
 def test_synth_direct_cli(tmp_path, scripts_dir):
@@ -624,6 +692,27 @@ def test_bad_config_value_exits_1(tmp_path, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"kind": "MaxLengthRatio", "ratio": NaN}]',
+        '[{"kind": "MaxLengthRatio", "ratio": true}]',
+        '[{"kind": "LengthBounds", "min_len": true}]',
+        '[{"kind": "LengthBounds", "min_len": 1.5, "max_len": 2.5}]',
+    ],
+    ids=["ratio-nan", "ratio-bool", "min-len-bool", "lengths-float"],
+)
+def test_rule_parameters_are_type_checked(tmp_path, text):
+    _, args = _config_case(tmp_path, "filter", text)
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--out", str(out), expect=1)
+    err = last_error(proc)
+    kind = json.loads(text)[0]["kind"]
+    assert err["error"] == "RecordParseError"
+    assert err["message"].startswith(f"rule 0 ({kind}): ")
+    assert not out.exists()
+
+
 def test_mix_seed_flag_beats_spec_seed(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
     spec = tmp_path / "spec.json"
@@ -639,6 +728,29 @@ def test_mix_seed_flag_beats_spec_seed(tmp_path):
     assert seed9 != seed3
     assert mix("spec9", "--spec", str(spec)) == seed9
     assert mix("spec9_flag3", "--spec", str(spec), "--seed", "3") == seed3
+
+
+@pytest.mark.parametrize(
+    "flag,field,base",
+    [
+        ("--reverse-retention", "reverse_total_retention", {}),
+        ("--reverse-pmp-share", "reverse_pmp_share_of_retained", {"reverse_total_retention": 1.0}),
+    ],
+    ids=["reverse-retention", "reverse-pmp-share"],
+)
+def test_mix_reverse_flags_beat_spec_fields(tmp_path, flag, field, base):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
+
+    def mix(name, value, *extra):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"per_direction_min": 0, **base, field: value}), encoding="utf-8")
+        out = tmp_path / f"{name}.pjsonl"
+        run_cli("mix", "--in", str(corpus), "--out", str(out), "--spec", str(spec), *extra)
+        return out.read_bytes()
+
+    spec_high = mix("high", 1.0)
+    assert mix("low", 0.0) != spec_high
+    assert mix("low_flag_high", 0.0, flag, "1") == spec_high
 
 
 @pytest.mark.parametrize("command", ["expand", "mix-spec"])

@@ -82,15 +82,16 @@ def test_examples_roundtrip(mk_example):
 
 
 def test_examples_semantic_validation_toggle():
-    dirty = [
-        json_line({"id": "e1", "src_lang": "fr", "tgt_lang": "de", "src": "a", "tgt": "b"}),
-        json_line({"id": "e2", "src_lang": "en", "tgt_lang": "fr", "src": "", "tgt": "b"}),
-    ]
-    payload = "\n".join(dirty) + "\n"
+    # validate=False lets an empty text side through, never a bad direction.
+    off_center = json_line({"id": "e1", "src_lang": "fr", "tgt_lang": "de", "src": "a", "tgt": "b"}) + "\n"
+    empty_src = json_line({"id": "e2", "src_lang": "en", "tgt_lang": "fr", "src": "", "tgt": "b"}) + "\n"
+    for validate in (True, False):
+        with pytest.raises(RecordParseError):
+            list(read_examples(io.StringIO(off_center), validate=validate))
     with pytest.raises(RecordParseError):
-        list(read_examples(io.StringIO(payload)))
-    lax = list(read_examples(io.StringIO(payload), validate=False))
-    assert [ex.id for ex in lax] == ["e1", "e2"]
+        list(read_examples(io.StringIO(empty_src)))
+    lax = list(read_examples(io.StringIO(empty_src), validate=False))
+    assert [ex.id for ex in lax] == ["e2"]
 
 
 def test_examples_field_errors_carry_location():
