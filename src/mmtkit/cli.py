@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .backends import SubprocessBackend, SubprocessScorer
-from .diagnostics import render_histogram, repetition_after_policy, target_repetition_stats
+from .diagnostics import render_histogram, target_repetition_stats
 from .directions import Direction, enumerate_directions, expand
 from .downsampling import DownsampleStats, RetentionPolicy, downsample
 from .errors import RecordParseError, ToolkitError, UnknownLanguage
@@ -35,7 +35,7 @@ from .filtering import (
 from .hashing import DEFAULT_SEED
 from .mixture import MixtureSpec, build_sft_mixture
 from .records import read_examples, read_multiway, read_score_sidecar, write_jsonl, write_score_sidecar
-from .registry import direction_error, load_registry, parse_json_lines, required_fields
+from .registry import load_registry, parse_json_lines, required_fields
 from .synthesis import InferenceStrategy, SynthStats, build_inference_prompt, synth_direct, synth_pivot
 
 
@@ -62,13 +62,20 @@ def _read_config(path: str, kind: type):
 
 
 def _parse_direction(text: str) -> Direction:
-    src, sep, tgt = text.partition("2")
-    if not sep or not src or not tgt:
+    sides = text.split("2")
+    if len(sides) != 2 or not all(sides):
         raise RecordParseError(f"direction must look like 'en2fr', got {text!r}")
-    problem = direction_error(src, tgt)
-    if problem is not None:
-        raise RecordParseError(f"--direction: {problem}")
-    return Direction(src, tgt)
+    try:
+        return Direction(*sides)
+    except ValueError as e:
+        raise RecordParseError(f"--direction: {e}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def _probability(text: str) -> float:
@@ -263,10 +270,8 @@ def cmd_diagnose(args) -> None:
     with open(args.infile, encoding="utf-8") as fin:
         examples = read_examples(fin, path=args.infile)
         if args.p is not None:
-            policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
-            stats = repetition_after_policy(examples, policy)
-        else:
-            stats = target_repetition_stats(examples)
+            examples = downsample(examples, RetentionPolicy(p_reverse=args.p, seed=_seed(args)))
+        stats = target_repetition_stats(examples)
     report = stats.as_dict()
     if args.out:
         with _open_out(args.out, args.infile) as f:
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
+    workers.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
 
     p = sub.add_parser("validate", parents=[registry], help="load a registry and print its direction arithmetic")
     p.set_defaults(func=cmd_validate)

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
 
-from .downsampling import RetentionPolicy, SampleClass, downsample
+from .downsampling import SampleClass
 from .records import DirectionalExample
 from .registry import CENTERS
 
@@ -82,12 +82,6 @@ def target_repetition_stats(examples: Iterable[DirectionalExample]) -> Repetitio
         max_repetition=max(per_target.values(), default=0),
         by_class=by_class,
     )
-
-
-def repetition_after_policy(
-    examples: Iterable[DirectionalExample], policy: RetentionPolicy
-) -> RepetitionStats:
-    return target_repetition_stats(downsample(examples, policy))
 
 
 _HISTOGRAM_WIDTH = 50

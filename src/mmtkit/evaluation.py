@@ -92,7 +92,6 @@ class TierTable:
     metric: str
     models: list[str]
     cells: dict[tuple[str, Tier, str], float] = field(default_factory=dict)
-    counts: dict[tuple[str, Tier, str], int] = field(default_factory=dict)
     skipped: int = 0
 
     def cell(self, model: str, tier: Tier, cls: str) -> float | None:
@@ -153,11 +152,11 @@ def aggregate(
             sums[k] = sums.get(k, 0.0) + rec.value
             counts[k] = counts.get(k, 0) + 1
 
-    ordered = models if models is not None else sorted(seen_models)
-    table = TierTable(metric=metric, models=list(ordered), skipped=skipped)
+    # A repeated model name gives one row, at its first position.
+    ordered = list(dict.fromkeys(models)) if models is not None else sorted(seen_models)
+    table = TierTable(metric=metric, models=ordered, skipped=skipped)
     for k, total in sums.items():
         table.cells[k] = total / counts[k]
-        table.counts[k] = counts[k]
     return table
 
 

@@ -46,9 +46,6 @@ class FilterRule:
     def reset(self) -> None:
         pass
 
-    def to_json(self) -> dict:
-        return {"kind": self.name}
-
 
 class NonEmpty(FilterRule):
     name = "NonEmpty"
@@ -79,9 +76,6 @@ class MaxLengthRatio(FilterRule):
         b = max(1.0, token_length(ex.tgt_lang, ex.tgt))
         return max(a, b) / min(a, b) <= self.ratio
 
-    def to_json(self) -> dict:
-        return {"kind": self.name, "ratio": self.ratio}
-
 
 @dataclass
 class LengthBounds(FilterRule):
@@ -104,9 +98,6 @@ class LengthBounds(FilterRule):
 
     def passes(self, ex: DirectionalExample) -> bool:
         return self._ok(ex.src_lang, ex.src) and self._ok(ex.tgt_lang, ex.tgt)
-
-    def to_json(self) -> dict:
-        return {"kind": self.name, "min_len": self.min_len, "max_len": self.max_len}
 
 
 class ControlCharFree(FilterRule):
@@ -237,19 +228,13 @@ def threshold_filter(scored: Iterable[ScoredPair], tau: float) -> Iterator[Score
             yield pair
 
 
-def score_histogram(
-    scored: Iterable[ScoredPair],
-    thresholds: Iterable[float] = DEFAULT_THRESHOLDS,
-) -> dict[float, tuple[int, float]]:
-    """Count and proportion of pairs at or above each threshold."""
-    taus = list(thresholds)
-    if taus != sorted(taus):
-        raise ValueError("thresholds must be sorted ascending")
-    counts = {tau: 0 for tau in taus}
+def score_histogram(scored: Iterable[ScoredPair]) -> dict[float, tuple[int, float]]:
+    """Count and proportion of pairs at or above each of DEFAULT_THRESHOLDS."""
+    counts = {tau: 0 for tau in DEFAULT_THRESHOLDS}
     total = 0
     for pair in scored:
         total += 1
-        for tau in taus:
+        for tau in DEFAULT_THRESHOLDS:
             if pair.qe_score >= tau:
                 counts[tau] += 1
     return {tau: (c, c / total if total else 0.0) for tau, c in counts.items()}

@@ -249,10 +249,12 @@ def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[Pr
             obj, ("text", "format", "src_lang", "tgt_lang", "id"), line_no, path
         )
         loss_start, loss_end = required_fields(obj, ("loss_start", "loss_end"), line_no, path, int)
+        # Optional fields: aux_lang may be null, prompt_schema may be absent.
+        (aux_lang,) = required_fields(obj, ("aux_lang",), line_no, path) if obj.get("aux_lang") is not None else (None,)
+        (schema,) = required_fields(obj, ("prompt_schema",), line_no, path) if "prompt_schema" in obj else (PROMPT_SCHEMA,)
         try:
             pe = PromptedExample(
-                text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang,
-                obj.get("aux_lang"), item_id, obj.get("prompt_schema", PROMPT_SCHEMA),
+                text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang, aux_lang, item_id, schema
             )
         except ValueError as e:
             raise RecordParseError(str(e), line_no, path) from None

@@ -159,13 +159,6 @@ def _example_from_json(
     return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
 
 
-def read_scored(stream: Iterable[str], path: str | None = None) -> Iterator[ScoredPair]:
-    for line_no, obj in parse_json_lines(stream, path):
-        ex = _example_from_json(obj, line_no, path)
-        (raw,) = required_fields(obj, ("qe_score",), line_no, path, object)
-        yield ScoredPair(example=ex, qe_score=check_score(raw, ex.id, line_no, path))
-
-
 def write_jsonl(items: Iterable, stream: IO[str]) -> int:
     """Write each item's to_line(), which equals json_line(item.to_json()),
     as one line; return the count."""
@@ -174,9 +167,6 @@ def write_jsonl(items: Iterable, stream: IO[str]) -> int:
         stream.write(item.to_line() + "\n")
         n += 1
     return n
-
-
-write_multiway = write_examples = write_scored = write_jsonl
 
 
 def read_score_sidecar(stream: Iterable[str], path: str | None = None) -> dict[str, float]:

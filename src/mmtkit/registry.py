@@ -71,15 +71,6 @@ class Registry:
     def name_of(self, code: str) -> str:
         return self.language(code).name
 
-    def tier_counts(self) -> dict[Tier, int]:
-        counts = {t: 0 for t in Tier}
-        for lang in self.languages.values():
-            counts[lang.tier] += 1
-        return counts
-
-    def is_center(self, code: str) -> bool:
-        return code in CENTERS
-
     def auxiliary_for(self, src: str, tgt: str) -> str | None:
         """Auxiliary language for a center-involving direction, or None.
 

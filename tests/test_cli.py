@@ -423,6 +423,14 @@ def test_eval_cli(tmp_path, data_dir):
     assert out.read_text(encoding="utf-8").startswith("Model,")
 
 
+def test_eval_repeated_model_gives_one_row(data_dir):
+    proc = run_cli(
+        "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
+        "--models", "LMT-60-4B,LMT-60-8B,LMT-60-4B", "--format", "csv",
+    )
+    assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["Model", "LMT-60-4B", "LMT-60-8B"]
+
+
 def _registry_codes():
     from mmtkit.registry import load_registry
 
@@ -472,11 +480,12 @@ def test_synth_direct_non_string_item_exits_1(tmp_path, scripts_dir):
     assert not out.exists()
 
 
-def test_synth_direct_unsupported_direction_exits_1(tmp_path, scripts_dir):
+@pytest.mark.parametrize("direction", ["fr2de", "en2fr2de", "en2", "enfr"])
+def test_synth_direct_unsupported_direction_exits_1(tmp_path, scripts_dir, direction):
     mono = tmp_path / "mono.jsonl"
     mono.write_text(json_line({"id": "m0", "text": "x"}) + "\n", encoding="utf-8")
     proc = run_cli(
-        "synth", "--mode", "direct", "--direction", "fr2de",
+        "synth", "--mode", "direct", "--direction", direction,
         "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
         "--in", str(mono), "--out", str(tmp_path / "o"),
         expect=1,
@@ -562,6 +571,16 @@ def test_out_of_range_probability_is_usage_error(tmp_path, args):
     proc = run_cli(*args, "--in", str(src), "--out", str(out), expect=2)
     assert "must be in [0, 1]" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["expand", "diagnose"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(tmp_path, command, workers):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=1)
+    out = tmp_path / "o"
+    proc = run_cli(command, "--in", str(corpus), "--out", str(out), "--workers", workers, expect=2)
+    assert "must be at least 1" in proc.stderr
     assert not out.exists()
 
 

@@ -1,13 +1,9 @@
-"""Repetition statistics: exact counts, NFC collapsing, policy composition."""
+"""Repetition statistics: exact counts, NFC collapsing, stats after downsampling."""
 from __future__ import annotations
 
 import random
 
-from mmtkit.diagnostics import (
-    render_histogram,
-    repetition_after_policy,
-    target_repetition_stats,
-)
+from mmtkit.diagnostics import render_histogram, target_repetition_stats
 from mmtkit.directions import expand
 from mmtkit.downsampling import RetentionPolicy, SampleClass, downsample
 from mmtkit.records import MultiWayRecord
@@ -64,21 +60,6 @@ def test_identical_sources_count_once(mk_example):
     assert stats.max_repetition == 2
 
 
-def test_policy_composition_is_stats_of_downsample(registry, dirset):
-    records = [
-        MultiWayRecord(id=f"c{i}", sentences={c: f"{c} {i}" for c in ("en", "zh", "fr", "de")})
-        for i in range(50)
-    ]
-    examples = []
-    for r in records:
-        examples.extend(expand(r, dirset))
-    policy = RetentionPolicy(p_reverse=0.3, seed=5)
-    via_helper = repetition_after_policy(examples, policy)
-    via_compose = target_repetition_stats(downsample(examples, policy))
-    assert via_helper.as_dict() == via_compose.as_dict()
-    assert via_helper.per_target == via_compose.per_target
-
-
 def test_brute_force_recount_on_random_partial_records(registry, dirset):
     rng = random.Random(77)
     codes = registry.codes()
@@ -112,7 +93,7 @@ def test_frozen_seeded_mean_after_policy(registry, dirset):
         for r in records:
             yield from expand(r, dirset)
 
-    stats = repetition_after_policy(examples(), RetentionPolicy(p_reverse=0.05, seed=42))
+    stats = target_repetition_stats(downsample(examples(), RetentionPolicy(p_reverse=0.05, seed=42)))
     en_counts = [n for (lang, _), n in stats.per_target.items() if lang == "en"]
     assert len(en_counts) == 950
     assert sum(en_counts) == 2937

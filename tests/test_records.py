@@ -22,11 +22,8 @@ from mmtkit.records import (
     read_examples,
     read_multiway,
     read_score_sidecar,
-    read_scored,
-    write_examples,
-    write_multiway,
+    write_jsonl,
     write_score_sidecar,
-    write_scored,
 )
 from mmtkit.registry import load_registry, parse_json_lines
 
@@ -45,7 +42,7 @@ def test_multiway_roundtrip(registry):
         MultiWayRecord(id="r2", sentences={"en": "x", "zh": "好"}),
     ]
     buf = io.StringIO()
-    assert write_multiway(recs, buf) == 2
+    assert write_jsonl(recs, buf) == 2
     back = list(read_multiway(io.StringIO(buf.getvalue()), registry))
     assert back == recs
 
@@ -75,7 +72,7 @@ def test_examples_roundtrip(mk_example):
         mk_example("b#fr2en", "fr", "en", "salut", "hi", Provenance.SYNTH_PIVOT),
     ]
     buf = io.StringIO()
-    assert write_examples(examples, buf) == 2
+    assert write_jsonl(examples, buf) == 2
     back = list(read_examples(io.StringIO(buf.getvalue())))
     assert back == examples
     assert back[1].provenance is Provenance.SYNTH_PIVOT
@@ -120,15 +117,17 @@ def test_blank_lines_skipped():
 
 
 def test_scored_roundtrip_and_bounds(mk_example):
-    pairs = [ScoredPair(example=mk_example(), qe_score=0.75)]
+    # A scored line reads back as its pair (read_examples) and its score
+    # (read_score_sidecar).
+    pair = ScoredPair(example=mk_example(), qe_score=0.75)
     buf = io.StringIO()
-    assert write_scored(pairs, buf) == 1
-    back = list(read_scored(io.StringIO(buf.getvalue())))
-    assert back == pairs
+    assert write_jsonl([pair], buf) == 1
+    assert list(read_examples(io.StringIO(buf.getvalue()))) == [pair.example]
+    assert read_score_sidecar(io.StringIO(buf.getvalue())) == {pair.example.id: 0.75}
     bad = json.loads(buf.getvalue())
     bad["qe_score"] = 1.5
     with pytest.raises(InvalidScore):
-        list(read_scored(io.StringIO(json_line(bad) + "\n")))
+        read_score_sidecar(io.StringIO(json_line(bad) + "\n"))
 
 
 def test_check_score():
@@ -154,7 +153,7 @@ def test_sidecar_roundtrip_and_errors():
 
 def test_sidecar_accepts_full_scored_lines(mk_example):
     buf = io.StringIO()
-    write_scored([ScoredPair(example=mk_example(), qe_score=0.25)], buf)
+    write_jsonl([ScoredPair(example=mk_example(), qe_score=0.25)], buf)
     scores = read_score_sidecar(io.StringIO(buf.getvalue()))
     assert scores == {"r0#en2fr": 0.25}
 
@@ -168,7 +167,7 @@ def test_sidecar_accepts_full_scored_lines(mk_example):
 def test_multiway_roundtrip_property(rec_id, sentences):
     rec = MultiWayRecord(id=rec_id, sentences=sentences)
     buf = io.StringIO()
-    write_multiway([rec], buf)
+    write_jsonl([rec], buf)
     (back,) = read_multiway(io.StringIO(buf.getvalue()))
     assert back == rec
 
@@ -180,9 +179,10 @@ def test_scored_roundtrip_property(src, tgt, score):
         qe_score=score,
     )
     buf = io.StringIO()
-    write_scored([pair], buf)
-    (back,) = read_scored(io.StringIO(buf.getvalue()))
-    assert back == pair
+    write_jsonl([pair], buf)
+    (back,) = read_examples(io.StringIO(buf.getvalue()))
+    assert back == pair.example
+    assert read_score_sidecar(io.StringIO(buf.getvalue())) == {"p#en2fr": score}
 
 
 def _lang_row(code, **fields):
@@ -205,7 +205,6 @@ _PROMPTED = {
 # case -> (reader of a path, lines with the bad one last and "" for a blank line, mistyped field)
 NON_STRING_CASES = {
     "read_examples": (_reader(read_examples), ["", {**_PAIR, "src": 5}], "src"),
-    "read_scored": (_reader(read_scored), ["", {**_PAIR, "id": 7, "qe_score": 0.5}], "id"),
     "read_multiway": (_reader(read_multiway), ["", {"id": 7, "sentences": {"en": "a"}}], "id"),
     "read_score_sidecar": (_reader(read_score_sidecar), ["", {"id": 7, "qe_score": 0.5}], "id"),
     "read_eval_records": (
@@ -214,6 +213,10 @@ NON_STRING_CASES = {
         "model",
     ),
     "read_prompted": (_reader(read_prompted), ["", {**_PROMPTED, "text": 5}], "text"),
+    "read_prompted_aux_lang": (
+        _reader(read_prompted), ["", {**_PROMPTED, "format": "PMP", "aux_lang": 7}], "aux_lang"
+    ),
+    "read_prompted_schema": (_reader(read_prompted), ["", {**_PROMPTED, "prompt_schema": [1]}], "prompt_schema"),
     "load_registry": (load_registry, [_lang_row("en"), _lang_row("zh"), _lang_row("fr", name=5)], "name"),
     "load_registry_aux": (lambda p: load_registry(None, p), ["", {"lang": "bg", "aux": 5}], "aux"),
 }
@@ -307,7 +310,7 @@ def test_multiway_to_line_equals_json_line(rec_id, sentences):
 
 def test_write_jsonl_leaves_lone_surrogates_to_the_stream(mk_example):
     buf = io.StringIO()
-    write_examples([mk_example(src="hi \ud800 there")], buf)
+    write_jsonl([mk_example(src="hi \ud800 there")], buf)
     assert buf.getvalue() == json_line(mk_example(src="hi \ud800 there").to_json()) + "\n"
     with pytest.raises(UnicodeEncodeError):
         buf.getvalue().encode("utf-8")

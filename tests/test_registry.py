@@ -23,13 +23,11 @@ AUX_TABLE = {
 
 def test_builtin_shape(registry):
     assert len(registry) == 60
-    counts = registry.tier_counts()
-    assert counts[Tier.HIGH] == 13
-    assert counts[Tier.MEDIUM] == 18
-    assert counts[Tier.LOW] == 29
+    tiers = [lang.tier for lang in registry.languages.values()]
+    assert tiers.count(Tier.HIGH) == 13
+    assert tiers.count(Tier.MEDIUM) == 18
+    assert tiers.count(Tier.LOW) == 29
     assert "en" in registry and "zh" in registry
-    assert registry.is_center("en") and registry.is_center("zh")
-    assert not registry.is_center("fr")
 
 
 def test_builtin_names_and_tiers(registry):
