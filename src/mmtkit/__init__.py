@@ -9,67 +9,5 @@ aggregation of evaluation scores. Every sampling decision is a pure
 function of (seed, id), so any stage can be rerun, sharded, or reordered
 without changing its output.
 """
-from .directions import Direction, DirectionSet, enumerate_directions, expand
-from .downsampling import RetentionPolicy, SampleClass, classify, downsample, retained
-from .errors import RecordParseError, ToolkitError, UnknownLanguage
-from .evaluation import aggregate, intersect_support, render_table
-from .filtering import apply_heuristics, default_rules, score_histogram, threshold_filter
-from .hashing import fnv1a64, unit_uniform
-from .mixture import MixtureSpec, build_sft_mixture
-from .prompts import (
-    PromptFormat,
-    PromptedExample,
-    render_cpt_bilingual,
-    render_cpt_mono,
-    render_pmp,
-    render_pmp_prompt,
-    render_stp,
-    render_stp_prompt,
-)
-from .records import DirectionalExample, MultiWayRecord, Provenance, ScoredPair
-from .registry import Language, Registry, Tier, load_registry
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Direction",
-    "DirectionSet",
-    "DirectionalExample",
-    "Language",
-    "MixtureSpec",
-    "MultiWayRecord",
-    "PromptFormat",
-    "PromptedExample",
-    "Provenance",
-    "RecordParseError",
-    "Registry",
-    "RetentionPolicy",
-    "SampleClass",
-    "ScoredPair",
-    "Tier",
-    "ToolkitError",
-    "UnknownLanguage",
-    "aggregate",
-    "apply_heuristics",
-    "build_sft_mixture",
-    "classify",
-    "default_rules",
-    "downsample",
-    "enumerate_directions",
-    "expand",
-    "fnv1a64",
-    "intersect_support",
-    "load_registry",
-    "render_cpt_bilingual",
-    "render_cpt_mono",
-    "render_pmp",
-    "render_pmp_prompt",
-    "render_stp",
-    "render_stp_prompt",
-    "render_table",
-    "retained",
-    "score_histogram",
-    "threshold_filter",
-    "unit_uniform",
-    "__version__",
-]

@@ -13,35 +13,34 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 
 from . import __version__
-from .backends import SubprocessBackend, SubprocessScorer
-from .diagnostics import render_histogram, target_repetition_stats
-from .directions import Direction, enumerate_directions, expand
-from .downsampling import DownsampleStats, RetentionPolicy, downsample
 from .errors import RecordParseError, ToolkitError, UnknownLanguage
-from .evaluation import aggregate, read_eval_records, render_table
-from .filtering import (
-    apply_heuristics,
-    attach_scores,
-    default_rules,
-    rules_from_config,
-    score_histogram,
-    threshold_filter,
-)
 from .hashing import DEFAULT_SEED
-from .mixture import MixtureSpec, build_sft_mixture
-from .records import read_examples, read_multiway, read_score_sidecar, write_jsonl, write_score_sidecar
-from .registry import load_registry, parse_json_lines, required_fields
-from .synthesis import InferenceStrategy, SynthStats, build_inference_prompt, synth_direct, synth_pivot
+
+# Each cmd_* imports the library modules it runs, so a stage loads only those
+# and --help none. The parser spells out synthesis.InferenceStrategy's values.
+INFERENCE_STRATEGIES = ("dt", "pt", "pmp-o", "pmp-s")
+
+
+def _registry_files(args) -> tuple[str | None, str | None]:
+    """The --registry and --auxiliaries paths; None stands for the built-in file."""
+    return (None if args.registry == "builtin" else args.registry), args.auxiliaries
 
 
 def _load_registry(args) -> "Registry":
-    lang_path = None if args.registry == "builtin" else args.registry
-    return load_registry(lang_path, args.auxiliaries)
+    from .registry import load_registry
+
+    return load_registry(*_registry_files(args))
+
+
+def _log_to_stderr() -> None:
+    """Print the library's logged warnings to stderr (mix and synth log)."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _seed(args) -> int:
@@ -61,7 +60,9 @@ def _read_config(path: str, kind: type):
     return value
 
 
-def _parse_direction(text: str) -> Direction:
+def _parse_direction(text: str) -> "Direction":
+    from .directions import Direction
+
     sides = text.split("2")
     if len(sides) != 2 or not all(sides):
         raise RecordParseError(f"direction must look like 'en2fr', got {text!r}")
@@ -71,15 +72,23 @@ def _parse_direction(text: str) -> Direction:
         raise RecordParseError(f"--direction: {e}") from None
 
 
+# argparse names the type function in the message of a ValueError, so a value
+# that does not parse is refused with the range rule instead.
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
 def _probability(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
@@ -109,16 +118,21 @@ def _open_out(path: str, *inputs: str | None):
 
 
 def cmd_validate(args) -> None:
+    from .directions import enumerate_directions
+
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     print(f"{len(registry)} languages, {dirset.direction_count} directions")
 
 
 def cmd_expand(args) -> dict:
+    from .directions import enumerate_directions, expand
+    from .records import read_multiway, write_jsonl
+
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     n_records = n_examples = 0
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, *_registry_files(args)) as fout:
         for record in read_multiway(fin, registry, path=args.infile):
             n_records += 1
             n_examples += write_jsonl(expand(record, dirset), fout)
@@ -126,6 +140,9 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_downsample(args) -> dict:
+    from .downsampling import DownsampleStats, RetentionPolicy, downsample
+    from .records import read_examples, write_jsonl
+
     policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
     stats = DownsampleStats()
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
@@ -134,6 +151,11 @@ def cmd_downsample(args) -> dict:
 
 
 def cmd_mix(args) -> dict:
+    from .directions import enumerate_directions
+    from .mixture import MixtureSpec, build_sft_mixture
+    from .records import read_multiway, read_score_sidecar, write_jsonl
+
+    _log_to_stderr()
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
     config = _read_config(args.spec, dict) if args.spec else {}
@@ -150,7 +172,7 @@ def cmd_mix(args) -> dict:
         with open(args.scores, encoding="utf-8") as f:
             scores = read_score_sidecar(f, path=args.scores)
 
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, args.spec, *_registry_files(args)) as fout:
         records = read_multiway(fin, registry, path=args.infile)
         prompted, report = build_sft_mixture(records, registry, dirset, spec, scores=scores)
         write_jsonl(prompted, fout)
@@ -158,11 +180,14 @@ def cmd_mix(args) -> dict:
 
 
 def cmd_filter(args) -> dict:
+    from .filtering import apply_heuristics, attach_scores, default_rules, rules_from_config, score_histogram, threshold_filter
+    from .records import read_examples, read_score_sidecar, write_jsonl
+
     if args.tau is not None and not args.scores:
         raise RecordParseError("--tau requires --scores")
     rules = rules_from_config(_read_config(args.rules, list)) if args.rules else default_rules()
 
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores) as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, args.rules) as fout:
         kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
         if args.scores:
             with open(args.scores, encoding="utf-8") as f:
@@ -176,6 +201,9 @@ def cmd_filter(args) -> dict:
 
 
 def cmd_score(args) -> dict:
+    from .backends import SubprocessScorer
+    from .records import read_examples, write_score_sidecar
+
     with (
         open(args.infile, encoding="utf-8") as fin,
         _open_out(args.out, args.infile) as fout,
@@ -187,6 +215,8 @@ def cmd_score(args) -> dict:
 
 def _read_mono(stream, path: str, lang: str):
     """(id, text) of each monolingual item; an item's "lang", if given, must be lang."""
+    from .registry import parse_json_lines, required_fields
+
     for line_no, obj in parse_json_lines(stream, path):
         item_id, text = required_fields(obj, ("id", "text"), line_no, path)
         if obj.get("lang") not in (None, lang):
@@ -197,6 +227,11 @@ def _read_mono(stream, path: str, lang: str):
 
 
 def cmd_synth(args) -> dict:
+    from .backends import SubprocessBackend
+    from .records import read_examples, write_jsonl
+    from .synthesis import SynthStats, synth_direct, synth_pivot
+
+    _log_to_stderr()
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
     stats = SynthStats()
@@ -215,12 +250,17 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_infer_prompt(args) -> dict:
+    from .backends import SubprocessBackend
+    from .records import write_jsonl
+    from .registry import parse_json_lines, required_fields
+    from .synthesis import InferenceStrategy, build_inference_prompt
+
     registry = _load_registry(args)
     strategy = InferenceStrategy(args.strategy)
     n_req = n_prompts = 0
     with (
         open(args.infile, encoding="utf-8") as fin,
-        _open_out(args.out, args.infile) as fout,
+        _open_out(args.out, args.infile, *_registry_files(args)) as fout,
         SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
     ):
         for line_no, obj in parse_json_lines(fin, args.infile):
@@ -241,6 +281,8 @@ def cmd_infer_prompt(args) -> dict:
 
 
 def cmd_eval(args) -> dict | None:
+    from .evaluation import aggregate, read_eval_records, render_table
+
     registry = _load_registry(args)
     overlap = None
     if args.langs:
@@ -259,7 +301,7 @@ def cmd_eval(args) -> dict | None:
         )
     text = render_table(table, fmt=args.format)
     if args.out:
-        with _open_out(args.out, args.records) as f:
+        with _open_out(args.out, args.records, *_registry_files(args)) as f:
             f.write(text)
         return {"models": len(table.models), "skipped": table.skipped, "out": args.out}
     sys.stdout.write(text)
@@ -267,6 +309,10 @@ def cmd_eval(args) -> dict | None:
 
 
 def cmd_diagnose(args) -> None:
+    from .diagnostics import render_histogram, target_repetition_stats
+    from .downsampling import RetentionPolicy, downsample
+    from .records import read_examples
+
     with open(args.infile, encoding="utf-8") as fin:
         examples = read_examples(fin, path=args.infile)
         if args.p is not None:
@@ -346,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("infer-prompt", parents=[registry], help="build inference prompts with empty loss spans")
-    p.add_argument("--strategy", choices=[s.value for s in InferenceStrategy], required=True)
+    p.add_argument("--strategy", choices=INFERENCE_STRATEGIES, required=True)
     p.add_argument("--in", dest="infile", required=True, help="requests jsonl: id, src_lang, tgt_lang, src[, aux]")
     p.add_argument("--out", required=True, help="output .pjsonl")
     p.add_argument("--backend-cmd", default=None, help="translator command (pt and pmp-s)")
@@ -374,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         summary = args.func(args)
     except (ToolkitError, OSError, UnicodeError) as e:

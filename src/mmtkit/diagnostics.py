@@ -60,7 +60,7 @@ class RepetitionStats:
 
 def target_repetition_stats(examples: Iterable[DirectionalExample]) -> RepetitionStats:
     """Exact distinct-source counts per identical target. Memory grows with
-    the number of distinct texts (16-byte keys, not the texts themselves)."""
+    the number of distinct texts (16-character hex keys, not the texts themselves)."""
     sources: dict[tuple[str, str], set[tuple[str, str]]] = {}
     for ex in examples:
         tgt_key = (ex.tgt_lang, _text_key(ex.tgt))

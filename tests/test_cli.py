@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -522,6 +523,39 @@ def test_out_same_as_input_refused(tmp_path, same_as):
     assert victim.read_bytes() == before
 
 
+_BUILTIN_DATA = resources.files("mmtkit") / "data"
+_AUX, _LANGS = _BUILTIN_DATA / "auxiliaries.jsonl", _BUILTIN_DATA / "languages.jsonl"
+
+# Config and registry files a stage reads besides its data input: (stage
+# arguments, contents of the file F that --out also names); IN is an empty file.
+_READ_FILE_CASES = {
+    "mix --spec": (("mix", "--in", "IN", "--spec", "F"), "{}\n"),
+    "filter --rules": (("filter", "--in", "IN", "--rules", "F"), '[{"kind": "NonEmpty"}]\n'),
+    "expand --auxiliaries": (("expand", "--in", "IN", "--auxiliaries", "F"), _AUX),
+    "expand --registry": (("expand", "--in", "IN", "--registry", "F"), _LANGS),
+    "mix --auxiliaries": (("mix", "--in", "IN", "--auxiliaries", "F"), _AUX),
+    "infer-prompt --registry": (("infer-prompt", "--strategy", "dt", "--in", "IN", "--registry", "F"), _LANGS),
+    "eval --auxiliaries": (("eval", "--records", "IN", "--auxiliaries", "F"), _AUX),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_FILE_CASES))
+def test_out_same_as_a_read_file_refused(tmp_path, case):
+    args, text = _READ_FILE_CASES[case]
+    if not isinstance(text, str):
+        text = text.read_text(encoding="utf-8")
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    victim = tmp_path / "f"
+    victim.write_text(text, encoding="utf-8")
+    args = [{"IN": str(src), "F": str(victim)}.get(a, a) for a in args]
+    proc = run_cli(*args, "--out", str(victim), expect=1)
+    assert last_error(proc)["error"] == "RecordParseError"
+    assert "is the same file as input" in last_error(proc)["message"]
+    assert victim.read_text(encoding="utf-8") == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "in.jsonl"]
+
+
 def test_failed_run_keeps_existing_out(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=3)
     with open(corpus, "a", encoding="utf-8") as f:
@@ -562,6 +596,7 @@ def test_out_fifo_receives_output(tmp_path):
         ("mix", "--forward-pmp-share", "1.01"),
         ("mix", "--reverse-retention", "nan"),
         ("mix", "--reverse-pmp-share", "-1"),
+        ("downsample", "--p", "abc"),
     ],
 )
 def test_out_of_range_probability_is_usage_error(tmp_path, args):
@@ -575,7 +610,7 @@ def test_out_of_range_probability_is_usage_error(tmp_path, args):
 
 
 @pytest.mark.parametrize("command", ["expand", "diagnose"])
-@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("workers", ["0", "-3", "abc"])
 def test_workers_below_one_is_usage_error(tmp_path, command, workers):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=1)
     out = tmp_path / "o"
@@ -849,3 +884,41 @@ def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
         "message": f"{reqs}:line 1: unknown language code: 'xx'",
     }
     assert not out.exists()
+
+
+def test_strategy_choices_are_the_inference_strategies():
+    from mmtkit.cli import INFERENCE_STRATEGIES
+    from mmtkit.synthesis import InferenceStrategy
+
+    assert list(INFERENCE_STRATEGIES) == [s.value for s in InferenceStrategy]
+
+
+def _imported(*args):
+    """Names of the modules `python -X importtime *args` imports that a bare
+    interpreter does not (site-packages hooks also import at start-up)."""
+    def names(*argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    return names(*args) - names("-c", "pass")
+
+
+_STAGE_ONLY = {"expand": {"directions"}, "downsample": {"downsampling"}, "filter": {"filtering"},
+               "diagnose": {"diagnostics", "downsampling"}}
+
+
+@pytest.mark.parametrize("command", sorted(_STAGE_ONLY))
+def test_stage_imports_only_the_modules_it_runs(tmp_path, command):
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    loaded = _imported("-m", "mmtkit", command, "--in", str(src), "--out", str(tmp_path / "o"))
+    ours = {name.removeprefix("mmtkit.") for name in loaded if name.startswith("mmtkit.")}
+    assert ours == {"cli", "errors", "hashing", "records", "registry"} | _STAGE_ONLY[command]
+    assert "subprocess" not in loaded
+
+
+def test_help_imports_no_stage_module():
+    loaded = _imported("-m", "mmtkit", "--help")
+    ours = {name for name in loaded if name.startswith("mmtkit")}
+    assert ours == {"mmtkit", "mmtkit.cli", "mmtkit.errors", "mmtkit.hashing"}
