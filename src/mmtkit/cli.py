@@ -252,11 +252,12 @@ def cmd_synth(args) -> dict:
 def cmd_infer_prompt(args) -> dict:
     from .backends import SubprocessBackend
     from .records import write_jsonl
-    from .registry import parse_json_lines, required_fields
+    from .registry import direction_error, parse_json_lines, required_fields
     from .synthesis import InferenceStrategy, build_inference_prompt
 
     registry = _load_registry(args)
     strategy = InferenceStrategy(args.strategy)
+    pmp = strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S)
     n_req = n_prompts = 0
     with (
         open(args.infile, encoding="utf-8") as fin,
@@ -271,6 +272,12 @@ def cmd_infer_prompt(args) -> dict:
             for code in (src_lang, tgt_lang):
                 if code not in registry:
                     raise UnknownLanguage(code, line_no, args.infile)
+            # dt and pt also serve X->Y requests (a direct prompt, a pivot
+            # through en); a pmp prompt needs a center direction's auxiliary.
+            if pmp or src_lang == tgt_lang:
+                problem = direction_error(src_lang, tgt_lang)
+                if problem is not None:
+                    raise RecordParseError(problem, line_no, args.infile)
             prompts = build_inference_prompt(
                 strategy, src_lang, tgt_lang, src, registry,
                 backend=backend, aux_text=aux, item_id=item_id,

@@ -28,7 +28,7 @@ class PromptFormat(str, Enum):
     CPT_MONO = "CPT_MONO"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PromptedExample:
     text: str
     loss_start: int
@@ -68,12 +68,13 @@ class PromptedExample:
     def to_line(self) -> str:
         """json_line(self.to_json()), joined from the quoted fields. The loss
         offsets are written with int.__repr__, as json_line writes an int (a
-        bool offset would come out as 0 or 1, not false or true)."""
+        bool offset would come out as 0 or 1, not false or true). The format
+        member is quoted itself, since its string is its value."""
         q = encode_basestring
         aux = "null" if self.aux_lang is None else q(self.aux_lang)
         return (
             f'{{"text":{q(self.text)},"loss_start":{int.__repr__(self.loss_start)},'
-            f'"loss_end":{int.__repr__(self.loss_end)},"format":{q(self.format.value)},'
+            f'"loss_end":{int.__repr__(self.loss_end)},"format":{q(self.format)},'
             f'"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},"aux_lang":{aux},'
             f'"id":{q(self.id)},"prompt_schema":{q(self.prompt_schema)}}}'
         )

@@ -8,6 +8,11 @@ Three file flavors, all UTF-8, one JSON object per line:
 Readers yield one record at a time and never buffer the file; the only state
 kept across lines is the set of seen ids for uniqueness checking. Each reader
 checks a record once, as it reads it, and reports errors at path:line.
+
+Records are slots dataclasses without frozen=True, because a frozen __init__
+sets every field through object.__setattr__ and every line builds a record.
+They compare by value and are not hashable; no stage changes a record after
+building it, so callers treat them as read-only.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ class Provenance(str, Enum):
 json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MultiWayRecord:
     id: str
     sentences: dict[str, str]
@@ -47,7 +52,7 @@ class MultiWayRecord:
         return json_line(self.to_json())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DirectionalExample:
     id: str
     src_lang: str
@@ -67,15 +72,16 @@ class DirectionalExample:
         }
 
     def to_line(self) -> str:
-        """json_line(self.to_json()), joined from the quoted fields."""
+        """json_line(self.to_json()), joined from the quoted fields. The
+        provenance member is quoted itself, since its string is its value."""
         q = encode_basestring
         return (
             f'{{"id":{q(self.id)},"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},'
-            f'"src":{q(self.src)},"tgt":{q(self.tgt)},"provenance":{q(self.provenance.value)}}}'
+            f'"src":{q(self.src)},"tgt":{q(self.tgt)},"provenance":{q(self.provenance)}}}'
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScoredPair:
     example: DirectionalExample
     qe_score: float

@@ -886,6 +886,24 @@ def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "strategy, src_lang, tgt_lang, problem",
+    [
+        ("dt", "fr", "fr", "direction with identical sides: 'fr'"),
+        ("pt", "fr", "fr", "direction with identical sides: 'fr'"),
+        ("pmp-o", "fr", "de", "direction fr->de does not involve a center language"),
+        ("pmp-s", "fr", "de", "direction fr->de does not involve a center language"),
+    ],
+)
+def test_infer_prompt_unsupported_direction_names_file_and_line(tmp_path, strategy, src_lang, tgt_lang, problem):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json_line({**_REQUEST, "src_lang": src_lang, "tgt_lang": tgt_lang}) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", strategy, "--in", str(reqs), "--out", str(out), expect=1)
+    assert last_error(proc) == {"error": "RecordParseError", "message": f"{reqs}:line 1: {problem}"}
+    assert not out.exists()
+
+
 def test_strategy_choices_are_the_inference_strategies():
     from mmtkit.cli import INFERENCE_STRATEGIES
     from mmtkit.synthesis import InferenceStrategy

@@ -339,3 +339,29 @@ def test_parse_json_lines_error_messages(line, message):
 def test_parse_json_lines_strips_like_str_strip(pad):
     line = f'{pad}{{"a": [1, {{"b": null}}], "c": "\\u00e9"}}{pad}'
     assert list(parse_json_lines([line + "\n"])) == [(1, json.loads(line.strip()))]
+
+
+def test_records_are_slots_and_value_types_stay_frozen(registry):
+    """The four record types, as their readers and renderers return them, have
+    no __dict__; the hashed or shared value types stay frozen."""
+    import dataclasses
+
+    from mmtkit.directions import Direction
+    from mmtkit.downsampling import RetentionPolicy
+    from mmtkit.filtering import attach_scores
+    from mmtkit.mixture import MixtureSpec
+    from mmtkit.prompts import render_stp
+
+    row = {"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "hello", "tgt": "bonjour"}
+    (ex,) = read_examples(io.StringIO(json_line(row) + "\n"))
+    rec_line = json_line({"id": "r1", "sentences": {"en": "hello", "fr": "bonjour"}})
+    (rec,) = read_multiway(io.StringIO(rec_line + "\n"), registry)
+    (pair,) = attach_scores([ex], {"e1": 0.5})
+    prompt = render_stp(ex, registry)
+    for record in (ex, rec, pair, prompt):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+    for value, name in ((Direction("en", "fr"), "src"), (RetentionPolicy(0.05), "p_reverse"), (MixtureSpec(), "seed")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    assert hash(Direction("en", "fr")) == hash(Direction("en", "fr"))
