@@ -21,8 +21,10 @@ from .errors import RecordParseError, ToolkitError, UnknownLanguage
 from .hashing import DEFAULT_SEED
 
 # Each cmd_* imports the library modules it runs, so a stage loads only those
-# and --help none. The parser spells out synthesis.InferenceStrategy's values.
+# and --help none. The parser spells out synthesis.InferenceStrategy's values
+# and evaluation.METRICS.
 INFERENCE_STRATEGIES = ("dt", "pt", "pmp-o", "pmp-s")
+EVAL_METRICS = ("COMET22", "SacreBLEU")
 
 
 def _registry_files(args) -> tuple[str | None, str | None]:
@@ -217,13 +219,13 @@ def _read_mono(stream, path: str, lang: str):
     """(id, text) of each monolingual item; an item's "lang", if given, must be lang."""
     from .registry import parse_json_lines, required_fields
 
-    for line_no, obj in parse_json_lines(stream, path):
-        item_id, text = required_fields(obj, ("id", "text"), line_no, path)
+    def item(obj: dict) -> tuple[str, str]:
+        item_id, text = required_fields(obj, ("id", "text"))
         if obj.get("lang") not in (None, lang):
-            raise RecordParseError(
-                f"item language {obj['lang']!r} does not match direction source {lang!r}", line_no, path
-            )
-        yield item_id, text
+            raise RecordParseError(f"item language {obj['lang']!r} does not match direction source {lang!r}")
+        return item_id, text
+
+    return parse_json_lines(stream, path, item)
 
 
 def cmd_synth(args) -> dict:
@@ -234,6 +236,8 @@ def cmd_synth(args) -> dict:
     _log_to_stderr()
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
+    if args.mode == "pivot" and args.direction:
+        raise RecordParseError("--direction is only for direct synthesis")
     stats = SynthStats()
     with (
         open(args.infile, encoding="utf-8") as fin,
@@ -252,32 +256,32 @@ def cmd_synth(args) -> dict:
 def cmd_infer_prompt(args) -> dict:
     from .backends import SubprocessBackend
     from .records import write_jsonl
-    from .registry import direction_error, parse_json_lines, required_fields
-    from .synthesis import InferenceStrategy, build_inference_prompt
+    from .registry import parse_json_lines, required_fields
+    from .synthesis import InferenceStrategy, build_inference_prompt, inference_direction_error
 
-    registry = _load_registry(args)
     strategy = InferenceStrategy(args.strategy)
-    pmp = strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S)
+    if args.backend_cmd and strategy not in (InferenceStrategy.PT, InferenceStrategy.PMP_S):
+        raise RecordParseError("--backend-cmd is only for strategies pt and pmp-s")
+    registry = _load_registry(args)
+
+    def request(obj: dict) -> tuple:
+        item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
+        (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
+        for code in (src_lang, tgt_lang):
+            if code not in registry:
+                raise UnknownLanguage(code)
+        problem = inference_direction_error(strategy, src_lang, tgt_lang)
+        if problem is not None:
+            raise RecordParseError(problem)
+        return item_id, src_lang, tgt_lang, src, aux
+
     n_req = n_prompts = 0
     with (
         open(args.infile, encoding="utf-8") as fin,
         _open_out(args.out, args.infile, *_registry_files(args)) as fout,
         SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
     ):
-        for line_no, obj in parse_json_lines(fin, args.infile):
-            item_id, src_lang, tgt_lang, src = required_fields(
-                obj, ("id", "src_lang", "tgt_lang", "src"), line_no, args.infile
-            )
-            (aux,) = required_fields(obj, ("aux",), line_no, args.infile) if "aux" in obj else (None,)
-            for code in (src_lang, tgt_lang):
-                if code not in registry:
-                    raise UnknownLanguage(code, line_no, args.infile)
-            # dt and pt also serve X->Y requests (a direct prompt, a pivot
-            # through en); a pmp prompt needs a center direction's auxiliary.
-            if pmp or src_lang == tgt_lang:
-                problem = direction_error(src_lang, tgt_lang)
-                if problem is not None:
-                    raise RecordParseError(problem, line_no, args.infile)
+        for item_id, src_lang, tgt_lang, src, aux in parse_json_lines(fin, args.infile, request):
             prompts = build_inference_prompt(
                 strategy, src_lang, tgt_lang, src, registry,
                 backend=backend, aux_text=aux, item_id=item_id,
@@ -291,12 +295,8 @@ def cmd_eval(args) -> dict | None:
     from .evaluation import aggregate, read_eval_records, render_table
 
     registry = _load_registry(args)
-    overlap = None
-    if args.langs:
-        overlap = {code.strip() for code in args.langs.split(",") if code.strip()}
-    models = None
-    if args.models:
-        models = [m.strip() for m in args.models.split(",") if m.strip()]
+    overlap = {code.strip() for code in args.langs.split(",") if code.strip()} if args.langs else None
+    models = [m.strip() for m in args.models.split(",") if m.strip()] if args.models else None
     with open(args.records, encoding="utf-8") as f:
         table = aggregate(
             read_eval_records(f, path=args.records),
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[registry], help="aggregate per-direction metrics into a tier table")
     p.add_argument("--records", required=True, help="eval records jsonl")
-    p.add_argument("--metric", default="COMET22", help="metric to aggregate (default COMET22)")
+    p.add_argument("--metric", choices=EVAL_METRICS, default="COMET22", help="metric to aggregate (default COMET22)")
     p.add_argument("--models", default=None, help="comma-separated model filter and row order")
     p.add_argument("--langs", default=None, help="comma-separated overlap languages (default: whole registry)")
     p.add_argument("--exclude-center-pairs", action="store_true", help="drop en-zh records from X classes")

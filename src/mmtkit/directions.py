@@ -68,17 +68,8 @@ def enumerate_directions(registry: Registry) -> DirectionSet:
 def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
     """One human-provenance example per direction covered by the record."""
     sentences = record.sentences
-    out: list[DirectionalExample] = []
-    for d in dirset.directions:
-        if d.src in sentences and d.tgt in sentences:
-            out.append(
-                DirectionalExample(
-                    id=f"{record.id}#{d.suffix}",
-                    src_lang=d.src,
-                    tgt_lang=d.tgt,
-                    src=sentences[d.src],
-                    tgt=sentences[d.tgt],
-                    provenance=Provenance.HUMAN,
-                )
-            )
-    return out
+    return [
+        DirectionalExample(f"{record.id}#{d.suffix}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
+        for d in dirset.directions
+        if d.src in sentences and d.tgt in sentences
+    ]

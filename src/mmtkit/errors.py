@@ -3,6 +3,10 @@
 Every data-level failure raises a ToolkitError subclass so the CLI can map
 them to a single machine-readable error line and exit code 1. Programming
 errors (bad arguments to library functions) raise plain ValueError/TypeError.
+
+Library code raises RecordParseError without a location. The one reading
+loop, registry.parse_json_lines, sets the path and line on it, so it reads
+"path:line N: message"; only the CLI's config reader passes json's lineno.
 """
 from __future__ import annotations
 
@@ -15,14 +19,15 @@ class RecordParseError(ToolkitError):
     """A line of an input file failed to parse or validate."""
 
     def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
+        super().__init__(message)
         self.line_no = line_no
         self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line_no is not None:
-            where += f"line {line_no}: "
-        super().__init__(where + message)
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else f"{self.path}:"
+        if self.line_no is not None:
+            where += f"line {self.line_no}: "
+        return where + super().__str__()
 
 
 class DuplicateLanguage(RecordParseError):
@@ -34,12 +39,11 @@ class MissingCenter(ToolkitError):
 
 
 class UnknownLanguage(RecordParseError):
-    """A language code that is not present in the active registry; from a
-    file, it names the line."""
+    """A language code that is not present in the active registry."""
 
-    def __init__(self, code: str, line_no: int | None = None, path: str | None = None):
+    def __init__(self, code: str):
         self.code = code
-        super().__init__(f"unknown language code: {code!r}", line_no, path)
+        super().__init__(f"unknown language code: {code!r}")
 
 
 class DuplicateRecordId(RecordParseError):
@@ -55,7 +59,7 @@ class MissingScore(ToolkitError):
 
 
 class InvalidScore(RecordParseError):
-    """A quality score is not a number in [0, 1]; from a file, it names the line."""
+    """A quality score is not a number in [0, 1]."""
 
 
 class DuplicateRecord(ToolkitError):

@@ -41,16 +41,17 @@ class EvalRecord:
 
 
 def read_eval_records(stream: Iterable[str], path: str | None = None) -> Iterator[EvalRecord]:
-    for line_no, obj in parse_json_lines(stream, path):
-        model, src, tgt, metric = required_fields(obj, ("model", "src", "tgt", "metric"), line_no, path)
-        (value,) = required_fields(obj, ("value",), line_no, path, object)
+    def record(obj: dict) -> EvalRecord:
+        model, src, tgt, metric = required_fields(obj, ("model", "src", "tgt", "metric"))
+        (value,) = required_fields(obj, ("value",), object)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise RecordParseError(f"field 'value' must be a number, got {value!r}", line_no, path)
+            raise RecordParseError(f"field 'value' must be a number, got {value!r}")
         try:
-            rec = EvalRecord(model, Direction(src, tgt), metric, float(value))
+            return EvalRecord(model, Direction(src, tgt), metric, float(value))
         except (TypeError, ValueError) as e:
-            raise RecordParseError(str(e), line_no, path) from None
-        yield rec
+            raise RecordParseError(str(e)) from None
+
+    return parse_json_lines(stream, path, record)
 
 
 def classes_of(
@@ -160,13 +161,9 @@ def aggregate(
     return table
 
 
-def _header_columns() -> list[str]:
-    return [f"{tier.value} {cls}" for tier in TIER_ORDER for cls in CLASSES]
-
-
 def render_table(table: TierTable, fmt: str = "markdown") -> str:
     """Fixed column order, 2-decimal cells, "-" for absent cells."""
-    header = ["Model"] + _header_columns()
+    header = ["Model"] + [f"{tier.value} {cls}" for tier in TIER_ORDER for cls in CLASSES]
     rows = []
     for model in table.models:
         row = [model]
@@ -177,12 +174,7 @@ def render_table(table: TierTable, fmt: str = "markdown") -> str:
         rows.append(row)
 
     if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
+        return "".join("| " + " | ".join(row) + " |\n" for row in [header, ["---"] * len(header), *rows])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -245,18 +245,15 @@ write_prompted = write_jsonl
 
 
 def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[PromptedExample]:
-    for line_no, obj in parse_json_lines(stream, path):
-        text, fmt, src_lang, tgt_lang, item_id = required_fields(
-            obj, ("text", "format", "src_lang", "tgt_lang", "id"), line_no, path
-        )
-        loss_start, loss_end = required_fields(obj, ("loss_start", "loss_end"), line_no, path, int)
+    def prompted(obj: dict) -> PromptedExample:
+        text, fmt, src_lang, tgt_lang, item_id = required_fields(obj, ("text", "format", "src_lang", "tgt_lang", "id"))
+        loss_start, loss_end = required_fields(obj, ("loss_start", "loss_end"), int)
         # Optional fields: aux_lang may be null, prompt_schema may be absent.
-        (aux_lang,) = required_fields(obj, ("aux_lang",), line_no, path) if obj.get("aux_lang") is not None else (None,)
-        (schema,) = required_fields(obj, ("prompt_schema",), line_no, path) if "prompt_schema" in obj else (PROMPT_SCHEMA,)
+        (aux_lang,) = required_fields(obj, ("aux_lang",)) if obj.get("aux_lang") is not None else (None,)
+        (schema,) = required_fields(obj, ("prompt_schema",)) if "prompt_schema" in obj else (PROMPT_SCHEMA,)
         try:
-            pe = PromptedExample(
-                text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang, aux_lang, item_id, schema
-            )
+            return PromptedExample(text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang, aux_lang, item_id, schema)
         except ValueError as e:
-            raise RecordParseError(str(e), line_no, path) from None
-        yield pe
+            raise RecordParseError(str(e)) from None
+
+    return parse_json_lines(stream, path, prompted)

@@ -7,7 +7,8 @@ Three file flavors, all UTF-8, one JSON object per line:
 
 Readers yield one record at a time and never buffer the file; the only state
 kept across lines is the set of seen ids for uniqueness checking. Each reader
-checks a record once, as it reads it, and reports errors at path:line.
+is a converter of one parsed line that checks the record once, as it reads
+it; parse_json_lines names the path:line of any error it raises.
 
 Records are slots dataclasses without frozen=True, because a frozen __init__
 sets every field through object.__setattr__ and every line builds a record.
@@ -95,74 +96,65 @@ class ScoredPair:
         return f'{self.example.to_line()[:-1]},"qe_score":{json_line(self.qe_score)}}}'
 
 
-def check_score(score, owner: str, line_no: int | None = None, path: str | None = None) -> float:
+def check_score(score, owner: str) -> float:
     if not isinstance(score, (int, float)) or isinstance(score, bool):
-        raise InvalidScore(f"score for {owner!r} must be a number, got {score!r}", line_no, path)
+        raise InvalidScore(f"score for {owner!r} must be a number, got {score!r}")
     if not 0.0 <= score <= 1.0:
-        raise InvalidScore(f"score for {owner!r} outside [0, 1]: {score}", line_no, path)
+        raise InvalidScore(f"score for {owner!r} outside [0, 1]: {score}")
     return float(score)
 
 
-def read_multiway(
-    stream: Iterable[str],
-    registry: Registry | None = None,
-    path: str | None = None,
-) -> Iterator[MultiWayRecord]:
+def read_multiway(stream: Iterable[str], registry: Registry | None = None, path: str | None = None) -> Iterator[MultiWayRecord]:
     seen: set[str] = set()
-    for line_no, obj in parse_json_lines(stream, path):
-        (rec_id,) = required_fields(obj, ("id",), line_no, path)
-        (sentences,) = required_fields(obj, ("sentences",), line_no, path, dict)
+
+    def record(obj: dict) -> MultiWayRecord:
+        (rec_id,) = required_fields(obj, ("id",))
+        (sentences,) = required_fields(obj, ("sentences",), dict)
         if not rec_id:
-            raise RecordParseError("record id must be non-empty", line_no, path)
+            raise RecordParseError("record id must be non-empty")
         for lang, text in sentences.items():
             if registry is not None and lang not in registry:
-                raise RecordParseError(f"unknown language code: {lang!r}", line_no, path)
+                raise RecordParseError(f"unknown language code: {lang!r}")
             if not isinstance(text, str) or not text:
-                raise RecordParseError(f"sentence for {lang!r} must be a non-empty string", line_no, path)
+                raise RecordParseError(f"sentence for {lang!r} must be a non-empty string")
         if rec_id in seen:
-            raise DuplicateRecordId(f"duplicate record id {rec_id!r}", line_no, path)
+            raise DuplicateRecordId(f"duplicate record id {rec_id!r}")
         seen.add(rec_id)
-        yield MultiWayRecord(id=rec_id, sentences=sentences)
+        return MultiWayRecord(id=rec_id, sentences=sentences)
 
-
-def read_examples(
-    stream: Iterable[str],
-    path: str | None = None,
-    validate: bool = True,
-) -> Iterator[DirectionalExample]:
-    """Parse directional examples. validate=False skips only the empty-text
-    check, so that empty pairs reach the NonEmpty filter rule as data; the id
-    and direction checks run in both modes."""
-    seen: set[str] = set()
-    for line_no, obj in parse_json_lines(stream, path):
-        ex = _example_from_json(obj, line_no, path, validate=validate)
-        if ex.id in seen:
-            raise DuplicateRecordId(f"duplicate example id {ex.id!r}", line_no, path)
-        seen.add(ex.id)
-        yield ex
+    return parse_json_lines(stream, path, record)
 
 
 _EXAMPLE_FIELDS = ("id", "src_lang", "tgt_lang", "src", "tgt")
 _PROVENANCE = {p.value: p for p in Provenance}
 
 
-def _example_from_json(
-    obj: dict, line_no: int, path: str | None, validate: bool = True
-) -> DirectionalExample:
-    ex_id, src_lang, tgt_lang, src, tgt = required_fields(obj, _EXAMPLE_FIELDS, line_no, path)
-    prov = obj.get("provenance", "human")
-    try:
-        provenance = _PROVENANCE[prov]
-    except (KeyError, TypeError):
-        raise RecordParseError(f"unknown provenance {prov!r}", line_no, path) from None
-    if not ex_id:
-        raise RecordParseError("example id must be non-empty", line_no, path)
-    problem = direction_error(src_lang, tgt_lang)
-    if problem is not None:
-        raise RecordParseError(problem, line_no, path)
-    if validate and (not src or not tgt):
-        raise RecordParseError(f"example {ex_id!r} has an empty text side", line_no, path)
-    return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
+def read_examples(stream: Iterable[str], path: str | None = None, validate: bool = True) -> Iterator[DirectionalExample]:
+    """Parse directional examples. validate=False skips only the empty-text
+    check, so that empty pairs reach the NonEmpty filter rule as data; the id
+    and direction checks run in both modes."""
+    seen: set[str] = set()
+
+    def example(obj: dict) -> DirectionalExample:
+        ex_id, src_lang, tgt_lang, src, tgt = required_fields(obj, _EXAMPLE_FIELDS)
+        prov = obj.get("provenance", "human")
+        try:
+            provenance = _PROVENANCE[prov]
+        except (KeyError, TypeError):
+            raise RecordParseError(f"unknown provenance {prov!r}") from None
+        if not ex_id:
+            raise RecordParseError("example id must be non-empty")
+        problem = direction_error(src_lang, tgt_lang)
+        if problem is not None:
+            raise RecordParseError(problem)
+        if validate and (not src or not tgt):
+            raise RecordParseError(f"example {ex_id!r} has an empty text side")
+        if ex_id in seen:
+            raise DuplicateRecordId(f"duplicate example id {ex_id!r}")
+        seen.add(ex_id)
+        return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
+
+    return parse_json_lines(stream, path, example)
 
 
 def write_jsonl(items: Iterable, stream: IO[str]) -> int:
@@ -179,14 +171,18 @@ def read_score_sidecar(stream: Iterable[str], path: str | None = None) -> dict[s
     """Load an {"id", "qe_score"} sidecar into a map. Extra fields are ignored,
     so full scored-pair files double as sidecars."""
     scores: dict[str, float] = {}
-    for line_no, obj in parse_json_lines(stream, path):
-        (pair_id,) = required_fields(obj, ("id",), line_no, path)
-        (raw,) = required_fields(obj, ("qe_score",), line_no, path, object)
+
+    def add(obj: dict) -> None:
+        (pair_id,) = required_fields(obj, ("id",))
+        (raw,) = required_fields(obj, ("qe_score",), object)
         if not pair_id:
-            raise RecordParseError("field 'id' must be a non-empty string", line_no, path)
+            raise RecordParseError("field 'id' must be a non-empty string")
         if pair_id in scores:
-            raise RecordParseError(f"duplicate score entry for id {pair_id!r}", line_no, path)
-        scores[pair_id] = check_score(raw, pair_id, line_no, path)
+            raise RecordParseError(f"duplicate score entry for id {pair_id!r}")
+        scores[pair_id] = check_score(raw, pair_id)
+
+    for _ in parse_json_lines(stream, path, add):
+        pass
     return scores
 
 

@@ -14,7 +14,7 @@ import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     DuplicateLanguage,
@@ -24,6 +24,8 @@ from .errors import (
 )
 
 CENTERS = ("en", "zh")
+
+T = TypeVar("T")
 
 _LANG_FIELDS = ("code", "name", "script", "family", "tier")
 
@@ -105,30 +107,17 @@ def direction_error(src: str, tgt: str) -> str | None:
     return None
 
 
-def _parse_language_line(obj: dict, line_no: int, path: str | None) -> Language:
-    code, name, script, family, tier = required_fields(obj, _LANG_FIELDS, line_no, path)
-    if not code:
-        raise RecordParseError("empty language code", line_no, path)
-    if code != code.lower():
-        raise RecordParseError(f"language code must be lowercase: {code!r}", line_no, path)
-    try:
-        tier = Tier(tier)
-    except ValueError:
-        raise RecordParseError(
-            f"field 'tier' must be one of {[t.value for t in Tier]}, got {tier!r}",
-            line_no,
-            path,
-        ) from None
-    return Language(code, name, script, family, tier)
-
-
 # Decodes one JSON value at the start of a string and says where it ended.
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) for each non-blank line; line numbers are 1-based.
-    A stream that is not valid UTF-8 raises at its first undecodable line."""
+def parse_json_lines(
+    stream: Iterable[str], path: str | None = None, convert: Callable[[dict], T] = lambda obj: obj
+) -> Iterator[T]:
+    """Yield convert(object) for the JSON object on each non-blank line. A
+    RecordParseError raised for a line, by the parse or by convert, leaves
+    here with path and the 1-based line number set on it. A stream that is
+    not valid UTF-8 raises at its first undecodable line."""
     try:
         for line_no, raw in enumerate(stream, start=1):
             line = raw.strip()
@@ -145,10 +134,14 @@ def parse_json_lines(stream: Iterable[str], path: str | None = None) -> Iterator
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
-                    raise RecordParseError(f"invalid JSON ({e.msg})", line_no, path) from None
+                    raise RecordParseError(f"invalid JSON ({e.msg})") from None
             if not isinstance(obj, dict):
-                raise RecordParseError("expected a JSON object", line_no, path)
-            yield line_no, obj
+                raise RecordParseError("expected a JSON object")
+            yield convert(obj)
+    except RecordParseError as e:
+        if e.line_no is None:
+            e.line_no, e.path = line_no, path
+        raise
     except UnicodeDecodeError:
         # The decoder fails a whole read chunk ahead of the lines yielded so far.
         raise RecordParseError("invalid UTF-8", _first_invalid_utf8_line(path), path) from None
@@ -176,9 +169,7 @@ def _first_invalid_utf8_line(path: str | None) -> int | None:
 _KIND_NAMES = {str: "a string", dict: "an object", int: "an integer"}
 
 
-def required_fields(
-    obj: dict, names: tuple[str, ...], line_no: int, path: str | None, kind: type = str
-) -> list:
+def required_fields(obj: dict, names: tuple[str, ...], kind: type = str) -> list:
     """Values of the named fields of one parsed line. Each must be present and
     an instance of kind (kind=object checks presence only; kind=int refuses a
     JSON boolean); else RecordParseError."""
@@ -187,40 +178,56 @@ def required_fields(
         try:
             value = obj[name]
         except KeyError:
-            raise RecordParseError(f"missing field {name!r}", line_no, path) from None
+            raise RecordParseError(f"missing field {name!r}") from None
         # bool subclasses int, so kind=int takes the exact type alone.
         if type(value) is not kind and (kind is int or not isinstance(value, kind)):
-            raise RecordParseError(f"field {name!r} must be {_KIND_NAMES[kind]}", line_no, path)
+            raise RecordParseError(f"field {name!r} must be {_KIND_NAMES[kind]}")
         values.append(value)
     return values
 
 
 def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Language]:
     languages: dict[str, Language] = {}
-    for line_no, obj in parse_json_lines(lines, path):
-        lang = _parse_language_line(obj, line_no, path)
-        if lang.code in languages:
-            raise DuplicateLanguage(f"duplicate language code {lang.code!r}", line_no, path)
-        languages[lang.code] = lang
+
+    def add(obj: dict) -> None:
+        code, name, script, family, tier = required_fields(obj, _LANG_FIELDS)
+        if not code:
+            raise RecordParseError("empty language code")
+        if code != code.lower():
+            raise RecordParseError(f"language code must be lowercase: {code!r}")
+        try:
+            tier = Tier(tier)
+        except ValueError:
+            raise RecordParseError(f"field 'tier' must be one of {[t.value for t in Tier]}, got {tier!r}") from None
+        if code in languages:
+            raise DuplicateLanguage(f"duplicate language code {code!r}")
+        languages[code] = Language(code, name, script, family, tier)
+
+    for _ in parse_json_lines(lines, path, add):
+        pass
     return languages
 
 
 def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[str, Language]) -> dict[str, str]:
     aux: dict[str, str] = {}
-    for line_no, obj in parse_json_lines(lines, path):
-        lang, a = required_fields(obj, ("lang", "aux"), line_no, path)
+
+    def add(obj: dict) -> None:
+        lang, a = required_fields(obj, ("lang", "aux"))
         for code in (lang, a):
             if code not in languages:
-                raise UnknownLanguage(code, line_no, path)
+                raise UnknownLanguage(code)
         if lang in CENTERS:
-            raise RecordParseError(f"center language {lang!r} cannot have an auxiliary", line_no, path)
+            raise RecordParseError(f"center language {lang!r} cannot have an auxiliary")
         if a in CENTERS:
-            raise RecordParseError(f"auxiliary must not be a center language: {a!r}", line_no, path)
+            raise RecordParseError(f"auxiliary must not be a center language: {a!r}")
         if a == lang:
-            raise RecordParseError(f"language {lang!r} cannot be its own auxiliary", line_no, path)
+            raise RecordParseError(f"language {lang!r} cannot be its own auxiliary")
         if lang in aux:
-            raise RecordParseError(f"duplicate auxiliary entry for {lang!r}", line_no, path)
+            raise RecordParseError(f"duplicate auxiliary entry for {lang!r}")
         aux[lang] = a
+
+    for _ in parse_json_lines(lines, path, add):
+        pass
     return aux
 
 

@@ -19,7 +19,7 @@ from .backends import Backend, BackendItemError
 from .errors import BackendError, InvalidInput, NoAuxiliaryDefined
 from .prompts import PromptedExample, render_pmp_prompt, render_stp_prompt
 from .records import DirectionalExample, Provenance
-from .registry import CENTERS, Registry
+from .registry import CENTERS, Registry, direction_error
 from .directions import Direction
 
 log = logging.getLogger(__name__)
@@ -126,6 +126,15 @@ def synth_pivot(
         yield DirectionalExample(f"{pair.id}#{x}2zh", x, "zh", x_text, zh_text, Provenance.SYNTH_PIVOT)
 
 
+def inference_direction_error(strategy: InferenceStrategy, src_lang: str, tgt_lang: str) -> str | None:
+    """Why strategy cannot serve src_lang->tgt_lang, or None when it can. dt
+    and pt also serve X->Y requests (a direct prompt, a pivot through en); a
+    pmp prompt needs a center direction's auxiliary."""
+    if strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S) or src_lang == tgt_lang:
+        return direction_error(src_lang, tgt_lang)
+    return None
+
+
 def build_inference_prompt(
     strategy: InferenceStrategy,
     src_lang: str,
@@ -139,6 +148,9 @@ def build_inference_prompt(
     """Generation prompt(s) for one source text. PT returns two prompts; the
     others return one. All loss spans are empty (end of text)."""
     strategy = InferenceStrategy(strategy)
+    problem = inference_direction_error(strategy, src_lang, tgt_lang)
+    if problem is not None:
+        raise InvalidInput(problem)
 
     if strategy is InferenceStrategy.DT:
         return [render_stp_prompt(src_lang, tgt_lang, src_text, registry, f"{item_id}#{src_lang}2{tgt_lang}")]

@@ -904,6 +904,42 @@ def test_infer_prompt_unsupported_direction_names_file_and_line(tmp_path, strate
     assert not out.exists()
 
 
+def test_eval_unknown_metric_is_usage_error(data_dir):
+    records = data_dir / "comet_bleu_records.jsonl"
+    proc = run_cli("eval", "--records", str(records), "--metric", "chrF", expect=2)
+    assert "invalid choice: 'chrF'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_metric_choices_are_the_evaluation_metrics():
+    from mmtkit.cli import EVAL_METRICS
+    from mmtkit.evaluation import METRICS
+
+    assert EVAL_METRICS == METRICS
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("synth", "--mode", "pivot", "--direction", "en2de"), "--direction is only for direct synthesis"),
+        (("infer-prompt", "--strategy", "dt"), "--backend-cmd is only for strategies pt and pmp-s"),
+        (("infer-prompt", "--strategy", "pmp-o"), "--backend-cmd is only for strategies pt and pmp-s"),
+    ],
+    ids=["synth-pivot-direction", "dt-backend-cmd", "pmp-o-backend-cmd"],
+)
+def test_option_with_no_effect_is_refused_before_reading(tmp_path, args, message):
+    """Refused before the input is read (it is not JSON) and before the
+    backend starts (it would create the marker file)."""
+    src = tmp_path / "in.jsonl"
+    src.write_text("{broken\n", encoding="utf-8")
+    marker = tmp_path / "started"
+    out = tmp_path / "o"
+    proc = run_cli(*args, "--backend-cmd", f"touch {marker}", "--in", str(src), "--out", str(out), expect=1)
+    assert last_error(proc) == {"error": "RecordParseError", "message": message}
+    assert not marker.exists()
+    assert not out.exists()
+
+
 def test_strategy_choices_are_the_inference_strategies():
     from mmtkit.cli import INFERENCE_STRATEGIES
     from mmtkit.synthesis import InferenceStrategy

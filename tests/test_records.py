@@ -269,15 +269,98 @@ def test_duplicate_and_unknown_code_errors_name_file_and_line(tmp_path, case):
     assert str(exc.value) == f"{path}:line {len(rows)}: {message}"
 
 
-def test_sidecar_out_of_range_score_names_file_and_line(tmp_path):
-    path = tmp_path / "scores.jsonl"
-    path.write_text(
-        json_line({"id": "a", "qe_score": 0.5}) + "\n" + json_line({"id": "b", "qe_score": 1.5}) + "\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(InvalidScore) as exc:
-        _reader(read_score_sidecar)(str(path))
-    assert str(exc.value).startswith(f"{path}:line 2: ")
+def _infer_prompt(path):
+    from mmtkit.cli import build_parser
+
+    args = build_parser().parse_args(["infer-prompt", "--strategy", "dt", "--in", path, "--out", path + ".out"])
+    return args.func(args)
+
+
+def _read_mono(path):
+    from mmtkit.cli import _read_mono
+
+    with open(path, encoding="utf-8") as f:
+        return list(_read_mono(f, path, "en"))
+
+
+_EVAL = {"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": 80.0}
+# input -> (reader of a path, two good lines, bad line 3, error type, message)
+EVERY_READER_CASES = {
+    "mwjsonl": (
+        _reader(read_multiway),
+        [{"id": "a", "sentences": {"en": "x"}}, {"id": "b", "sentences": {"en": "y"}}],
+        {"id": "c", "sentences": {"en": ""}},
+        RecordParseError,
+        "sentence for 'en' must be a non-empty string",
+    ),
+    "djsonl": (
+        _reader(read_examples),
+        [_PAIR, {**_PAIR, "id": "e2"}],
+        {**_PAIR, "id": "e3", "src_lang": "fr", "tgt_lang": "de"},
+        RecordParseError,
+        "direction fr->de does not involve a center language",
+    ),
+    "score-sidecar": (
+        _reader(read_score_sidecar),
+        [{"id": "a", "qe_score": 0.5}, {"id": "b", "qe_score": 1}],
+        {"id": "c", "qe_score": 1.5},
+        InvalidScore,
+        "score for 'c' outside [0, 1]: 1.5",
+    ),
+    "registry": (
+        load_registry,
+        [_lang_row("en"), _lang_row("zh")],
+        _lang_row("fr", tier="Huge"),
+        RecordParseError,
+        "field 'tier' must be one of ['High', 'Medium', 'Low'], got 'Huge'",
+    ),
+    "auxiliaries": (
+        lambda p: load_registry(None, p),
+        [{"lang": "bg", "aux": "ru"}, {"lang": "uk", "aux": "ru"}],
+        {"lang": "en", "aux": "fr"},
+        RecordParseError,
+        "center language 'en' cannot have an auxiliary",
+    ),
+    "eval-records": (
+        _reader(read_eval_records),
+        [_EVAL, {**_EVAL, "tgt": "de"}],
+        {**_EVAL, "tgt": "bg", "value": 101},
+        RecordParseError,
+        "COMET22 value outside [0, 100]: 101.0",
+    ),
+    "synth-mono": (
+        _read_mono,
+        [{"id": "m1", "text": "a"}, {"id": "m2", "text": "b", "lang": "en"}],
+        {"id": "m3", "text": "c", "lang": "fr"},
+        RecordParseError,
+        "item language 'fr' does not match direction source 'en'",
+    ),
+    "infer-prompt-requests": (
+        _infer_prompt,
+        [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}] * 2,
+        {"id": "q3", "src_lang": "en", "tgt_lang": "fr"},
+        RecordParseError,
+        "missing field 'src'",
+    ),
+    "read_prompted": (
+        _reader(read_prompted),
+        [_PROMPTED, {**_PROMPTED, "loss_start": 1, "loss_end": 1}],
+        {**_PROMPTED, "loss_end": 5},
+        RecordParseError,
+        "loss span [0, 5) outside text of 1 bytes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_READER_CASES))
+def test_every_reader_names_file_and_line(tmp_path, case):
+    read, good, bad, error, message = EVERY_READER_CASES[case]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json_line(r) + "\n" for r in [*good, bad]), encoding="utf-8")
+    with pytest.raises(error) as exc:
+        read(str(path))
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}:line 3: {message}"
 
 
 def test_unhashable_provenance_is_a_parse_error():
@@ -338,7 +421,7 @@ def test_parse_json_lines_error_messages(line, message):
 @pytest.mark.parametrize("pad", [" ", "\x1c", "\t \u2028"])
 def test_parse_json_lines_strips_like_str_strip(pad):
     line = f'{pad}{{"a": [1, {{"b": null}}], "c": "\\u00e9"}}{pad}'
-    assert list(parse_json_lines([line + "\n"])) == [(1, json.loads(line.strip()))]
+    assert list(parse_json_lines([line + "\n"])) == [json.loads(line.strip())]
 
 
 def test_records_are_slots_and_value_types_stay_frozen(registry):

@@ -5,13 +5,14 @@ import pytest
 
 from mmtkit.backends import Backend, DictionaryBackend, IdentityBackend
 from mmtkit.directions import Direction
-from mmtkit.errors import BackendError, NoAuxiliaryDefined
+from mmtkit.errors import BackendError, InvalidInput, NoAuxiliaryDefined
 from mmtkit.prompts import PromptFormat
 from mmtkit.records import Provenance
 from mmtkit.synthesis import (
     InferenceStrategy,
     SynthStats,
     build_inference_prompt,
+    inference_direction_error,
     synth_direct,
     synth_pivot,
 )
@@ -208,6 +209,24 @@ def test_inference_pmp_requires_auxiliary(registry):
         build_inference_prompt(
             InferenceStrategy.PMP_S, "en", "zh", "x", registry, backend=IdentityBackend()
         )
+
+
+@pytest.mark.parametrize(
+    "strategy, src_lang, tgt_lang, problem",
+    [
+        (InferenceStrategy.DT, "fr", "fr", "direction with identical sides: 'fr'"),
+        (InferenceStrategy.PT, "fr", "fr", "direction with identical sides: 'fr'"),
+        (InferenceStrategy.PMP_O, "fr", "de", "direction fr->de does not involve a center language"),
+        (InferenceStrategy.PMP_S, "fr", "de", "direction fr->de does not involve a center language"),
+    ],
+)
+def test_inference_refuses_unsupported_direction(registry, strategy, src_lang, tgt_lang, problem):
+    assert inference_direction_error(strategy, src_lang, tgt_lang) == problem
+    with pytest.raises(InvalidInput) as exc:
+        build_inference_prompt(
+            strategy, src_lang, tgt_lang, "x", registry, backend=IdentityBackend(), aux_text="y"
+        )
+    assert str(exc.value) == problem
 
 
 def test_strategy_values():
