@@ -19,7 +19,7 @@ def main() -> int:
     overlap = set(registry.codes()) - {"mn_cn"}
     for metric in ("COMET22", "SacreBLEU"):
         with open(RECORDS, encoding="utf-8") as f:
-            table = aggregate(read_eval_records(f, path=str(RECORDS)), registry, overlap=overlap, metric=metric)
+            table = aggregate(read_eval_records(f, registry, path=str(RECORDS)), registry, overlap=overlap, metric=metric)
         print(f"## {metric}\n")
         sys.stdout.write(render_table(table, fmt="markdown"))
         print()

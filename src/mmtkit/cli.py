@@ -45,20 +45,15 @@ def _log_to_stderr() -> None:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _seed(args) -> int:
-    return DEFAULT_SEED if args.seed is None else args.seed
-
-
-def _read_config(path: str, kind: type):
-    """The JSON value of a config file (--spec, --rules); it must be a kind
-    (dict or list), and a parse error names the file and line."""
+def _read_rules(path: str) -> list:
+    """The JSON array of a --rules file; a parse error names the file and line."""
     with open(path, encoding="utf-8") as f:
         try:
             value = json.load(f)
         except json.JSONDecodeError as e:
             raise RecordParseError(f"invalid JSON ({e.msg})", e.lineno, path) from None
-    if not isinstance(value, kind):
-        raise RecordParseError(f"expected a JSON {'object' if kind is dict else 'array'}", path=path)
+    if not isinstance(value, list):
+        raise RecordParseError("expected a JSON array", path=path)
     return value
 
 
@@ -145,7 +140,7 @@ def cmd_downsample(args) -> dict:
     from .downsampling import DownsampleStats, RetentionPolicy, downsample
     from .records import read_examples, write_jsonl
 
-    policy = RetentionPolicy(p_reverse=args.p, seed=_seed(args))
+    policy = RetentionPolicy(p_reverse=args.p, seed=args.seed)
     stats = DownsampleStats()
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
         write_jsonl(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
@@ -160,13 +155,11 @@ def cmd_mix(args) -> dict:
     _log_to_stderr()
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
-    config = _read_config(args.spec, dict) if args.spec else {}
-    for name in MixtureSpec.__dataclass_fields__:
-        if getattr(args, name) is not None:
-            config[name] = getattr(args, name)
+    # A mixture flag left out keeps MixtureSpec's default.
+    given = {name: getattr(args, name) for name in MixtureSpec.__dataclass_fields__ if getattr(args, name) is not None}
     try:
-        spec = MixtureSpec.from_json(config)
-    except (TypeError, ValueError) as e:
+        spec = MixtureSpec(**given)
+    except ValueError as e:
         raise RecordParseError(f"mixture spec: {e}") from None
 
     scores = None
@@ -174,7 +167,7 @@ def cmd_mix(args) -> dict:
         with open(args.scores, encoding="utf-8") as f:
             scores = read_score_sidecar(f, path=args.scores)
 
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, args.spec, *_registry_files(args)) as fout:
+    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, *_registry_files(args)) as fout:
         records = read_multiway(fin, registry, path=args.infile)
         prompted, report = build_sft_mixture(records, registry, dirset, spec, scores=scores)
         write_jsonl(prompted, fout)
@@ -187,7 +180,7 @@ def cmd_filter(args) -> dict:
 
     if args.tau is not None and not args.scores:
         raise RecordParseError("--tau requires --scores")
-    rules = rules_from_config(_read_config(args.rules, list)) if args.rules else default_rules()
+    rules = rules_from_config(_read_rules(args.rules)) if args.rules else default_rules()
 
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, args.rules) as fout:
         kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
@@ -260,8 +253,11 @@ def cmd_infer_prompt(args) -> dict:
     from .synthesis import InferenceStrategy, build_inference_prompt, inference_direction_error
 
     strategy = InferenceStrategy(args.strategy)
-    if args.backend_cmd and strategy not in (InferenceStrategy.PT, InferenceStrategy.PMP_S):
+    needs_backend = strategy in (InferenceStrategy.PT, InferenceStrategy.PMP_S)
+    if args.backend_cmd and not needs_backend:
         raise RecordParseError("--backend-cmd is only for strategies pt and pmp-s")
+    if needs_backend and not args.backend_cmd:
+        raise RecordParseError(f"strategy {strategy.value} requires --backend-cmd")
     registry = _load_registry(args)
 
     def request(obj: dict) -> tuple:
@@ -299,7 +295,7 @@ def cmd_eval(args) -> dict | None:
     models = [m.strip() for m in args.models.split(",") if m.strip()] if args.models else None
     with open(args.records, encoding="utf-8") as f:
         table = aggregate(
-            read_eval_records(f, path=args.records),
+            read_eval_records(f, registry, path=args.records),
             registry,
             overlap=overlap,
             metric=args.metric,
@@ -323,7 +319,7 @@ def cmd_diagnose(args) -> None:
     with open(args.infile, encoding="utf-8") as fin:
         examples = read_examples(fin, path=args.infile)
         if args.p is not None:
-            examples = downsample(examples, RetentionPolicy(p_reverse=args.p, seed=_seed(args)))
+            examples = downsample(examples, RetentionPolicy(p_reverse=args.p, seed=args.seed))
         stats = target_repetition_stats(examples)
     report = stats.as_dict()
     if args.out:
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     registry.add_argument("--registry", default="builtin", help="language registry: 'builtin' or a JSONL path")
     registry.add_argument("--auxiliaries", default=None, help="auxiliary map JSONL path (default: builtin with builtin registry, none otherwise)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"seed for all hash-based decisions (default {DEFAULT_SEED})")
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--workers", type=_positive_int, default=1, help="accepted for compatibility; has no effect (every stage runs in one thread)")
 
@@ -367,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", parents=[registry, seed], help="build the SFT mixture from multi-way records")
     p.add_argument("--in", dest="infile", required=True, help="input .mwjsonl")
     p.add_argument("--out", required=True, help="output .pjsonl")
-    p.add_argument("--spec", default=None, help="JSON file with mixture spec fields")
     p.add_argument("--scores", default=None, help="score sidecar for quality-descending selection")
     p.add_argument("--per-direction-min", type=int, default=None)
     p.add_argument("--per-direction-max", type=int, default=None)

@@ -6,7 +6,8 @@ errors (bad arguments to library functions) raise plain ValueError/TypeError.
 
 Library code raises RecordParseError without a location. The one reading
 loop, registry.parse_json_lines, sets the path and line on it, so it reads
-"path:line N: message"; only the CLI's config reader passes json's lineno.
+"path:line N: message"; only the CLI's --rules reader passes json's lineno.
+A path without a line reads "path: message".
 """
 from __future__ import annotations
 
@@ -24,10 +25,11 @@ class RecordParseError(ToolkitError):
         self.path = path
 
     def __str__(self) -> str:
+        message = super().__str__()
         where = "" if self.path is None else f"{self.path}:"
         if self.line_no is not None:
-            where += f"line {self.line_no}: "
-        return where + super().__str__()
+            where += f"line {self.line_no}:"
+        return f"{where} {message}" if where else message
 
 
 class DuplicateLanguage(RecordParseError):
@@ -62,7 +64,7 @@ class InvalidScore(RecordParseError):
     """A quality score is not a number in [0, 1]."""
 
 
-class DuplicateRecord(ToolkitError):
+class DuplicateRecord(RecordParseError):
     """Two evaluation records cover the same (model, direction, metric)."""
 
 

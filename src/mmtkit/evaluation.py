@@ -40,18 +40,34 @@ class EvalRecord:
             raise ValueError("model name must be non-empty")
 
 
-def read_eval_records(stream: Iterable[str], path: str | None = None) -> Iterator[EvalRecord]:
+def read_eval_records(stream: Iterable[str], registry: Registry | None = None, path: str | None = None) -> Iterator[EvalRecord]:
+    """Parse evaluation records. A repeated (model, src, tgt, metric) raises
+    DuplicateRecord; with a registry, a code outside it raises UnknownLanguage."""
+    seen: set[tuple[str, str, str, str]] = set()
+
     def record(obj: dict) -> EvalRecord:
         model, src, tgt, metric = required_fields(obj, ("model", "src", "tgt", "metric"))
         (value,) = required_fields(obj, ("value",), object)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise RecordParseError(f"field 'value' must be a number, got {value!r}")
+        for code in (src, tgt):
+            if registry is not None and code not in registry:
+                raise UnknownLanguage(code)
         try:
-            return EvalRecord(model, Direction(src, tgt), metric, float(value))
+            rec = EvalRecord(model, Direction(src, tgt), metric, float(value))
         except (TypeError, ValueError) as e:
             raise RecordParseError(str(e)) from None
+        key = (model, src, tgt, metric)
+        if key in seen:
+            raise DuplicateRecord(_duplicate_message(rec))
+        seen.add(key)
+        return rec
 
     return parse_json_lines(stream, path, record)
+
+
+def _duplicate_message(rec: EvalRecord) -> str:
+    return f"duplicate record for model {rec.model!r}, direction {rec.direction}, metric {rec.metric!r}"
 
 
 def classes_of(
@@ -135,10 +151,7 @@ def aggregate(
             continue
         key = (rec.model, rec.direction.src, rec.direction.tgt)
         if key in seen:
-            raise DuplicateRecord(
-                f"duplicate record for model {rec.model!r}, "
-                f"direction {rec.direction}, metric {metric!r}"
-            )
+            raise DuplicateRecord(_duplicate_message(rec))
         seen.add(key)
         for side in (rec.direction.src, rec.direction.tgt):
             if side not in registry:

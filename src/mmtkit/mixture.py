@@ -58,14 +58,6 @@ class MixtureSpec:
                 f"got {self.per_direction_min}..{self.per_direction_max}"
             )
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MixtureSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown mixture spec fields: {sorted(unknown)}")
-        return cls(**obj)
-
 
 @dataclass
 class DirectionMixReport:

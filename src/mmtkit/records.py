@@ -13,7 +13,8 @@ it; parse_json_lines names the path:line of any error it raises.
 Records are slots dataclasses without frozen=True, because a frozen __init__
 sets every field through object.__setattr__ and every line builds a record.
 They compare by value and are not hashable; no stage changes a record after
-building it, so callers treat them as read-only.
+building it, so callers treat them as read-only. Stages write directional and
+scored pairs; multi-way records are only read, so they have no to_line.
 """
 from __future__ import annotations
 
@@ -45,12 +46,6 @@ json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 class MultiWayRecord:
     id: str
     sentences: dict[str, str]
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "sentences": dict(self.sentences)}
-
-    def to_line(self) -> str:
-        return json_line(self.to_json())
 
 
 @dataclass(slots=True)

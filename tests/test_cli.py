@@ -1,8 +1,10 @@
 """End-to-end CLI behavior through real subprocess invocations."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -83,6 +85,7 @@ _REQUIRED_ARGS = {
         "score --workers 2",
         "synth --seed 1",
         "mix --workers 2",
+        "mix --spec spec.json",
         "eval --seed 1",
         "infer-prompt --workers 2",
         "diagnose --registry builtin",
@@ -166,21 +169,13 @@ def test_mix_command(tmp_path):
         assert 0 <= r["loss_start"] <= r["loss_end"] <= len(enc)
 
 
-def test_mix_spec_file_and_flag_override(tmp_path):
+def test_mix_per_direction_max_flag_caps_each_direction(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=10, langs=("en", "fr"))
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps({"per_direction_min": 1, "per_direction_max": 5, "seed": 9}),
-        encoding="utf-8",
-    )
     out = tmp_path / "m.pjsonl"
-    proc = run_cli(
-        "mix", "--in", str(corpus), "--out", str(out),
-        "--spec", str(spec), "--per-direction-max", "3",
-    )
+    run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "1", "--per-direction-max", "3")
     rows = read_lines(out)
     fwd = [r for r in rows if r["id"].endswith("#en2fr")]
-    assert len(fwd) == 3  # command-line override beats the config file value
+    assert len(fwd) == 3
 
 
 def test_score_filter_roundtrip(tmp_path, scripts_dir):
@@ -432,6 +427,28 @@ def test_eval_repeated_model_gives_one_row(data_dir):
     assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["Model", "LMT-60-4B", "LMT-60-8B"]
 
 
+_EVAL_ROW = {"model": "m", "src": "en", "tgt": "fr", "metric": "SacreBLEU", "value": 30.0}
+
+
+@pytest.mark.parametrize(
+    "row, error, problem",
+    [
+        ({**_EVAL_ROW, "tgt": "xx"}, "UnknownLanguage", "unknown language code: 'xx'"),
+        (_EVAL_ROW, "DuplicateRecord", "duplicate record for model 'm', direction en->fr, metric 'SacreBLEU'"),
+    ],
+    ids=["unknown-code", "repeated-row"],
+)
+def test_eval_record_error_names_file_and_line(tmp_path, row, error, problem):
+    """Refused while reading, with --metric selecting another metric: a
+    repeated row is an error whatever the table shows."""
+    records = tmp_path / "r.jsonl"
+    records.write_text(json_line(_EVAL_ROW) + "\n" + json_line(row) + "\n", encoding="utf-8")
+    out = tmp_path / "t.md"
+    proc = run_cli("eval", "--records", str(records), "--metric", "COMET22", "--out", str(out), expect=1)
+    assert last_error(proc) == {"error": error, "message": f"{records}:line 2: {problem}"}
+    assert not out.exists()
+
+
 def _registry_codes():
     from mmtkit.registry import load_registry
 
@@ -529,7 +546,6 @@ _AUX, _LANGS = _BUILTIN_DATA / "auxiliaries.jsonl", _BUILTIN_DATA / "languages.j
 # Config and registry files a stage reads besides its data input: (stage
 # arguments, contents of the file F that --out also names); IN is an empty file.
 _READ_FILE_CASES = {
-    "mix --spec": (("mix", "--in", "IN", "--spec", "F"), "{}\n"),
     "filter --rules": (("filter", "--in", "IN", "--rules", "F"), '[{"kind": "NonEmpty"}]\n'),
     "expand --auxiliaries": (("expand", "--in", "IN", "--auxiliaries", "F"), _AUX),
     "expand --registry": (("expand", "--in", "IN", "--registry", "F"), _LANGS),
@@ -619,34 +635,23 @@ def test_workers_below_one_is_usage_error(tmp_path, command, workers):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["min_over_max", "unknown_field"])
-def test_bad_mixture_spec_exits_1(tmp_path, bad):
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (("--per-direction-min", "5", "--per-direction-max", "2"), "got 5..2"),
+        (("--per-direction-min", "-1"), "got -1..20000"),
+    ],
+    ids=["min_over_max", "negative_min"],
+)
+def test_bad_mixture_spec_exits_1(tmp_path, flags, problem):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"per_direction_maximum": 3}), encoding="utf-8")
-    extra = (
-        ("--per-direction-min", "5", "--per-direction-max", "2")
-        if bad == "min_over_max"
-        else ("--spec", str(spec))
-    )
     out = tmp_path / "m.pjsonl"
-    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), *extra, expect=1)
-    assert last_error(proc)["error"] == "RecordParseError"
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("cap", [2.5, True])
-def test_mix_spec_refuses_non_integer_cap(tmp_path, cap):
-    corpus = write_corpus(tmp_path / "c.mwjsonl", n=4, langs=("en", "fr"))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"per_direction_min": 0, "per_direction_max": cap}), encoding="utf-8")
-    out = tmp_path / "m.pjsonl"
-    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--spec", str(spec), expect=1)
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), *flags, expect=1)
     assert last_error(proc) == {
         "error": "RecordParseError",
-        "message": f"mixture spec: per_direction_max must be an integer, got {cap!r}",
+        "message": f"mixture spec: need 0 <= per_direction_min <= per_direction_max, {problem}",
     }
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -660,8 +665,6 @@ INVALID_INPUT_CASES = {
     "synth-pivot-zh-x": (("synth", "--mode", "pivot"), True, {**_PIVOT_ROW, "src_lang": "zh"}),
     "synth-pivot-en-zh": (("synth", "--mode", "pivot"), True, {**_PIVOT_ROW, "tgt_lang": "zh"}),
     "pt-en-endpoint": (("infer-prompt", "--strategy", "pt"), True, {**_REQUEST, "tgt_lang": "en"}),
-    "pt-no-backend": (("infer-prompt", "--strategy", "pt"), False, _REQUEST),
-    "pmp-s-no-backend": (("infer-prompt", "--strategy", "pmp-s"), False, {**_REQUEST, "src_lang": "en", "tgt_lang": "bg"}),
     "pmp-o-no-aux": (("infer-prompt", "--strategy", "pmp-o"), False, {**_REQUEST, "src_lang": "en", "tgt_lang": "bg"}),
 }
 
@@ -695,28 +698,18 @@ def test_infer_prompt_non_string_aux_exits_1(tmp_path, aux):
     assert not out.exists()
 
 
-def _config_case(tmp_path, command, text):
-    """Arguments for a mix or filter run whose --spec or --rules file holds text."""
+def _rules_case(tmp_path, text):
+    """Arguments for a filter run whose --rules file holds text."""
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
-    if command == "mix":
-        corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
-        return config, ("mix", "--in", str(corpus), "--spec", str(config))
     pairs = tmp_path / "p.djsonl"
     pairs.write_text(json_line(_PIVOT_ROW) + "\n", encoding="utf-8")
     return config, ("filter", "--in", str(pairs), "--rules", str(config))
 
 
-@pytest.mark.parametrize(
-    "command,text",
-    [
-        ("mix", '{\n  "per_direction_min": 1,\n  bad\n}\n'),
-        ("filter", '[\n  {"kind": "NonEmpty"},\n  bad\n]\n'),
-    ],
-    ids=["spec", "rules"],
-)
-def test_invalid_config_json_names_file_and_line(tmp_path, command, text):
-    config, args = _config_case(tmp_path, command, text)
+@pytest.mark.parametrize("text", ['[\n  {"kind": "NonEmpty"},\n  bad\n]\n'], ids=["rules"])
+def test_invalid_config_json_names_file_and_line(tmp_path, text):
+    config, args = _rules_case(tmp_path, text)
     out = tmp_path / "o"
     proc = run_cli(*args, "--out", str(out), expect=1)
     err = last_error(proc)
@@ -726,22 +719,12 @@ def test_invalid_config_json_names_file_and_line(tmp_path, command, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command,text",
-    [
-        ("mix", "[1]"),
-        ("mix", '{"seed": "x"}'),
-        ("mix", '{"seed": 7.5}'),
-        ("mix", '{"seed": true}'),
-        ("filter", "5"),
-    ],
-    ids=["spec-array", "spec-seed-string", "spec-seed-float", "spec-seed-bool", "rules-number"],
-)
-def test_bad_config_value_exits_1(tmp_path, command, text):
-    _, args = _config_case(tmp_path, command, text)
+@pytest.mark.parametrize("text", ["5", '{"kind": "NonEmpty"}'], ids=["rules-number", "rules-object"])
+def test_bad_config_value_exits_1(tmp_path, text):
+    config, args = _rules_case(tmp_path, text)
     out = tmp_path / "o"
     proc = run_cli(*args, "--out", str(out), expect=1)
-    assert last_error(proc)["error"] == "RecordParseError"
+    assert last_error(proc) == {"error": "RecordParseError", "message": f"{config}: expected a JSON array"}
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -757,7 +740,7 @@ def test_bad_config_value_exits_1(tmp_path, command, text):
     ids=["ratio-nan", "ratio-bool", "min-len-bool", "lengths-float"],
 )
 def test_rule_parameters_are_type_checked(tmp_path, text):
-    _, args = _config_case(tmp_path, "filter", text)
+    _, args = _rules_case(tmp_path, text)
     out = tmp_path / "o"
     proc = run_cli(*args, "--out", str(out), expect=1)
     err = last_error(proc)
@@ -767,47 +750,39 @@ def test_rule_parameters_are_type_checked(tmp_path, text):
     assert not out.exists()
 
 
-def test_mix_seed_flag_beats_spec_seed(tmp_path):
+def test_mix_seed_flag_changes_bytes(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"per_direction_min": 0, "seed": 9}), encoding="utf-8")
 
     def mix(name, *extra):
         out = tmp_path / name
-        run_cli("mix", "--in", str(corpus), "--out", str(out), *extra)
+        run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", *extra)
         return out.read_bytes()
 
-    seed9 = mix("flag9", "--per-direction-min", "0", "--seed", "9")
-    seed3 = mix("flag3", "--per-direction-min", "0", "--seed", "3")
-    assert seed9 != seed3
-    assert mix("spec9", "--spec", str(spec)) == seed9
-    assert mix("spec9_flag3", "--spec", str(spec), "--seed", "3") == seed3
+    seed9 = mix("seed9", "--seed", "9")
+    assert seed9 != mix("seed3", "--seed", "3")
+    assert mix("default") == mix("seed42", "--seed", "42")
 
 
 @pytest.mark.parametrize(
-    "flag,field,base",
+    "flag,base",
     [
-        ("--reverse-retention", "reverse_total_retention", {}),
-        ("--reverse-pmp-share", "reverse_pmp_share_of_retained", {"reverse_total_retention": 1.0}),
+        ("--reverse-retention", ()),
+        ("--reverse-pmp-share", ("--reverse-retention", "1")),
     ],
     ids=["reverse-retention", "reverse-pmp-share"],
 )
-def test_mix_reverse_flags_beat_spec_fields(tmp_path, flag, field, base):
+def test_mix_reverse_flags_change_bytes(tmp_path, flag, base):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
 
-    def mix(name, value, *extra):
-        spec = tmp_path / f"{name}.json"
-        spec.write_text(json.dumps({"per_direction_min": 0, **base, field: value}), encoding="utf-8")
+    def mix(name, value):
         out = tmp_path / f"{name}.pjsonl"
-        run_cli("mix", "--in", str(corpus), "--out", str(out), "--spec", str(spec), *extra)
+        run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", *base, flag, value)
         return out.read_bytes()
 
-    spec_high = mix("high", 1.0)
-    assert mix("low", 0.0) != spec_high
-    assert mix("low_flag_high", 0.0, flag, "1") == spec_high
+    assert mix("low", "0") != mix("high", "1")
 
 
-@pytest.mark.parametrize("command", ["expand", "mix-spec"])
+@pytest.mark.parametrize("command", ["expand", "filter-rules"])
 def test_non_utf8_input_exits_1(tmp_path, command):
     out = tmp_path / "o"
     if command == "expand":
@@ -815,12 +790,10 @@ def test_non_utf8_input_exits_1(tmp_path, command):
         corpus.write_bytes(b'{"id": "a", "sentences": {"en": "hi \xff\xfe there", "zh": "ni hao"}}\n')
         args = ("expand", "--in", str(corpus))
     else:
-        corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
-        spec = tmp_path / "spec.json"
-        spec.write_bytes(b"\xff")
-        args = ("mix", "--in", str(corpus), "--spec", str(spec))
+        config, args = _rules_case(tmp_path, "")
+        config.write_bytes(b"\xff")
     proc = run_cli(*args, "--out", str(out), expect=1)
-    # a JSONL reader locates the bad line; the config reader does not
+    # a JSONL reader locates the bad line; the --rules reader does not
     assert last_error(proc)["error"] == ("RecordParseError" if command == "expand" else "UnicodeDecodeError")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
@@ -895,11 +868,12 @@ def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
         ("pmp-s", "fr", "de", "direction fr->de does not involve a center language"),
     ],
 )
-def test_infer_prompt_unsupported_direction_names_file_and_line(tmp_path, strategy, src_lang, tgt_lang, problem):
+def test_infer_prompt_unsupported_direction_names_file_and_line(tmp_path, scripts_dir, strategy, src_lang, tgt_lang, problem):
     reqs = tmp_path / "reqs.jsonl"
     reqs.write_text(json_line({**_REQUEST, "src_lang": src_lang, "tgt_lang": tgt_lang}) + "\n", encoding="utf-8")
     out = tmp_path / "p.pjsonl"
-    proc = run_cli("infer-prompt", "--strategy", strategy, "--in", str(reqs), "--out", str(out), expect=1)
+    backend = ("--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}") if strategy in ("pt", "pmp-s") else ()
+    proc = run_cli("infer-prompt", "--strategy", strategy, *backend, "--in", str(reqs), "--out", str(out), expect=1)
     assert last_error(proc) == {"error": "RecordParseError", "message": f"{reqs}:line 1: {problem}"}
     assert not out.exists()
 
@@ -918,23 +892,30 @@ def test_metric_choices_are_the_evaluation_metrics():
     assert EVAL_METRICS == METRICS
 
 
+_BACKEND = ("--backend-cmd", "touch MARKER")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("synth", "--mode", "pivot", "--direction", "en2de"), "--direction is only for direct synthesis"),
-        (("infer-prompt", "--strategy", "dt"), "--backend-cmd is only for strategies pt and pmp-s"),
-        (("infer-prompt", "--strategy", "pmp-o"), "--backend-cmd is only for strategies pt and pmp-s"),
+        (("synth", "--mode", "pivot", "--direction", "en2de", *_BACKEND), "--direction is only for direct synthesis"),
+        (("infer-prompt", "--strategy", "dt", *_BACKEND), "--backend-cmd is only for strategies pt and pmp-s"),
+        (("infer-prompt", "--strategy", "pmp-o", *_BACKEND), "--backend-cmd is only for strategies pt and pmp-s"),
+        (("infer-prompt", "--strategy", "pt"), "strategy pt requires --backend-cmd"),
+        (("infer-prompt", "--strategy", "pmp-s"), "strategy pmp-s requires --backend-cmd"),
     ],
-    ids=["synth-pivot-direction", "dt-backend-cmd", "pmp-o-backend-cmd"],
+    ids=["synth-pivot-direction", "dt-backend-cmd", "pmp-o-backend-cmd", "pt-no-backend", "pmp-s-no-backend"],
 )
 def test_option_with_no_effect_is_refused_before_reading(tmp_path, args, message):
-    """Refused before the input is read (it is not JSON) and before the
-    backend starts (it would create the marker file)."""
+    """An option with no effect, or a backend a strategy needs and lacks, is
+    refused before the input is read (it is not JSON) and before any backend
+    starts (it would create the marker file)."""
     src = tmp_path / "in.jsonl"
     src.write_text("{broken\n", encoding="utf-8")
     marker = tmp_path / "started"
     out = tmp_path / "o"
-    proc = run_cli(*args, "--backend-cmd", f"touch {marker}", "--in", str(src), "--out", str(out), expect=1)
+    args = [a.replace("MARKER", str(marker)) for a in args]
+    proc = run_cli(*args, "--in", str(src), "--out", str(out), expect=1)
     assert last_error(proc) == {"error": "RecordParseError", "message": message}
     assert not marker.exists()
     assert not out.exists()
@@ -976,3 +957,14 @@ def test_help_imports_no_stage_module():
     loaded = _imported("-m", "mmtkit", "--help")
     ours = {name for name in loaded if name.startswith("mmtkit")}
     assert ours == {"mmtkit", "mmtkit.cli", "mmtkit.errors", "mmtkit.hashing"}
+
+
+def test_readme_names_every_subcommand_option_and_no_other(scripts_dir):
+    from mmtkit.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings if o.startswith("--")}
+    readme = (scripts_dir.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    # --version belongs to the top-level parser, --no-build-isolation to pip.
+    assert named - {"--version", "--no-build-isolation"} == options - {"--help"}

@@ -38,9 +38,6 @@ def test_spec_defaults_and_validation():
         MixtureSpec(forward_pmp_share=1.2)
     with pytest.raises(ValueError):
         MixtureSpec(per_direction_min=10, per_direction_max=5)
-    with pytest.raises(ValueError):
-        MixtureSpec.from_json({"per_direction_floor": 1})
-    assert MixtureSpec.from_json({"seed": 7}).seed == 7
 
 
 @pytest.mark.parametrize("seed", ["x", 7.5, True, None])

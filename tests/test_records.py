@@ -41,9 +41,8 @@ def test_multiway_roundtrip(registry):
         MultiWayRecord(id="r1", sentences={"en": "hello", "fr": "bonjour"}),
         MultiWayRecord(id="r2", sentences={"en": "x", "zh": "好"}),
     ]
-    buf = io.StringIO()
-    assert write_jsonl(recs, buf) == 2
-    back = list(read_multiway(io.StringIO(buf.getvalue()), registry))
+    text = "".join(json_line({"id": r.id, "sentences": r.sentences}) + "\n" for r in recs)
+    back = list(read_multiway(io.StringIO(text), registry))
     assert back == recs
 
 
@@ -165,11 +164,9 @@ def test_sidecar_accepts_full_scored_lines(mk_example):
     ),
 )
 def test_multiway_roundtrip_property(rec_id, sentences):
-    rec = MultiWayRecord(id=rec_id, sentences=sentences)
-    buf = io.StringIO()
-    write_jsonl([rec], buf)
-    (back,) = read_multiway(io.StringIO(buf.getvalue()))
-    assert back == rec
+    line = json_line({"id": rec_id, "sentences": sentences})
+    (back,) = read_multiway(io.StringIO(line + "\n"))
+    assert back == MultiWayRecord(id=rec_id, sentences=sentences)
 
 
 @given(src=text_strategy, tgt=text_strategy, score=st.floats(min_value=0.0, max_value=1.0))
@@ -385,12 +382,6 @@ def test_scored_to_line_equals_json_line(ex, score):
     assert pair.to_line() == json_line(pair.to_json())
 
 
-@given(rec_id=any_text, sentences=st.dictionaries(any_text, any_text, max_size=4))
-def test_multiway_to_line_equals_json_line(rec_id, sentences):
-    rec = MultiWayRecord(id=rec_id, sentences=sentences)
-    assert rec.to_line() == json_line(rec.to_json())
-
-
 def test_write_jsonl_leaves_lone_surrogates_to_the_stream(mk_example):
     buf = io.StringIO()
     write_jsonl([mk_example(src="hi \ud800 there")], buf)
@@ -416,6 +407,13 @@ def test_parse_json_lines_error_messages(line, message):
     with pytest.raises(RecordParseError) as exc:
         list(parse_json_lines(["\n", line + "\n"], "f.jsonl"))
     assert str(exc.value) == f"f.jsonl:line 2: {message}"
+
+
+def test_invalid_utf8_in_a_stream_without_a_file_names_only_the_path():
+    stream = io.TextIOWrapper(io.BytesIO(b'{"a": 1}\n\xff\n'), encoding="utf-8")
+    with pytest.raises(RecordParseError) as exc:
+        list(parse_json_lines(stream, "not-a-file"))
+    assert str(exc.value) == "not-a-file: invalid UTF-8"
 
 
 @pytest.mark.parametrize("pad", [" ", "\x1c", "\t \u2028"])
