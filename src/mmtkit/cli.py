@@ -149,7 +149,7 @@ def cmd_downsample(args) -> dict:
 
 def cmd_mix(args) -> dict:
     from .directions import enumerate_directions
-    from .mixture import MixtureSpec, build_sft_mixture
+    from .mixture import MixtureSpec, stream_sft_mixture
     from .records import read_multiway, read_score_sidecar, write_jsonl
 
     _log_to_stderr()
@@ -169,13 +169,13 @@ def cmd_mix(args) -> dict:
 
     with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, *_registry_files(args)) as fout:
         records = read_multiway(fin, registry, path=args.infile)
-        prompted, report = build_sft_mixture(records, registry, dirset, spec, scores=scores)
+        prompted, report = stream_sft_mixture(records, registry, dirset, spec, scores=scores)
         write_jsonl(prompted, fout)
     return {"emitted": report.emitted, "directions": len(report.per_direction), "warnings": len(report.warnings)}
 
 
 def cmd_filter(args) -> dict:
-    from .filtering import apply_heuristics, attach_scores, default_rules, rules_from_config, score_histogram, threshold_filter
+    from .filtering import apply_heuristics, attach_scores, count_thresholds, default_rules, rules_from_config, threshold_filter
     from .records import read_examples, read_score_sidecar, write_jsonl
 
     if args.tau is not None and not args.scores:
@@ -187,8 +187,7 @@ def cmd_filter(args) -> dict:
         if args.scores:
             with open(args.scores, encoding="utf-8") as f:
                 sidecar = read_score_sidecar(f, path=args.scores)
-            kept = list(attach_scores(kept, sidecar))
-            report.histogram = score_histogram(kept)
+            kept = count_thresholds(attach_scores(kept, sidecar), report)
             if args.tau is not None:
                 kept = threshold_filter(kept, args.tau)
         written = write_jsonl(kept, fout)
@@ -364,11 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input .mwjsonl")
     p.add_argument("--out", required=True, help="output .pjsonl")
     p.add_argument("--scores", default=None, help="score sidecar for quality-descending selection")
-    p.add_argument("--per-direction-min", type=int, default=None)
-    p.add_argument("--per-direction-max", type=int, default=None)
-    p.add_argument("--forward-pmp-share", type=_probability, default=None)
-    p.add_argument("--reverse-retention", dest="reverse_total_retention", type=_probability, default=None)
-    p.add_argument("--reverse-pmp-share", dest="reverse_pmp_share_of_retained", type=_probability, default=None)
+    # The defaults are MixtureSpec's, written out so that --help imports no stage module.
+    p.add_argument("--per-direction-min", type=int, default=None, help="warn about a direction with fewer selected examples (default 3000)")
+    p.add_argument("--per-direction-max", type=int, default=None, help="most examples selected per direction (default 20000)")
+    p.add_argument("--forward-pmp-share", type=_probability, default=None, help="share of forward examples rendered with an auxiliary sentence, PMP (default 0.5)")
+    p.add_argument("--reverse-retention", dest="reverse_total_retention", type=_probability, default=None,
+                   help="share of selected reverse examples kept by strategic downsampling (default 0.05)")
+    p.add_argument("--reverse-pmp-share", dest="reverse_pmp_share_of_retained", type=_probability, default=None,
+                   help="PMP share of the kept reverse examples (default 0.5)")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("filter", parents=[workers], help="heuristic cleaning and QE thresholding")

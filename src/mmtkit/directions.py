@@ -7,6 +7,8 @@ yields (n-1) + (n-2) pairs and twice as many directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .errors import MissingCenter
 from .records import DirectionalExample, MultiWayRecord, Provenance
@@ -26,6 +28,11 @@ class Direction:
     @property
     def suffix(self) -> str:
         return f"{self.src}2{self.tgt}"
+
+    @cached_property  # read for every example, so made once per direction
+    def id_tag(self) -> str:
+        """What a record or item id gains in its example id in this direction."""
+        return f"#{self.suffix}"
 
     @property
     def is_reverse(self) -> bool:
@@ -65,11 +72,21 @@ def enumerate_directions(registry: Registry) -> DirectionSet:
     )
 
 
+def covered(record: MultiWayRecord, dirset: DirectionSet) -> list[Direction]:
+    """The directions of dirset with both sides in the record, in dirset order."""
+    sentences = record.sentences
+    return [d for d in dirset.directions if d.src in sentences and d.tgt in sentences]
+
+
+def examples(record: MultiWayRecord, directions: Iterable[Direction]) -> list[DirectionalExample]:
+    """The record's human-provenance example in each of the directions, which it must cover."""
+    record_id, sentences = record.id, record.sentences
+    return [
+        DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
+        for d in directions
+    ]
+
+
 def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
     """One human-provenance example per direction covered by the record."""
-    sentences = record.sentences
-    return [
-        DirectionalExample(f"{record.id}#{d.suffix}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
-        for d in dirset.directions
-        if d.src in sentences and d.tgt in sentences
-    ]
+    return examples(record, covered(record, dirset))

@@ -228,8 +228,9 @@ def threshold_filter(scored: Iterable[ScoredPair], tau: float) -> Iterator[Score
             yield pair
 
 
-def score_histogram(scored: Iterable[ScoredPair]) -> dict[float, tuple[int, float]]:
-    """Count and proportion of pairs at or above each of DEFAULT_THRESHOLDS."""
+def count_thresholds(scored: Iterable[ScoredPair], report: FilterReport) -> Iterator[ScoredPair]:
+    """Pass scored pairs through; once the stream is consumed, report.histogram
+    holds the count and proportion of pairs at or above each of DEFAULT_THRESHOLDS."""
     counts = {tau: 0 for tau in DEFAULT_THRESHOLDS}
     total = 0
     for pair in scored:
@@ -237,4 +238,5 @@ def score_histogram(scored: Iterable[ScoredPair]) -> dict[float, tuple[int, floa
         for tau in DEFAULT_THRESHOLDS:
             if pair.qe_score >= tau:
                 counts[tau] += 1
-    return {tau: (c, c / total if total else 0.0) for tau, c in counts.items()}
+        yield pair
+    report.histogram = {tau: (c, c / total if total else 0.0) for tau, c in counts.items()}

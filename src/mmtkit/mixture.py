@@ -10,23 +10,27 @@ of the retention coin for the same id. Auxiliary sentences for PMP come from
 the same multi-way record as the pair itself; examples whose direction has no
 auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
 
-Selection holds at most 2 x per_direction_max + 1 candidates per direction,
-with or without scores, so memory does not grow with the corpus. Output is
-grouped by direction in direction-set order and sorted by id within each
-direction, so scored mixtures are independent of input shard order.
+A candidate is a reference to the multi-way record that covers its direction;
+its example is built only if it survives the cap and the retention coin.
+Selection holds at most per_direction_max candidates per direction without
+scores (corpus order, so later candidates are only counted) and at most
+2 x per_direction_max + 1 with scores, so memory does not grow with the
+corpus. Prompts are streamed direction by direction in direction-set order,
+sorted by id within each direction, so scored mixtures are independent of
+input shard order.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .directions import DirectionSet, expand
+from .directions import Direction, DirectionSet, covered, examples
 from .downsampling import RetentionPolicy, retained
 from .errors import MissingScore
 from .hashing import DEFAULT_SEED, unit_uniform
 from .prompts import PromptedExample, render_pmp, render_stp
-from .records import DirectionalExample, MultiWayRecord
+from .records import MultiWayRecord
 from .registry import Registry
 
 log = logging.getLogger(__name__)
@@ -87,6 +91,89 @@ class MixtureReport:
         }
 
 
+def stream_sft_mixture(
+    records: Iterable[MultiWayRecord],
+    registry: Registry,
+    dirset: DirectionSet,
+    spec: MixtureSpec,
+    scores: dict[str, float] | None = None,
+) -> tuple[Iterator[PromptedExample], MixtureReport]:
+    """Stream the SFT mixture; the report is complete once the stream is consumed.
+
+    Records are read when the first prompt is asked for, and each direction's
+    candidates are released once its prompts are emitted.
+    """
+    cap = spec.per_direction_max
+    report = MixtureReport()
+
+    def cut(pool: list[MultiWayRecord], d: Direction) -> None:
+        """Keep the pool's best cap records by (-score, example id)."""
+
+        def rank(record: MultiWayRecord) -> tuple[float, str]:
+            ex_id = f"{record.id}{d.id_tag}"
+            return -scores[ex_id], ex_id
+
+        pool.sort(key=rank)
+        del pool[cap:]
+
+    def run() -> Iterator[PromptedExample]:
+        # Keyed by (src, tgt): a Direction would hash through a Python method.
+        pools: dict[tuple[str, str], list[MultiWayRecord]] = {(d.src, d.tgt): [] for d in dirset.directions}
+        seen = dict.fromkeys(pools, 0)
+        for record in records:
+            for d in covered(record, dirset):
+                key = d.src, d.tgt
+                seen[key] += 1
+                pool = pools[key]
+                if scores is None:
+                    if len(pool) < cap:
+                        pool.append(record)
+                else:
+                    ex_id = f"{record.id}{d.id_tag}"
+                    if ex_id not in scores:
+                        raise MissingScore(ex_id)
+                    pool.append(record)
+                    if len(pool) > 2 * cap:
+                        cut(pool, d)
+
+        policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
+        for d in dirset.directions:
+            chosen = pools.pop((d.src, d.tgt))
+            if scores is not None:
+                cut(chosen, d)
+            rep = report.per_direction[str(d)] = DirectionMixReport(candidates=seen[d.src, d.tgt], selected=len(chosen))
+            if rep.selected < spec.per_direction_min:
+                report.warnings.append(
+                    f"direction {d}: {rep.selected} selected examples, "
+                    f"below per_direction_min={spec.per_direction_min}"
+                )
+            survivors = [(f"{r.id}{d.id_tag}", r) for r in chosen]
+            if d.is_reverse:
+                survivors = [s for s in survivors if retained(policy, s[0])]
+                pmp_share = spec.reverse_pmp_share_of_retained
+            else:
+                pmp_share = spec.forward_pmp_share
+            rep.retained = len(survivors)
+            survivors.sort(key=lambda s: s[0])
+            aux = registry.auxiliary_for(d.src, d.tgt)
+            for ex_id, record in survivors:
+                (ex,) = examples(record, (d,))
+                aux_text = record.sentences.get(aux) if aux is not None else None
+                if aux_text and unit_uniform(spec.seed, f"fmt:{ex_id}") < pmp_share:
+                    rep.pmp += 1
+                    yield render_pmp(ex, aux_text, aux, registry)
+                else:
+                    rep.stp += 1
+                    yield render_stp(ex, registry)
+        if report.warnings:
+            log.warning(
+                "%d of %d directions below per_direction_min=%d; first: %s",
+                len(report.warnings), len(dirset.directions), spec.per_direction_min, report.warnings[0],
+            )
+
+    return run(), report
+
+
 def build_sft_mixture(
     records: Iterable[MultiWayRecord],
     registry: Registry,
@@ -94,64 +181,6 @@ def build_sft_mixture(
     spec: MixtureSpec,
     scores: dict[str, float] | None = None,
 ) -> tuple[list[PromptedExample], MixtureReport]:
-    """Assemble the SFT mixture. Returns (prompted examples, report).
-
-    Memory is bounded by per_direction_max per direction, with or without
-    scores: a direction's candidates are cut back to the best per_direction_max
-    whenever they pass twice that cap, and once more at the end.
-    """
-    cap = spec.per_direction_max
-    keys = [(d.src, d.tgt) for d in dirset.directions]
-    pool: dict[tuple[str, str], list[tuple[DirectionalExample, str | None]]] = {k: [] for k in keys}
-    seen = dict.fromkeys(keys, 0)
-    aux_of = {k: registry.auxiliary_for(*k) for k in keys}
-
-    def cut(pairs: list) -> None:
-        if scores is not None:
-            pairs.sort(key=lambda p: (-scores[p[0].id], p[0].id))
-        del pairs[cap:]
-
-    for record in records:
-        for ex in expand(record, dirset):
-            if scores is not None and ex.id not in scores:
-                raise MissingScore(ex.id)
-            key = (ex.src_lang, ex.tgt_lang)
-            aux = aux_of[key]
-            pairs = pool[key]
-            pairs.append((ex, record.sentences.get(aux) if aux is not None else None))
-            seen[key] += 1
-            if len(pairs) > 2 * cap:
-                cut(pairs)
-
-    policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
-    report = MixtureReport()
-    out: list[PromptedExample] = []
-    for d, key in zip(dirset.directions, keys):
-        chosen = pool[key]
-        cut(chosen)
-        rep = DirectionMixReport(candidates=seen[key], selected=len(chosen))
-        if rep.selected < spec.per_direction_min:
-            report.warnings.append(
-                f"direction {d}: {rep.selected} selected examples, "
-                f"below per_direction_min={spec.per_direction_min}"
-            )
-        if d.is_reverse:
-            chosen = [c for c in chosen if retained(policy, c[0].id)]
-            pmp_share = spec.reverse_pmp_share_of_retained
-        else:
-            pmp_share = spec.forward_pmp_share
-        rep.retained = len(chosen)
-        for ex, aux_text in sorted(chosen, key=lambda c: c[0].id):
-            if aux_text and unit_uniform(spec.seed, f"fmt:{ex.id}") < pmp_share:
-                out.append(render_pmp(ex, aux_text, aux_of[key], registry))
-                rep.pmp += 1
-            else:
-                out.append(render_stp(ex, registry))
-                rep.stp += 1
-        report.per_direction[str(d)] = rep
-    if report.warnings:
-        log.warning(
-            "%d of %d directions below per_direction_min=%d; first: %s",
-            len(report.warnings), len(keys), spec.per_direction_min, report.warnings[0],
-        )
-    return out, report
+    """Assemble the SFT mixture. Returns (prompted examples, report)."""
+    stream, report = stream_sft_mixture(records, registry, dirset, spec, scores)
+    return list(stream), report

@@ -95,7 +95,7 @@ def synth_direct(
     for (item_id, text), out in _translated(
         mono, backend, lambda item: (item[0], src, tgt, item[1]), f"synth_direct {direction}", stats
     ):
-        yield DirectionalExample(f"{item_id}#{direction.suffix}", src, tgt, text, out, Provenance.SYNTH_DIRECT)
+        yield DirectionalExample(f"{item_id}{direction.id_tag}", src, tgt, text, out, Provenance.SYNTH_DIRECT)
 
 
 def _pivot_sides(pair: DirectionalExample) -> tuple[str, str, str]:

@@ -22,10 +22,11 @@ from mmtkit.directions import Direction, enumerate_directions, expand
 from mmtkit.downsampling import RetentionPolicy, downsample, retained
 from mmtkit.evaluation import aggregate, intersect_support, read_eval_records
 from mmtkit.filtering import (
+    FilterReport,
     apply_heuristics,
     attach_scores,
+    count_thresholds,
     default_rules,
-    score_histogram,
     threshold_filter,
 )
 from mmtkit.backends import DictionaryBackend
@@ -291,7 +292,9 @@ def test_criterion_07_filtering_invariants():
     assert again.rejected == {}
 
     scored = list(attach_scores(kept, scores))
-    hist = score_histogram(scored)
+    hist_report = FilterReport()
+    assert list(count_thresholds(scored, hist_report)) == scored
+    hist = hist_report.histogram
     for tau, (count, prop) in hist.items():
         recount = sum(1 for s in scored if s.qe_score >= tau)
         assert count == recount

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -178,6 +179,115 @@ def test_mix_per_direction_max_flag_caps_each_direction(tmp_path):
     assert len(fwd) == 3
 
 
+def _score_every_example(corpus, path, drop=()):
+    """A sidecar with a seeded score, rounded so that scores tie, for every
+    example the corpus expands to, except the ids in drop; returns the map."""
+    from mmtkit.directions import enumerate_directions, expand
+    from mmtkit.hashing import unit_uniform
+    from mmtkit.records import read_multiway
+    from mmtkit.registry import load_registry
+
+    dirset = enumerate_directions(load_registry())
+    with open(corpus, encoding="utf-8") as f:
+        ids = [ex.id for r in read_multiway(f) for ex in expand(r, dirset)]
+    scores = {i: round(unit_uniform(5, i), 1) for i in ids if i not in drop}
+    path.write_text("".join(json_line({"id": i, "qe_score": v}) + "\n" for i, v in scores.items()), encoding="utf-8")
+    return ids, scores
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["unscored", "scored"])
+def test_mix_writes_the_bytes_of_the_built_mixture(tmp_path, scored):
+    import io
+
+    from mmtkit.directions import enumerate_directions
+    from mmtkit.mixture import MixtureSpec, build_sft_mixture
+    from mmtkit.records import read_multiway, write_jsonl
+    from mmtkit.registry import load_registry
+
+    # 40 records and a cap of 3 select past 2 x cap in every direction.
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=40, langs=("en", "zh", "fr", "bg", "ru"))
+    sidecar = tmp_path / "s.jsonl"
+    _, scores = _score_every_example(corpus, sidecar)
+    out = tmp_path / "m.pjsonl"
+    flags = {"--per-direction-min": "0", "--per-direction-max": "3", "--reverse-retention": "0.5", "--seed": "9"}
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), *(a for kv in flags.items() for a in kv),
+                   *(["--scores", str(sidecar)] if scored else []))
+
+    registry = load_registry()
+    spec = MixtureSpec(per_direction_min=0, per_direction_max=3, reverse_total_retention=0.5, seed=9)
+    with open(corpus, encoding="utf-8") as f:
+        prompted, report = build_sft_mixture(read_multiway(f, registry), registry, enumerate_directions(registry),
+                                             spec, scores=scores if scored else None)
+    expected = io.StringIO()
+    write_jsonl(prompted, expected)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+    assert {r.selected for r in report.per_direction.values() if r.candidates} == {3}
+    assert json.loads(proc.stdout) == {"emitted": report.emitted, "directions": 234, "warnings": 0}
+
+
+def test_mix_missing_score_names_the_first_example_in_corpus_order(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=12, langs=("en", "zh", "fr", "ru"))
+    sidecar = tmp_path / "s.jsonl"
+    ids, _ = _score_every_example(corpus, sidecar, drop={"t0009#en2zh", "t0004#zh2ru", "t0005#en2zh"})
+    # The check runs in corpus order, then direction order, so it names
+    # t0004#zh2ru; a search direction by direction would name t0005#en2zh.
+    assert ids.index("t0004#zh2ru") < ids.index("t0005#en2zh")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(out), expect=1)
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+        "error": "MissingScore", "message": "no score for id 't0004#zh2ru'",
+    }
+    assert not out.exists()
+
+
+def _traced_peak(*argv):
+    """Peak traced allocation of one in-process CLI run."""
+    from mmtkit import cli
+
+    tracemalloc.start()
+    try:
+        assert cli.main(list(argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mix_holds_the_candidate_pool_not_the_output(tmp_path, capsys):
+    # Every example is selected and emitted, so a mix that builds its output
+    # before writing holds each prompt and example (about 3.2 KB per record
+    # here); streaming holds the records and one direction's ids (about 1.6 KB).
+    n = 3000
+    corpus = tmp_path / "c.mwjsonl"
+    corpus.write_text("".join(
+        json_line({"id": f"r{i:05d}", "sentences": {l: f"{l} {i} " + "word " * 60 for l in ("en", "fr")}}) + "\n"
+        for i in range(n)
+    ), encoding="utf-8")
+    out = tmp_path / "m.pjsonl"
+    peak = _traced_peak("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", "--reverse-retention", "1")
+    assert json.loads(capsys.readouterr().out)["emitted"] == 2 * n
+    assert peak < 2500 * n
+
+
+def test_filter_scores_streams_its_histogram(tmp_path, capsys):
+    # Without ExactDedup nothing else keeps a pair's text, so a filter that
+    # lists the scored pairs to count them holds about 1.1 KB per pair here;
+    # streaming holds the sidecar and the id set (about 0.3 KB).
+    n = 3000
+    pairs, sidecar, rules = tmp_path / "p.djsonl", tmp_path / "s.jsonl", tmp_path / "rules.json"
+    pairs.write_text("".join(
+        json_line({"id": f"p{i:05d}#en2fr", "src_lang": "en", "tgt_lang": "fr",
+                   "src": f"en {i} " + "word " * 60, "tgt": f"fr {i} " + "mot " * 60}) + "\n"
+        for i in range(n)
+    ), encoding="utf-8")
+    sidecar.write_text("".join(json_line({"id": f"p{i:05d}#en2fr", "qe_score": i % 10 / 10}) + "\n" for i in range(n)),
+                       encoding="utf-8")
+    rules.write_text(json.dumps([{"kind": "NonEmpty"}]), encoding="utf-8")
+    peak = _traced_peak("filter", "--in", str(pairs), "--scores", str(sidecar), "--rules", str(rules),
+                        "--out", str(tmp_path / "f.sjsonl"))
+    assert json.loads(capsys.readouterr().out)["histogram"]["0.6"] == {"count": 1200, "proportion": 0.4}
+    assert peak < 700 * n
+
+
 def test_score_filter_roundtrip(tmp_path, scripts_dir):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=10)
     expanded = tmp_path / "c.djsonl"
@@ -190,18 +300,27 @@ def test_score_filter_roundtrip(tmp_path, scripts_dir):
     )
     assert json.loads(proc.stdout) == {"scored": 60}
 
-    filtered = tmp_path / "f.sjsonl"
-    proc = run_cli(
-        "filter", "--in", str(expanded), "--scores", str(sidecar),
-        "--tau", "0.5", "--out", str(filtered),
-    )
-    report = json.loads(proc.stdout)
-    assert report["input_count"] == 60
-    assert report["kept"] == 60  # heuristics pass; tau applies afterwards
-    assert "histogram" in report
-    rows = read_lines(filtered)
-    assert rows and all(r["qe_score"] >= 0.5 for r in rows)
-    assert report["written"] == len(rows)
+    # Recounted from the sidecar: every pair passes the heuristics, so the
+    # histogram counts all 60 scores, before --tau applies.
+    scores = [r["qe_score"] for r in read_lines(sidecar)]
+    histogram = {}
+    for tau in ("0.6", "0.7", "0.8"):
+        count = sum(1 for s in scores if s >= float(tau))
+        histogram[tau] = {"count": count, "proportion": count / 60}
+    assert 0 < histogram["0.8"]["count"] < histogram["0.6"]["count"] < 60
+    for tau in (None, "0.5"):
+        filtered = tmp_path / f"f{tau}.sjsonl"
+        proc = run_cli(
+            "filter", "--in", str(expanded), "--scores", str(sidecar),
+            *(["--tau", tau] if tau else []), "--out", str(filtered),
+        )
+        rows = read_lines(filtered)
+        written = sum(1 for s in scores if tau is None or s >= float(tau))
+        assert 0 < written == len(rows)
+        assert all(tau is None or r["qe_score"] >= float(tau) for r in rows)
+        assert json.loads(proc.stdout) == {
+            "input_count": 60, "kept": 60, "rejected": {}, "histogram": histogram, "written": written,
+        }
 
 
 def test_filter_without_scores(tmp_path):
@@ -957,6 +1076,21 @@ def test_help_imports_no_stage_module():
     loaded = _imported("-m", "mmtkit", "--help")
     ours = {name for name in loaded if name.startswith("mmtkit")}
     assert ours == {"mmtkit", "mmtkit.cli", "mmtkit.errors", "mmtkit.hashing"}
+
+
+def test_mix_help_states_each_mixture_default():
+    from mmtkit.cli import build_parser
+    from mmtkit.mixture import MixtureSpec
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    stated = {}
+    for action in sub.choices["mix"]._actions:
+        if action.dest in MixtureSpec.__dataclass_fields__:
+            meaning, default = re.fullmatch(r"(.+) \(default ([^)]+)\)", action.help).groups()
+            assert len(meaning.split()) >= 3
+            stated[action.dest] = float(default)
+    defaults = MixtureSpec()
+    assert stated == {name: getattr(defaults, name) for name in MixtureSpec.__dataclass_fields__}
 
 
 def test_readme_names_every_subcommand_option_and_no_other(scripts_dir):

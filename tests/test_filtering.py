@@ -18,9 +18,9 @@ from mmtkit.filtering import (
     SrcTgtDistinct,
     apply_heuristics,
     attach_scores,
+    count_thresholds,
     default_rules,
     rules_from_config,
-    score_histogram,
     threshold_filter,
     token_length,
 )
@@ -205,7 +205,11 @@ def test_score_histogram_against_recount(mk_example):
     pairs = [ScoredPair(mk_example(f"p{i}"), rng.random()) for i in range(500)]
     pairs.append(ScoredPair(mk_example("exact6"), 0.6))
     pairs.append(ScoredPair(mk_example("exact8"), 0.8))
-    hist = score_histogram(pairs)
+    report = FilterReport()
+    stream = count_thresholds(pairs, report)
+    assert report.histogram is None  # filled once the stream is consumed
+    assert list(stream) == pairs
+    hist = report.histogram
     assert set(hist) == {0.6, 0.7, 0.8}
     for tau, (count, prop) in hist.items():
         brute = sum(1 for p in pairs if p.qe_score >= tau)
@@ -215,8 +219,9 @@ def test_score_histogram_against_recount(mk_example):
 
 
 def test_score_histogram_empty():
-    hist = score_histogram([])
-    assert hist == {0.6: (0, 0.0), 0.7: (0, 0.0), 0.8: (0, 0.0)}
+    report = FilterReport()
+    assert list(count_thresholds([], report)) == []
+    assert report.histogram == {0.6: (0, 0.0), 0.7: (0, 0.0), 0.8: (0, 0.0)}
 
 
 def test_report_as_dict_includes_histogram(mk_example):
