@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import RecordParseError, ToolkitError, UnknownLanguage
+from .errors import RecordParseError, ToolkitError
 from .hashing import DEFAULT_SEED
 
 # Each cmd_* imports the library modules it runs, so a stage loads only those
@@ -249,7 +249,7 @@ def cmd_infer_prompt(args) -> dict:
     from .backends import SubprocessBackend
     from .records import write_jsonl
     from .registry import parse_json_lines, required_fields
-    from .synthesis import InferenceStrategy, build_inference_prompt, inference_direction_error
+    from .synthesis import InferenceStrategy, build_inference_prompt
 
     strategy = InferenceStrategy(args.strategy)
     needs_backend = strategy in (InferenceStrategy.PT, InferenceStrategy.PMP_S)
@@ -259,28 +259,20 @@ def cmd_infer_prompt(args) -> dict:
         raise RecordParseError(f"strategy {strategy.value} requires --backend-cmd")
     registry = _load_registry(args)
 
-    def request(obj: dict) -> tuple:
-        item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
-        (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
-        for code in (src_lang, tgt_lang):
-            if code not in registry:
-                raise UnknownLanguage(code)
-        problem = inference_direction_error(strategy, src_lang, tgt_lang)
-        if problem is not None:
-            raise RecordParseError(problem)
-        return item_id, src_lang, tgt_lang, src, aux
-
     n_req = n_prompts = 0
     with (
         open(args.infile, encoding="utf-8") as fin,
         _open_out(args.out, args.infile, *_registry_files(args)) as fout,
         SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
     ):
-        for item_id, src_lang, tgt_lang, src, aux in parse_json_lines(fin, args.infile, request):
-            prompts = build_inference_prompt(
-                strategy, src_lang, tgt_lang, src, registry,
-                backend=backend, aux_text=aux, item_id=item_id,
+        def prompts_for(obj: dict) -> list:
+            item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
+            (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
+            return build_inference_prompt(
+                strategy, src_lang, tgt_lang, src, registry, backend=backend, aux_text=aux, item_id=item_id
             )
+
+        for prompts in parse_json_lines(fin, args.infile, prompts_for):
             n_req += 1
             n_prompts += write_jsonl(prompts, fout)
     return {"requests": n_req, "prompts": n_prompts}

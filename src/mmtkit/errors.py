@@ -5,9 +5,14 @@ them to a single machine-readable error line and exit code 1. Programming
 errors (bad arguments to library functions) raise plain ValueError/TypeError.
 
 Library code raises RecordParseError without a location. The one reading
-loop, registry.parse_json_lines, sets the path and line on it, so it reads
-"path:line N: message"; only the CLI's --rules reader passes json's lineno.
-A path without a line reads "path: message".
+loop, registry.parse_json_lines, sets the path and line on any
+RecordParseError raised while it reads a line, by the parse or by the
+line's converter, so it reads "path:line N: message"; only the CLI's
+--rules reader passes json's lineno. A path without a line reads
+"path: message". The request refusals InvalidInput, NoAuxiliaryDefined
+and EmptySource are RecordParseErrors, so an infer-prompt request, judged
+in the converter, is refused at its line. Raised after a line is read, as
+synth raises them, they carry no location.
 """
 from __future__ import annotations
 
@@ -68,15 +73,15 @@ class DuplicateRecord(RecordParseError):
     """Two evaluation records cover the same (model, direction, metric)."""
 
 
-class NoAuxiliaryDefined(ToolkitError):
+class NoAuxiliaryDefined(RecordParseError):
     """PMP was requested for a direction that has no auxiliary language."""
 
 
-class EmptySource(ToolkitError):
+class EmptySource(RecordParseError):
     """A prompt render was asked to work with an empty source text."""
 
 
-class InvalidInput(ToolkitError, ValueError):
+class InvalidInput(RecordParseError, ValueError):
     """A request the inputs cannot satisfy, such as a direction a synthesis
     mode does not support or a strategy without the input it needs. It is
     also a ValueError, so library callers catching ValueError still catch it."""

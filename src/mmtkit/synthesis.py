@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .backends import Backend, BackendItemError
-from .errors import BackendError, InvalidInput, NoAuxiliaryDefined
+from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, UnknownLanguage
 from .prompts import PromptedExample, render_pmp_prompt, render_stp_prompt
 from .records import DirectionalExample, Provenance
 from .registry import CENTERS, Registry, direction_error
@@ -126,15 +126,6 @@ def synth_pivot(
         yield DirectionalExample(f"{pair.id}#{x}2zh", x, "zh", x_text, zh_text, Provenance.SYNTH_PIVOT)
 
 
-def inference_direction_error(strategy: InferenceStrategy, src_lang: str, tgt_lang: str) -> str | None:
-    """Why strategy cannot serve src_lang->tgt_lang, or None when it can. dt
-    and pt also serve X->Y requests (a direct prompt, a pivot through en); a
-    pmp prompt needs a center direction's auxiliary."""
-    if strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S) or src_lang == tgt_lang:
-        return direction_error(src_lang, tgt_lang)
-    return None
-
-
 def build_inference_prompt(
     strategy: InferenceStrategy,
     src_lang: str,
@@ -146,14 +137,24 @@ def build_inference_prompt(
     item_id: str = "q0",
 ) -> list[PromptedExample]:
     """Generation prompt(s) for one source text. PT returns two prompts; the
-    others return one. All loss spans are empty (end of text)."""
+    others return one. All loss spans are empty (end of text). Every refusal
+    of the request is raised before any backend request."""
     strategy = InferenceStrategy(strategy)
-    problem = inference_direction_error(strategy, src_lang, tgt_lang)
-    if problem is not None:
+    for code in (src_lang, tgt_lang):
+        if code not in registry:
+            raise UnknownLanguage(code)
+    # dt and pt also serve X->Y requests (a direct prompt, a pivot through
+    # en); a pmp prompt needs a center direction's auxiliary.
+    problem = direction_error(src_lang, tgt_lang)
+    needs_center = strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S)
+    if problem is not None and (needs_center or src_lang == tgt_lang):
         raise InvalidInput(problem)
+    prompt_id = f"{item_id}#{src_lang}2{tgt_lang}"
+    if not src_text:
+        raise EmptySource(f"item {prompt_id!r} has an empty source")
 
     if strategy is InferenceStrategy.DT:
-        return [render_stp_prompt(src_lang, tgt_lang, src_text, registry, f"{item_id}#{src_lang}2{tgt_lang}")]
+        return [render_stp_prompt(src_lang, tgt_lang, src_text, registry, prompt_id)]
 
     if strategy is InferenceStrategy.PT:
         # The pivot is always en, so neither endpoint may be en.
@@ -182,14 +183,4 @@ def build_inference_prompt(
         if not aux_text:
             raise BackendError(f"item {item_id!r}: empty auxiliary translation")
 
-    return [
-        render_pmp_prompt(
-            src_lang,
-            tgt_lang,
-            src_text,
-            aux_lang,
-            aux_text,
-            registry,
-            f"{item_id}#{src_lang}2{tgt_lang}",
-        )
-    ]
+    return [render_pmp_prompt(src_lang, tgt_lang, src_text, aux_lang, aux_text, registry, prompt_id)]

@@ -153,6 +153,26 @@ def test_expand_worker_equivalence(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_expand_and_downsample_shards_concatenate_to_the_whole_run(tmp_path):
+    """Split at record boundaries into 4 contiguous shards, expand and then
+    downsample each: the shard outputs, concatenated in shard order, are the
+    whole run's bytes."""
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=40, langs=("en", "zh", "fr", "de"))
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    shards = []
+    for k in range(4):
+        shard = tmp_path / f"s{k}.mwjsonl"
+        shard.write_text("".join(lines[k * 10:(k + 1) * 10]), encoding="utf-8")
+        shards.append(shard)
+    for name in ["c", *(s.stem for s in shards)]:
+        run_cli("expand", "--in", str(tmp_path / f"{name}.mwjsonl"), "--out", str(tmp_path / f"{name}.djsonl"))
+        run_cli("downsample", "--p", "0.3", "--in", str(tmp_path / f"{name}.djsonl"), "--out", str(tmp_path / f"{name}.ds.djsonl"))
+    for suffix in (".djsonl", ".ds.djsonl"):
+        whole = (tmp_path / f"c{suffix}").read_bytes()
+        assert whole
+        assert b"".join((tmp_path / f"{s.stem}{suffix}").read_bytes() for s in shards) == whole
+
+
 def test_mix_command(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=30, langs=("en", "zh", "bg", "ru"))
     out = tmp_path / "mix.pjsonl"
@@ -979,21 +999,29 @@ def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "strategy, src_lang, tgt_lang, problem",
+    "strategy, src_lang, tgt_lang, problem, error, src",
     [
-        ("dt", "fr", "fr", "direction with identical sides: 'fr'"),
-        ("pt", "fr", "fr", "direction with identical sides: 'fr'"),
-        ("pmp-o", "fr", "de", "direction fr->de does not involve a center language"),
-        ("pmp-s", "fr", "de", "direction fr->de does not involve a center language"),
+        ("dt", "fr", "fr", "direction with identical sides: 'fr'", "InvalidInput", "eau"),
+        ("pt", "fr", "fr", "direction with identical sides: 'fr'", "InvalidInput", "eau"),
+        ("pmp-o", "fr", "de", "direction fr->de does not involve a center language", "InvalidInput", "eau"),
+        ("pmp-s", "fr", "de", "direction fr->de does not involve a center language", "InvalidInput", "eau"),
+        ("pt", "en", "fr", "pivot strategy is undefined for en->fr", "InvalidInput", "eau"),
+        ("pmp-o", "en", "bg", "item 'q1': strategy pmp-o needs a gold auxiliary sentence", "InvalidInput", "eau"),
+        ("pmp-o", "en", "fr", "direction en->fr has no auxiliary language", "NoAuxiliaryDefined", "eau"),
+        ("dt", "fr", "de", "item 'q1#fr2de' has an empty source", "EmptySource", ""),
     ],
 )
-def test_infer_prompt_unsupported_direction_names_file_and_line(tmp_path, scripts_dir, strategy, src_lang, tgt_lang, problem):
+def test_infer_prompt_unsupported_direction_names_file_and_line(
+    tmp_path, scripts_dir, strategy, src_lang, tgt_lang, problem, error, src
+):
+    """Every refusal of a request names the file and line, and keeps its class
+    and message."""
     reqs = tmp_path / "reqs.jsonl"
-    reqs.write_text(json_line({**_REQUEST, "src_lang": src_lang, "tgt_lang": tgt_lang}) + "\n", encoding="utf-8")
+    reqs.write_text(json_line({**_REQUEST, "src_lang": src_lang, "tgt_lang": tgt_lang, "src": src}) + "\n", encoding="utf-8")
     out = tmp_path / "p.pjsonl"
     backend = ("--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}") if strategy in ("pt", "pmp-s") else ()
     proc = run_cli("infer-prompt", "--strategy", strategy, *backend, "--in", str(reqs), "--out", str(out), expect=1)
-    assert last_error(proc) == {"error": "RecordParseError", "message": f"{reqs}:line 1: {problem}"}
+    assert last_error(proc) == {"error": error, "message": f"{reqs}:line 1: {problem}"}
     assert not out.exists()
 
 

@@ -5,14 +5,13 @@ import pytest
 
 from mmtkit.backends import Backend, DictionaryBackend, IdentityBackend
 from mmtkit.directions import Direction
-from mmtkit.errors import BackendError, InvalidInput, NoAuxiliaryDefined
+from mmtkit.errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined
 from mmtkit.prompts import PromptFormat
 from mmtkit.records import Provenance
 from mmtkit.synthesis import (
     InferenceStrategy,
     SynthStats,
     build_inference_prompt,
-    inference_direction_error,
     synth_direct,
     synth_pivot,
 )
@@ -221,12 +220,19 @@ def test_inference_pmp_requires_auxiliary(registry):
     ],
 )
 def test_inference_refuses_unsupported_direction(registry, strategy, src_lang, tgt_lang, problem):
-    assert inference_direction_error(strategy, src_lang, tgt_lang) == problem
     with pytest.raises(InvalidInput) as exc:
         build_inference_prompt(
             strategy, src_lang, tgt_lang, "x", registry, backend=IdentityBackend(), aux_text="y"
         )
     assert str(exc.value) == problem
+
+
+def test_inference_pmp_s_refuses_empty_source_before_the_backend(registry):
+    backend = RecordingBackend()
+    with pytest.raises(EmptySource) as exc:
+        build_inference_prompt(InferenceStrategy.PMP_S, "en", "bg", "", registry, backend=backend, item_id="q6")
+    assert str(exc.value) == "item 'q6#en2bg' has an empty source"
+    assert backend.calls == []
 
 
 def test_strategy_values():
