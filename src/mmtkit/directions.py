@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import MissingCenter
 from .records import DirectionalExample, MultiWayRecord, Provenance
 from .registry import CENTERS, Registry, direction_error
 
@@ -51,11 +50,9 @@ class DirectionSet:
 
 
 def enumerate_directions(registry: Registry) -> DirectionSet:
-    """All En<->X and Zh<->X directions in registry order, En-centric first."""
+    """All En<->X and Zh<->X directions in registry order, En-centric first.
+    The registry holds both centers: load_registry refuses one without them."""
     codes = registry.codes()
-    for center in CENTERS:
-        if center not in registry:
-            raise MissingCenter(f"registry must contain center language {center!r}")
     directions: list[Direction] = []
     for x in codes:
         if x != "en":

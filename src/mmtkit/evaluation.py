@@ -5,6 +5,10 @@ X->En, Zh->X, X->Zh. The non-center side determines the resource tier. The
 two center-pair directions are members of both classes that match them (zh
 counts as an X for En-centric classes and en for Zh-centric ones); pass
 include_center_pairs=False to leave them out. Cells are unweighted means.
+
+read_eval_records is the one check of an evaluation file: it refuses a bad
+field, an unknown code and a repeated (model, direction, metric) at the line
+that holds it. aggregate takes the records it returns and checks none again.
 """
 from __future__ import annotations
 
@@ -40,9 +44,9 @@ class EvalRecord:
             raise ValueError("model name must be non-empty")
 
 
-def read_eval_records(stream: Iterable[str], registry: Registry | None = None, path: str | None = None) -> Iterator[EvalRecord]:
+def read_eval_records(stream: Iterable[str], registry: Registry, path: str | None = None) -> Iterator[EvalRecord]:
     """Parse evaluation records. A repeated (model, src, tgt, metric) raises
-    DuplicateRecord; with a registry, a code outside it raises UnknownLanguage."""
+    DuplicateRecord, and a code outside the registry raises UnknownLanguage."""
     seen: set[tuple[str, str, str, str]] = set()
 
     def record(obj: dict) -> EvalRecord:
@@ -51,7 +55,7 @@ def read_eval_records(stream: Iterable[str], registry: Registry | None = None, p
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise RecordParseError(f"field 'value' must be a number, got {value!r}")
         for code in (src, tgt):
-            if registry is not None and code not in registry:
+            if code not in registry:
                 raise UnknownLanguage(code)
         try:
             rec = EvalRecord(model, Direction(src, tgt), metric, float(value))
@@ -59,15 +63,11 @@ def read_eval_records(stream: Iterable[str], registry: Registry | None = None, p
             raise RecordParseError(str(e)) from None
         key = (model, src, tgt, metric)
         if key in seen:
-            raise DuplicateRecord(_duplicate_message(rec))
+            raise DuplicateRecord(f"duplicate record for model {model!r}, direction {rec.direction}, metric {metric!r}")
         seen.add(key)
         return rec
 
     return parse_json_lines(stream, path, record)
-
-
-def _duplicate_message(rec: EvalRecord) -> str:
-    return f"duplicate record for model {rec.model!r}, direction {rec.direction}, metric {rec.metric!r}"
 
 
 def classes_of(
@@ -125,10 +125,10 @@ def aggregate(
 ) -> TierTable:
     """Build a tier table from records of one metric.
 
-    Records whose direction touches a language outside the overlap set are
-    skipped (and counted); a second record for the same (model, direction)
-    raises DuplicateRecord. Cell order and values are independent of record
-    order.
+    The records are those read_eval_records returns: codes in the registry,
+    one record per (model, direction, metric). Records whose direction touches
+    a language outside the overlap set are skipped (and counted). Cell order
+    and values are independent of record order.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -141,7 +141,6 @@ def aggregate(
 
     sums: dict[tuple[str, Tier, str], float] = {}
     counts: dict[tuple[str, Tier, str], int] = {}
-    seen: set[tuple[str, str, str]] = set()
     seen_models: list[str] = []
     skipped = 0
     for rec in records:
@@ -149,13 +148,6 @@ def aggregate(
             continue
         if models is not None and rec.model not in models:
             continue
-        key = (rec.model, rec.direction.src, rec.direction.tgt)
-        if key in seen:
-            raise DuplicateRecord(_duplicate_message(rec))
-        seen.add(key)
-        for side in (rec.direction.src, rec.direction.tgt):
-            if side not in registry:
-                raise UnknownLanguage(side)
         if rec.direction.src not in overlap or rec.direction.tgt not in overlap:
             skipped += 1
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import MissingScore, RecordParseError
-from .records import DirectionalExample, ScoredPair, check_score
+from .records import DirectionalExample, ScoredPair
 
 SPACELESS = frozenset({"zh", "ja", "th", "my", "km", "lo", "bo", "yue"})
 
@@ -212,11 +212,12 @@ def apply_heuristics(
 def attach_scores(
     pairs: Iterable[DirectionalExample], sidecar: dict[str, float]
 ) -> Iterator[ScoredPair]:
+    """Pair each example with its score from the map read_score_sidecar returns,
+    which has checked every score. An example without a score raises MissingScore."""
     for ex in pairs:
         if ex.id not in sidecar:
             raise MissingScore(ex.id)
-        score = check_score(sidecar[ex.id], ex.id)
-        yield ScoredPair(example=ex, qe_score=score)
+        yield ScoredPair(ex, sidecar[ex.id])
 
 
 def threshold_filter(scored: Iterable[ScoredPair], tau: float) -> Iterator[ScoredPair]:

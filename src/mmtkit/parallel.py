@@ -4,7 +4,10 @@ Worker outputs are merged back in input order, so results are identical for
 any worker count; parallelism can only change timing, never content.
 
 No CLI stage calls this: the work is GIL-bound, so threads only added time
-and memory. It stays only for the benchmark's parallel.* layer metrics.
+and memory. It has two callers left: the benchmark's parallel.* layer
+metrics, and acceptance criterion 4 (tests/test_acceptance.py), which checks
+kept ids through ordered_map(..., workers=4). Both must go before this module
+can.
 """
 from __future__ import annotations
 

@@ -106,7 +106,7 @@ def test_criterion_02_tier_table_aggregation(registry, data_dir):
     assert counts == (13, 18, 28)
     with open(data_dir / "comet_bleu_records.jsonl", encoding="utf-8") as f:
         table = aggregate(
-            read_eval_records(f),
+            read_eval_records(f, registry),
             registry,
             overlap=overlap,
             metric="COMET22",

@@ -260,6 +260,28 @@ def test_mix_missing_score_names_the_first_example_in_corpus_order(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["filter", "mix"])
+def test_bad_sidecar_score_names_file_and_line(tmp_path, stage):
+    """read_score_sidecar is the one check of a score, in both stages that read one."""
+    corpus = tmp_path / "c.mwjsonl"
+    corpus.write_text(json_line({"id": "r1", "sentences": {"en": "a b", "fr": "c d"}}) + "\n", encoding="utf-8")
+    if stage == "filter":
+        pairs = tmp_path / "c.djsonl"
+        run_cli("expand", "--in", str(corpus), "--out", str(pairs))
+        corpus = pairs
+    sidecar = tmp_path / "s.jsonl"
+    sidecar.write_text(
+        json_line({"id": "r1#en2fr", "qe_score": 0.5}) + "\n" + json_line({"id": "r1#fr2en", "qe_score": 1.5}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    proc = run_cli(stage, "--in", str(corpus), "--scores", str(sidecar), "--out", str(out), expect=1)
+    assert last_error(proc) == {
+        "error": "InvalidScore", "message": f"{sidecar}:line 2: score for 'r1#fr2en' outside [0, 1]: 1.5",
+    }
+    assert not out.exists()
+
+
 def _traced_peak(*argv):
     """Peak traced allocation of one in-process CLI run."""
     from mmtkit import cli
@@ -574,8 +596,20 @@ _EVAL_ROW = {"model": "m", "src": "en", "tgt": "fr", "metric": "SacreBLEU", "val
     [
         ({**_EVAL_ROW, "tgt": "xx"}, "UnknownLanguage", "unknown language code: 'xx'"),
         (_EVAL_ROW, "DuplicateRecord", "duplicate record for model 'm', direction en->fr, metric 'SacreBLEU'"),
+        ({**_EVAL_ROW, "value": 150}, "RecordParseError", "SacreBLEU value outside [0, 100]: 150.0"),
+        (
+            {**_EVAL_ROW, "metric": "BLEURT"},
+            "RecordParseError",
+            "unknown metric 'BLEURT'; expected one of ('COMET22', 'SacreBLEU')",
+        ),
+        ({**_EVAL_ROW, "model": ""}, "RecordParseError", "model name must be non-empty"),
+        (
+            {**_EVAL_ROW, "src": "fr", "tgt": "de"},
+            "RecordParseError",
+            "direction fr->de does not involve a center language",
+        ),
     ],
-    ids=["unknown-code", "repeated-row"],
+    ids=["unknown-code", "repeated-row", "value-out-of-range", "unknown-metric", "empty-model", "no-center"],
 )
 def test_eval_record_error_names_file_and_line(tmp_path, row, error, problem):
     """Refused while reading, with --metric selecting another metric: a

@@ -49,20 +49,28 @@ def test_eval_record_validation():
         EvalRecord(model="", direction=Direction("en", "fr"), metric="COMET22", value=1.0)
 
 
-def test_read_eval_records():
+_ROW = {"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": 80.0}
+
+
+def eval_lines(*changes):
+    """An evaluation file with one line per change to _ROW."""
+    return io.StringIO("".join(json_line({**_ROW, **change}) + "\n" for change in changes))
+
+
+def test_read_eval_records(registry):
     lines = [
         json_line({"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": 88.5}),
         json_line({"model": "m", "src": "fr", "tgt": "en", "metric": "SacreBLEU", "value": 30.1}),
     ]
-    out = list(read_eval_records(io.StringIO("\n".join(lines) + "\n")))
+    out = list(read_eval_records(io.StringIO("\n".join(lines) + "\n"), registry))
     assert len(out) == 2
     assert out[0].direction == Direction("en", "fr")
     bad = json_line({"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22"})
     with pytest.raises(RecordParseError):
-        list(read_eval_records(io.StringIO(bad + "\n")))
+        list(read_eval_records(io.StringIO(bad + "\n"), registry))
     bad2 = json_line({"model": "m", "src": "fr", "tgt": "de", "metric": "COMET22", "value": 1})
     with pytest.raises(RecordParseError):
-        list(read_eval_records(io.StringIO(bad2 + "\n")))
+        list(read_eval_records(io.StringIO(bad2 + "\n"), registry))
 
 
 def test_aggregate_means(registry):
@@ -90,16 +98,12 @@ def test_aggregate_center_pair_membership(registry):
     assert excl.cell("m", Tier.HIGH, "X→Zh") is None
 
 
-def test_aggregate_duplicate_raises(registry):
-    records = [rec("m", "en", "fr", 80.0), rec("m", "en", "fr", 81.0)]
-    with pytest.raises(DuplicateRecord):
-        aggregate(records, registry)
+def test_read_eval_records_duplicate_raises(registry):
+    with pytest.raises(DuplicateRecord, match="line 2: duplicate record"):
+        list(read_eval_records(eval_lines({}, {"value": 81.0}), registry))
     # same direction under different models or metrics is fine
-    aggregate([rec("a", "en", "fr", 80.0), rec("b", "en", "fr", 81.0)], registry)
-    aggregate(
-        [rec("m", "en", "fr", 80.0), rec("m", "en", "fr", 30.0, metric="SacreBLEU")],
-        registry,
-    )
+    assert len(list(read_eval_records(eval_lines({"model": "a"}, {"model": "b"}), registry))) == 2
+    assert len(list(read_eval_records(eval_lines({}, {"metric": "SacreBLEU", "value": 30.0}), registry))) == 2
 
 
 def test_aggregate_metric_and_model_filter(registry):
@@ -132,9 +136,9 @@ def test_aggregate_overlap_skips_and_counts(registry):
         aggregate(records, registry, overlap={"en", "fr", "qq"})
 
 
-def test_aggregate_unknown_language_in_records(registry):
-    with pytest.raises(UnknownLanguage):
-        aggregate([rec("m", "en", "qq", 50.0)], registry)
+def test_read_eval_records_unknown_language(registry):
+    with pytest.raises(UnknownLanguage, match="line 1: unknown language code: 'qq'"):
+        list(read_eval_records(eval_lines({"tgt": "qq"}), registry))
 
 
 def test_intersect_support(registry):
@@ -172,7 +176,6 @@ def test_render_empty_table():
 
 
 @pytest.mark.parametrize("value", [True, "88.5", None])
-def test_read_eval_records_refuses_non_number_value(value):
-    line = json_line({"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": value})
+def test_read_eval_records_refuses_non_number_value(registry, value):
     with pytest.raises(RecordParseError, match="line 1: field 'value' must be a number"):
-        list(read_eval_records(io.StringIO(line + "\n")))
+        list(read_eval_records(eval_lines({"value": value}), registry))

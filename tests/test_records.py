@@ -194,6 +194,10 @@ def _reader(read):
     return run
 
 
+def _read_eval_records(stream, path):
+    return read_eval_records(stream, load_registry(), path)
+
+
 _PAIR = {"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "a", "tgt": "b"}
 _PROMPTED = {
     "text": "t", "loss_start": 0, "loss_end": 0, "format": "STP",
@@ -205,7 +209,7 @@ NON_STRING_CASES = {
     "read_multiway": (_reader(read_multiway), ["", {"id": 7, "sentences": {"en": "a"}}], "id"),
     "read_score_sidecar": (_reader(read_score_sidecar), ["", {"id": 7, "qe_score": 0.5}], "id"),
     "read_eval_records": (
-        _reader(read_eval_records),
+        _reader(_read_eval_records),
         ["", {"model": 5, "src": "en", "tgt": "fr", "metric": "COMET22", "value": 80.0}],
         "model",
     ),
@@ -319,7 +323,7 @@ EVERY_READER_CASES = {
         "center language 'en' cannot have an auxiliary",
     ),
     "eval-records": (
-        _reader(read_eval_records),
+        _reader(_read_eval_records),
         [_EVAL, {**_EVAL, "tgt": "de"}],
         {**_EVAL, "tgt": "bg", "value": 101},
         RecordParseError,
