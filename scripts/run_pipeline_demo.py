@@ -2,9 +2,11 @@
 """End-to-end pipeline demo against the toy corpus and toy subprocess tools.
 
 Runs: corpus generation, expansion, downsampling, scoring, filtering,
-mixture building, and diagnostics, all through the CLI, inside one
-directory. Prints each command and its one-line summary.
+mixture building, diagnostics, and inference prompts under each strategy,
+all through the CLI, inside one directory. Prints each command and its
+one-line summary.
 """
+import json
 import pathlib
 import subprocess
 import sys
@@ -33,6 +35,8 @@ def main() -> int:
     filtered = workdir / "toy.filtered.sjsonl"
     mixture = workdir / "toy.pjsonl"
     report = workdir / "toy.repetition.json"
+    en_bg = workdir / "requests.en2bg.jsonl"
+    fr_de = workdir / "requests.fr2de.jsonl"
 
     run([py, str(HERE / "make_toy_corpus.py"), "--out", str(corpus), "--records", "200"])
     run([py, "-m", "mmtkit", "expand", "--in", str(corpus), "--out", str(expanded)])
@@ -41,6 +45,27 @@ def main() -> int:
     run([py, "-m", "mmtkit", "filter", "--in", str(kept), "--scores", str(sidecar), "--tau", "0.3", "--out", str(filtered)])
     run([py, "-m", "mmtkit", "mix", "--in", str(corpus), "--out", str(mixture), "--per-direction-min", "10", "--per-direction-max", "50"])
     run([py, "-m", "mmtkit", "diagnose", "--in", str(expanded), "--p", "0.05", "--out", str(report)])
+
+    # Requests from the first 5 records: en->bg with its gold auxiliary (ru),
+    # and fr->de, which pivots through en.
+    with open(corpus, encoding="utf-8") as f:
+        records = [json.loads(line) for _, line in zip(range(5), f)]
+    for path, src, tgt, aux in ((en_bg, "en", "bg", "ru"), (fr_de, "fr", "de", None)):
+        with open(path, "w", encoding="utf-8") as f:
+            for rec in records:
+                req = {"id": rec["id"], "src_lang": src, "tgt_lang": tgt, "src": rec["sentences"][src]}
+                if aux:
+                    req["aux"] = rec["sentences"][aux]
+                f.write(json.dumps(req, ensure_ascii=False) + "\n")
+    toy_backend = ["--backend-cmd", f"{py} {HERE / 'toy_backend.py'}"]
+    for strategy, requests, extra in (
+        ("dt", en_bg, []),
+        ("pmp-o", en_bg, []),
+        ("pmp-s", en_bg, toy_backend),
+        ("pt", fr_de, toy_backend),
+    ):
+        out = workdir / f"prompts.{strategy}.pjsonl"
+        run([py, "-m", "mmtkit", "infer-prompt", "--strategy", strategy, "--in", str(requests), "--out", str(out), *extra])
     print(f"artifacts in {workdir}/")
     return 0
 

@@ -21,21 +21,16 @@ from .errors import RecordParseError, ToolkitError
 from .hashing import DEFAULT_SEED
 
 # Each cmd_* imports the library modules it runs, so a stage loads only those
-# and --help none. The parser spells out synthesis.InferenceStrategy's values
+# and --help none. The parser spells out prompts.InferenceStrategy's values
 # and evaluation.METRICS.
 INFERENCE_STRATEGIES = ("dt", "pt", "pmp-o", "pmp-s")
 EVAL_METRICS = ("COMET22", "SacreBLEU")
 
 
-def _registry_files(args) -> tuple[str | None, str | None]:
-    """The --registry and --auxiliaries paths; None stands for the built-in file."""
-    return (None if args.registry == "builtin" else args.registry), args.auxiliaries
-
-
 def _load_registry(args) -> "Registry":
     from .registry import load_registry
 
-    return load_registry(*_registry_files(args))
+    return load_registry(None if args.registry == "builtin" else args.registry, args.auxiliaries)
 
 
 def _log_to_stderr() -> None:
@@ -91,12 +86,22 @@ def _probability(text: str) -> float:
     return value
 
 
+# The options that name a file a stage reads; --registry builtin names none.
+_INPUT_OPTIONS = ("infile", "records", "scores", "rules", "registry", "auxiliaries")
+
+
 @contextlib.contextmanager
-def _open_out(path: str, *inputs: str | None):
-    """Open --out, refusing one of the inputs; a regular file is replaced only
-    if the block succeeds, anything else (such as a FIFO) is written in place."""
-    for inp in inputs:
-        if inp is not None and os.path.exists(path) and os.path.samefile(path, inp):
+def _open_out(args):
+    """Open args.out, refusing a file that one of the stage's input options
+    names; a stage enters it before it reads any input. A regular file is
+    replaced only if the block succeeds, anything else (such as a FIFO) is
+    written in place."""
+    path = args.out
+    for name in _INPUT_OPTIONS:
+        inp = getattr(args, name, None)
+        if inp is None or (name == "registry" and inp == "builtin"):
+            continue
+        if os.path.exists(path) and os.path.samefile(path, inp):
             raise RecordParseError(f"--out {path!r} is the same file as input {inp!r}")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as f:
@@ -126,13 +131,14 @@ def cmd_expand(args) -> dict:
     from .directions import enumerate_directions, expand
     from .records import read_multiway, write_jsonl
 
-    registry = _load_registry(args)
-    dirset = enumerate_directions(registry)
     n_records = n_examples = 0
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, *_registry_files(args)) as fout:
-        for record in read_multiway(fin, registry, path=args.infile):
-            n_records += 1
-            n_examples += write_jsonl(expand(record, dirset), fout)
+    with _open_out(args) as fout:
+        registry = _load_registry(args)
+        dirset = enumerate_directions(registry)
+        with open(args.infile, encoding="utf-8") as fin:
+            for record in read_multiway(fin, registry, path=args.infile):
+                n_records += 1
+                n_examples += write_jsonl(expand(record, dirset), fout)
     return {"records": n_records, "examples": n_examples}
 
 
@@ -142,7 +148,7 @@ def cmd_downsample(args) -> dict:
 
     policy = RetentionPolicy(p_reverse=args.p, seed=args.seed)
     stats = DownsampleStats()
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile) as fout:
+    with _open_out(args) as fout, open(args.infile, encoding="utf-8") as fin:
         write_jsonl(downsample(read_examples(fin, path=args.infile), policy, stats), fout)
     return stats.as_dict()
 
@@ -153,8 +159,6 @@ def cmd_mix(args) -> dict:
     from .records import read_multiway, read_score_sidecar, write_jsonl
 
     _log_to_stderr()
-    registry = _load_registry(args)
-    dirset = enumerate_directions(registry)
     # A mixture flag left out keeps MixtureSpec's default.
     given = {name: getattr(args, name) for name in MixtureSpec.__dataclass_fields__ if getattr(args, name) is not None}
     try:
@@ -162,15 +166,17 @@ def cmd_mix(args) -> dict:
     except ValueError as e:
         raise RecordParseError(f"mixture spec: {e}") from None
 
-    scores = None
-    if args.scores:
-        with open(args.scores, encoding="utf-8") as f:
-            scores = read_score_sidecar(f, path=args.scores)
-
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, *_registry_files(args)) as fout:
-        records = read_multiway(fin, registry, path=args.infile)
-        prompted, report = stream_sft_mixture(records, registry, dirset, spec, scores=scores)
-        write_jsonl(prompted, fout)
+    with _open_out(args) as fout:
+        registry = _load_registry(args)
+        dirset = enumerate_directions(registry)
+        scores = None
+        if args.scores:
+            with open(args.scores, encoding="utf-8") as f:
+                scores = read_score_sidecar(f, path=args.scores)
+        with open(args.infile, encoding="utf-8") as fin:
+            records = read_multiway(fin, registry, path=args.infile)
+            prompted, report = stream_sft_mixture(records, registry, dirset, spec, scores=scores)
+            write_jsonl(prompted, fout)
     return {"emitted": report.emitted, "directions": len(report.per_direction), "warnings": len(report.warnings)}
 
 
@@ -180,17 +186,17 @@ def cmd_filter(args) -> dict:
 
     if args.tau is not None and not args.scores:
         raise RecordParseError("--tau requires --scores")
-    rules = rules_from_config(_read_rules(args.rules)) if args.rules else default_rules()
-
-    with open(args.infile, encoding="utf-8") as fin, _open_out(args.out, args.infile, args.scores, args.rules) as fout:
-        kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
-        if args.scores:
-            with open(args.scores, encoding="utf-8") as f:
-                sidecar = read_score_sidecar(f, path=args.scores)
-            kept = count_thresholds(attach_scores(kept, sidecar), report)
-            if args.tau is not None:
-                kept = threshold_filter(kept, args.tau)
-        written = write_jsonl(kept, fout)
+    with _open_out(args) as fout:
+        rules = rules_from_config(_read_rules(args.rules)) if args.rules else default_rules()
+        with open(args.infile, encoding="utf-8") as fin:
+            kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
+            if args.scores:
+                with open(args.scores, encoding="utf-8") as f:
+                    sidecar = read_score_sidecar(f, path=args.scores)
+                kept = count_thresholds(attach_scores(kept, sidecar), report)
+                if args.tau is not None:
+                    kept = threshold_filter(kept, args.tau)
+            written = write_jsonl(kept, fout)
     return {**report.as_dict(), "written": written}
 
 
@@ -199,8 +205,8 @@ def cmd_score(args) -> dict:
     from .records import read_examples, write_score_sidecar
 
     with (
+        _open_out(args) as fout,
         open(args.infile, encoding="utf-8") as fin,
-        _open_out(args.out, args.infile) as fout,
         SubprocessScorer(args.scorer_cmd) as scorer,
     ):
         n = write_score_sidecar(scorer.score_stream(read_examples(fin, path=args.infile)), fout)
@@ -232,8 +238,8 @@ def cmd_synth(args) -> dict:
         raise RecordParseError("--direction is only for direct synthesis")
     stats = SynthStats()
     with (
+        _open_out(args) as fout,
         open(args.infile, encoding="utf-8") as fin,
-        _open_out(args.out, args.infile) as fout,
         SubprocessBackend(args.backend_cmd) as backend,
     ):
         if args.mode == "direct":
@@ -246,10 +252,9 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_infer_prompt(args) -> dict:
-    from .backends import SubprocessBackend
+    from .prompts import InferenceStrategy, build_inference_prompt
     from .records import write_jsonl
     from .registry import parse_json_lines, required_fields
-    from .synthesis import InferenceStrategy, build_inference_prompt
 
     strategy = InferenceStrategy(args.strategy)
     needs_backend = strategy in (InferenceStrategy.PT, InferenceStrategy.PMP_S)
@@ -257,48 +262,48 @@ def cmd_infer_prompt(args) -> dict:
         raise RecordParseError("--backend-cmd is only for strategies pt and pmp-s")
     if needs_backend and not args.backend_cmd:
         raise RecordParseError(f"strategy {strategy.value} requires --backend-cmd")
-    registry = _load_registry(args)
+    if args.backend_cmd:
+        from .backends import SubprocessBackend
 
     n_req = n_prompts = 0
-    with (
-        open(args.infile, encoding="utf-8") as fin,
-        _open_out(args.out, args.infile, *_registry_files(args)) as fout,
-        SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
-    ):
-        def prompts_for(obj: dict) -> list:
-            item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
-            (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
-            return build_inference_prompt(
-                strategy, src_lang, tgt_lang, src, registry, backend=backend, aux_text=aux, item_id=item_id
-            )
+    with _open_out(args) as fout:
+        registry = _load_registry(args)
+        with (
+            open(args.infile, encoding="utf-8") as fin,
+            SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
+        ):
+            def prompts_for(obj: dict) -> list:
+                item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
+                (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
+                return build_inference_prompt(
+                    strategy, src_lang, tgt_lang, src, registry, backend=backend, aux_text=aux, item_id=item_id
+                )
 
-        for prompts in parse_json_lines(fin, args.infile, prompts_for):
-            n_req += 1
-            n_prompts += write_jsonl(prompts, fout)
+            for prompts in parse_json_lines(fin, args.infile, prompts_for):
+                n_req += 1
+                n_prompts += write_jsonl(prompts, fout)
     return {"requests": n_req, "prompts": n_prompts}
 
 
 def cmd_eval(args) -> dict | None:
     from .evaluation import aggregate, read_eval_records, render_table
 
-    registry = _load_registry(args)
     overlap = {code.strip() for code in args.langs.split(",") if code.strip()} if args.langs else None
     models = [m.strip() for m in args.models.split(",") if m.strip()] if args.models else None
-    with open(args.records, encoding="utf-8") as f:
-        table = aggregate(
-            read_eval_records(f, registry, path=args.records),
-            registry,
-            overlap=overlap,
-            metric=args.metric,
-            include_center_pairs=not args.exclude_center_pairs,
-            models=models,
-        )
-    text = render_table(table, fmt=args.format)
+    with _open_out(args) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        registry = _load_registry(args)
+        with open(args.records, encoding="utf-8") as f:
+            table = aggregate(
+                read_eval_records(f, registry, path=args.records),
+                registry,
+                overlap=overlap,
+                metric=args.metric,
+                include_center_pairs=not args.exclude_center_pairs,
+                models=models,
+            )
+        out.write(render_table(table, fmt=args.format))
     if args.out:
-        with _open_out(args.out, args.records, *_registry_files(args)) as f:
-            f.write(text)
         return {"models": len(table.models), "skipped": table.skipped, "out": args.out}
-    sys.stdout.write(text)
     return None
 
 
@@ -307,16 +312,15 @@ def cmd_diagnose(args) -> None:
     from .downsampling import RetentionPolicy, downsample
     from .records import read_examples
 
-    with open(args.infile, encoding="utf-8") as fin:
-        examples = read_examples(fin, path=args.infile)
-        if args.p is not None:
-            examples = downsample(examples, RetentionPolicy(p_reverse=args.p, seed=args.seed))
-        stats = target_repetition_stats(examples)
-    report = stats.as_dict()
-    if args.out:
-        with _open_out(args.out, args.infile) as f:
-            json.dump(report, f, ensure_ascii=False, indent=2)
-            f.write("\n")
+    with _open_out(args) if args.out else contextlib.nullcontext() as out:
+        with open(args.infile, encoding="utf-8") as fin:
+            examples = read_examples(fin, path=args.infile)
+            if args.p is not None:
+                examples = downsample(examples, RetentionPolicy(p_reverse=args.p, seed=args.seed))
+            stats = target_repetition_stats(examples)
+        if out is not None:
+            json.dump(stats.as_dict(), out, ensure_ascii=False, indent=2)
+            out.write("\n")
     sys.stdout.write(render_histogram(stats))
 
 

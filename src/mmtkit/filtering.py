@@ -38,7 +38,9 @@ def token_length(lang: str, text: str) -> float:
 
 
 class FilterRule:
-    name: str = "FilterRule"
+    @property
+    def name(self) -> str:
+        return type(self).__name__
 
     def passes(self, ex: DirectionalExample) -> bool:
         raise NotImplementedError
@@ -48,15 +50,11 @@ class FilterRule:
 
 
 class NonEmpty(FilterRule):
-    name = "NonEmpty"
-
     def passes(self, ex: DirectionalExample) -> bool:
         return bool(ex.src.strip()) and bool(ex.tgt.strip())
 
 
 class SrcTgtDistinct(FilterRule):
-    name = "SrcTgtDistinct"
-
     def passes(self, ex: DirectionalExample) -> bool:
         return ex.src != ex.tgt
 
@@ -64,7 +62,6 @@ class SrcTgtDistinct(FilterRule):
 @dataclass
 class MaxLengthRatio(FilterRule):
     ratio: float = 3.0
-    name = "MaxLengthRatio"
 
     def __post_init__(self):
         r = self.ratio
@@ -81,7 +78,6 @@ class MaxLengthRatio(FilterRule):
 class LengthBounds(FilterRule):
     min_len: int = 1
     max_len: int = 512
-    name = "LengthBounds"
 
     def __post_init__(self):
         for name in ("min_len", "max_len"):
@@ -101,15 +97,11 @@ class LengthBounds(FilterRule):
 
 
 class ControlCharFree(FilterRule):
-    name = "ControlCharFree"
-
     def passes(self, ex: DirectionalExample) -> bool:
         return _CONTROL_CHAR.search(ex.src) is None and _CONTROL_CHAR.search(ex.tgt) is None
 
 
 class ExactDedup(FilterRule):
-    name = "ExactDedup"
-
     def __init__(self):
         self._seen: set[tuple[str, str]] = set()
 

@@ -4,7 +4,10 @@ Four formats: STP (source-only translation prompt), PMP (adds one auxiliary
 parallel sentence), CPT_BILINGUAL (tagged bitext line), CPT_MONO (raw text).
 Loss offsets are byte offsets into the UTF-8 encoding of the text; for every
 training render, text_bytes[loss_start:loss_end] is exactly the target.
-Inference renders carry an empty loss span at end of text.
+Inference prompts are the STP or PMP training prefix with an empty loss span
+at end of text, built by one of four strategies: DT (direct), PT (two-step
+pivot through en), PMP-O (gold auxiliary), PMP-S (auxiliary produced by the
+backend).
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ from enum import Enum
 from json.encoder import encode_basestring  # the escaper json_line uses
 from typing import Iterable, Iterator
 
-from .errors import EmptySource, NoAuxiliaryDefined, RecordParseError
+from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, RecordParseError, UnknownLanguage
 from .records import DirectionalExample, write_jsonl
-from .registry import Registry, parse_json_lines, required_fields
+from .registry import Registry, direction_error, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
 
@@ -26,6 +29,13 @@ class PromptFormat(str, Enum):
     PMP = "PMP"
     CPT_BILINGUAL = "CPT_BILINGUAL"
     CPT_MONO = "CPT_MONO"
+
+
+class InferenceStrategy(str, Enum):
+    DT = "dt"
+    PT = "pt"
+    PMP_O = "pmp-o"
+    PMP_S = "pmp-s"
 
 
 @dataclass(slots=True)
@@ -219,26 +229,68 @@ def parse_cpt_bilingual(text: str) -> tuple[str, str, str, str]:
     return src_lang, tgt_lang, rest[:idx], rest[idx + len(sep) :]
 
 
-def render_stp_prompt(
-    src_lang: str, tgt_lang: str, src: str, registry: Registry, item_id: str
-) -> PromptedExample:
-    """STP inference prompt: the training prefix with an empty loss span."""
-    return _render_translation(PromptFormat.STP, item_id, src_lang, tgt_lang, src, None, registry)
-
-
-def render_pmp_prompt(
+def build_inference_prompt(
+    strategy: InferenceStrategy,
     src_lang: str,
     tgt_lang: str,
-    src: str,
-    aux_lang: str,
-    aux_text: str,
+    src_text: str,
     registry: Registry,
-    item_id: str,
-) -> PromptedExample:
-    """PMP inference prompt: the training prefix with an empty loss span."""
-    return _render_translation(
-        PromptFormat.PMP, item_id, src_lang, tgt_lang, src, None, registry, aux_lang, aux_text
-    )
+    backend: "Backend | None" = None,
+    aux_text: str | None = None,
+    item_id: str = "q0",
+) -> list[PromptedExample]:
+    """Generation prompt(s) for one source text. PT returns two prompts; the
+    others return one. All loss spans are empty (end of text). Every refusal
+    of the request is raised before any backend request. The backend is any
+    object with a Backend's translate(); this module does not import
+    backends, so that mix loads no subprocess machinery."""
+    strategy = InferenceStrategy(strategy)
+    for code in (src_lang, tgt_lang):
+        if code not in registry:
+            raise UnknownLanguage(code)
+    # dt and pt also serve X->Y requests (a direct prompt, a pivot through
+    # en); a pmp prompt needs a center direction's auxiliary.
+    problem = direction_error(src_lang, tgt_lang)
+    needs_center = strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S)
+    if problem is not None and (needs_center or src_lang == tgt_lang):
+        raise InvalidInput(problem)
+    prompt_id = f"{item_id}#{src_lang}2{tgt_lang}"
+    if not src_text:
+        raise EmptySource(f"item {prompt_id!r} has an empty source")
+
+    if strategy is InferenceStrategy.DT:
+        return [_render_translation(PromptFormat.STP, prompt_id, src_lang, tgt_lang, src_text, None, registry)]
+
+    if strategy is InferenceStrategy.PT:
+        # The pivot is always en, so neither endpoint may be en.
+        if "en" in (src_lang, tgt_lang):
+            raise InvalidInput(f"pivot strategy is undefined for {src_lang}->{tgt_lang}")
+        if backend is None:
+            raise InvalidInput("pivot strategy requires a backend for the first hop")
+        first = _render_translation(PromptFormat.STP, f"{item_id}#{src_lang}2en", src_lang, "en", src_text, None, registry)
+        en_text = backend.translate(item_id, src_lang, "en", src_text)
+        if not en_text:
+            raise BackendError(f"item {item_id!r}: empty pivot translation")
+        second = _render_translation(PromptFormat.STP, f"{item_id}#en2{tgt_lang}", "en", tgt_lang, en_text, None, registry)
+        return [first, second]
+
+    aux_lang = registry.auxiliary_for(src_lang, tgt_lang)
+    if aux_lang is None:
+        raise NoAuxiliaryDefined(f"direction {src_lang}->{tgt_lang} has no auxiliary language")
+
+    if strategy is InferenceStrategy.PMP_O:
+        if not aux_text:
+            raise InvalidInput(f"item {item_id!r}: strategy pmp-o needs a gold auxiliary sentence")
+    else:
+        if backend is None:
+            raise InvalidInput("strategy pmp-s requires a backend to produce the auxiliary")
+        aux_text = backend.translate(item_id, src_lang, aux_lang, src_text)
+        if not aux_text:
+            raise BackendError(f"item {item_id!r}: empty auxiliary translation")
+
+    return [
+        _render_translation(PromptFormat.PMP, prompt_id, src_lang, tgt_lang, src_text, None, registry, aux_lang, aux_text)
+    ]
 
 
 write_prompted = write_jsonl

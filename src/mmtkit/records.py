@@ -99,7 +99,7 @@ def check_score(score, owner: str) -> float:
     return float(score)
 
 
-def read_multiway(stream: Iterable[str], registry: Registry | None = None, path: str | None = None) -> Iterator[MultiWayRecord]:
+def read_multiway(stream: Iterable[str], registry: Registry, path: str | None = None) -> Iterator[MultiWayRecord]:
     seen: set[str] = set()
 
     def record(obj: dict) -> MultiWayRecord:
@@ -108,7 +108,7 @@ def read_multiway(stream: Iterable[str], registry: Registry | None = None, path:
         if not rec_id:
             raise RecordParseError("record id must be non-empty")
         for lang, text in sentences.items():
-            if registry is not None and lang not in registry:
+            if lang not in registry:
                 raise RecordParseError(f"unknown language code: {lang!r}")
             if not isinstance(text, str) or not text:
                 raise RecordParseError(f"sentence for {lang!r} must be a non-empty string")

@@ -1,25 +1,21 @@
-"""Pseudo-parallel synthesis planning and inference prompt construction.
+"""Pseudo-parallel synthesis planning.
 
 Two synthesis modes: direct (translate center-language monolingual text into
 the target side) and pivot (turn En-X bitext into Zh-X bitext by translating
 the English side into Chinese). Items that fail in the backend are skipped
 and logged; a run aborts if more than 10% of its items failed by the end of
-the stream. Four inference strategies build generation prompts with empty
-loss spans: DT (direct), PT (two-step pivot through en), PMP-O (gold
-auxiliary), PMP-S (auxiliary produced by the backend).
+the stream.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .backends import Backend, BackendItemError
-from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, UnknownLanguage
-from .prompts import PromptedExample, render_pmp_prompt, render_stp_prompt
+from .errors import BackendError, InvalidInput
 from .records import DirectionalExample, Provenance
-from .registry import CENTERS, Registry, direction_error
+from .registry import CENTERS
 from .directions import Direction
 
 log = logging.getLogger(__name__)
@@ -27,13 +23,6 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 FAILURE_BUDGET = 0.10
-
-
-class InferenceStrategy(str, Enum):
-    DT = "dt"
-    PT = "pt"
-    PMP_O = "pmp-o"
-    PMP_S = "pmp-s"
 
 
 @dataclass
@@ -125,62 +114,3 @@ def synth_pivot(
         yield DirectionalExample(f"{pair.id}#zh2{x}", "zh", x, zh_text, x_text, Provenance.SYNTH_PIVOT)
         yield DirectionalExample(f"{pair.id}#{x}2zh", x, "zh", x_text, zh_text, Provenance.SYNTH_PIVOT)
 
-
-def build_inference_prompt(
-    strategy: InferenceStrategy,
-    src_lang: str,
-    tgt_lang: str,
-    src_text: str,
-    registry: Registry,
-    backend: Backend | None = None,
-    aux_text: str | None = None,
-    item_id: str = "q0",
-) -> list[PromptedExample]:
-    """Generation prompt(s) for one source text. PT returns two prompts; the
-    others return one. All loss spans are empty (end of text). Every refusal
-    of the request is raised before any backend request."""
-    strategy = InferenceStrategy(strategy)
-    for code in (src_lang, tgt_lang):
-        if code not in registry:
-            raise UnknownLanguage(code)
-    # dt and pt also serve X->Y requests (a direct prompt, a pivot through
-    # en); a pmp prompt needs a center direction's auxiliary.
-    problem = direction_error(src_lang, tgt_lang)
-    needs_center = strategy in (InferenceStrategy.PMP_O, InferenceStrategy.PMP_S)
-    if problem is not None and (needs_center or src_lang == tgt_lang):
-        raise InvalidInput(problem)
-    prompt_id = f"{item_id}#{src_lang}2{tgt_lang}"
-    if not src_text:
-        raise EmptySource(f"item {prompt_id!r} has an empty source")
-
-    if strategy is InferenceStrategy.DT:
-        return [render_stp_prompt(src_lang, tgt_lang, src_text, registry, prompt_id)]
-
-    if strategy is InferenceStrategy.PT:
-        # The pivot is always en, so neither endpoint may be en.
-        if "en" in (src_lang, tgt_lang):
-            raise InvalidInput(f"pivot strategy is undefined for {src_lang}->{tgt_lang}")
-        if backend is None:
-            raise InvalidInput("pivot strategy requires a backend for the first hop")
-        first = render_stp_prompt(src_lang, "en", src_text, registry, f"{item_id}#{src_lang}2en")
-        en_text = backend.translate(item_id, src_lang, "en", src_text)
-        if not en_text:
-            raise BackendError(f"item {item_id!r}: empty pivot translation")
-        second = render_stp_prompt("en", tgt_lang, en_text, registry, f"{item_id}#en2{tgt_lang}")
-        return [first, second]
-
-    aux_lang = registry.auxiliary_for(src_lang, tgt_lang)
-    if aux_lang is None:
-        raise NoAuxiliaryDefined(f"direction {src_lang}->{tgt_lang} has no auxiliary language")
-
-    if strategy is InferenceStrategy.PMP_O:
-        if not aux_text:
-            raise InvalidInput(f"item {item_id!r}: strategy pmp-o needs a gold auxiliary sentence")
-    else:
-        if backend is None:
-            raise InvalidInput("strategy pmp-s requires a backend to produce the auxiliary")
-        aux_text = backend.translate(item_id, src_lang, aux_lang, src_text)
-        if not aux_text:
-            raise BackendError(f"item {item_id!r}: empty auxiliary translation")
-
-    return [render_pmp_prompt(src_lang, tgt_lang, src_text, aux_lang, aux_text, registry, prompt_id)]

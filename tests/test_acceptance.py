@@ -34,17 +34,16 @@ from mmtkit.diagnostics import target_repetition_stats
 from mmtkit.mixture import MixtureSpec, build_sft_mixture
 from mmtkit.parallel import ordered_map
 from mmtkit.prompts import (
+    build_inference_prompt,
     parse_cpt_bilingual,
     render_cpt_bilingual,
     render_cpt_mono,
     render_pmp,
-    render_pmp_prompt,
     render_stp,
-    render_stp_prompt,
 )
 from mmtkit.records import DirectionalExample, MultiWayRecord, json_line
 from mmtkit.registry import load_registry
-from mmtkit.synthesis import build_inference_prompt, synth_pivot
+from mmtkit.synthesis import synth_pivot
 
 
 class Budget:
@@ -170,6 +169,10 @@ def test_criterion_04_downsampling_determinism():
     random.Random(1).shuffle(shuffled)
     assert {ex.id for ex in downsample(shuffled, policy)} == kept
     assert {ex.id for ex in downsample(reversed(examples), policy)} == kept
+    size = -(-len(shuffled) // 4)
+    shard_kept = [{ex.id for ex in downsample(shuffled[k * size:(k + 1) * size], policy)} for k in range(4)]
+    assert set().union(*shard_kept) == kept
+    assert sum(map(len, shard_kept)) == len(kept)
     workers = {
         ex_id
         for ex_id, keep in ordered_map(lambda ex: (ex.id, retained(policy, ex.id)), examples, workers=4)
@@ -346,11 +349,11 @@ def test_criterion_08_loss_span_bytes(registry):
         mono = render_cpt_mono(f"c{i}", "fr", src)
         assert mono.text.encode("utf-8")[mono.loss_start : mono.loss_end] == src.encode("utf-8")
 
-        inf = render_stp_prompt(s, t, src, registry, f"d{i}")
+        (inf,) = build_inference_prompt("dt", s, t, src, registry, item_id=f"d{i}")
         assert inf.loss_start == inf.loss_end == len(inf.text.encode("utf-8"))
         assert render_stp(ex, registry).text == inf.text + tgt
 
-        pinf = render_pmp_prompt(ps, pt, src, pa, aux, registry, f"e{i}")
+        (pinf,) = build_inference_prompt("pmp-o", ps, pt, src, registry, aux_text=aux, item_id=f"e{i}")
         assert pinf.loss_start == pinf.loss_end == len(pinf.text.encode("utf-8"))
         assert render_pmp(pex, aux, pa, registry).text == pinf.text + tgt
     budget.check()
@@ -444,4 +447,18 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     wide = pipeline(tmp_path / "run4", "4")
     assert first == second == wide
     assert len(first) == 4
+
+    # 4 contiguous record shards, each expanded and then downsampled on its
+    # own, concatenate to run 1's bytes.
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    expanded, kept = b"", b""
+    for k in range(4):
+        shard = tmp_path / f"shard{k}"
+        shard.with_suffix(".mwjsonl").write_text("".join(lines[k * 15:(k + 1) * 15]), encoding="utf-8")
+        run(["expand", "--in", str(shard.with_suffix(".mwjsonl")), "--out", str(shard.with_suffix(".djsonl"))])
+        run(["downsample", "--in", str(shard.with_suffix(".djsonl")), "--out", str(shard.with_suffix(".kept")), "--p", "0.05"])
+        expanded += shard.with_suffix(".djsonl").read_bytes()
+        kept += shard.with_suffix(".kept").read_bytes()
+    assert expanded == (tmp_path / "run1" / "expanded.djsonl").read_bytes()
+    assert kept == (tmp_path / "run1" / "kept.djsonl").read_bytes()
     budget.check()

@@ -207,9 +207,10 @@ def _score_every_example(corpus, path, drop=()):
     from mmtkit.records import read_multiway
     from mmtkit.registry import load_registry
 
-    dirset = enumerate_directions(load_registry())
+    registry = load_registry()
+    dirset = enumerate_directions(registry)
     with open(corpus, encoding="utf-8") as f:
-        ids = [ex.id for r in read_multiway(f) for ex in expand(r, dirset)]
+        ids = [ex.id for r in read_multiway(f, registry) for ex in expand(r, dirset)]
     scores = {i: round(unit_uniform(5, i), 1) for i in ids if i not in drop}
     path.write_text("".join(json_line({"id": i, "qe_score": v}) + "\n" for i, v in scores.items()), encoding="utf-8")
     return ids, scores
@@ -745,6 +746,31 @@ def test_out_same_as_a_read_file_refused(tmp_path, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "in.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expand", "--in", "IN", "--registry", "X"),
+        ("mix", "--in", "IN", "--scores", "X"),
+        ("filter", "--in", "IN", "--rules", "X"),
+        ("eval", "--records", "X"),
+        ("diagnose", "--in", "X"),
+        ("infer-prompt", "--strategy", "dt", "--in", "IN", "--registry", "X"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_same_as_input_refused_before_any_input_is_read(tmp_path, args):
+    """Neither file is JSON, so a stage that read one first would report its
+    parse error instead of the refusal."""
+    src, victim = tmp_path / "in.jsonl", tmp_path / "x"
+    for path in (src, victim):
+        path.write_bytes(b"{broken\n")
+    args = [{"IN": str(src), "X": str(victim)}.get(a, a) for a in args]
+    proc = run_cli(*args, "--out", str(victim), expect=1)
+    message = f"--out {str(victim)!r} is the same file as input {str(victim)!r}"
+    assert last_error(proc) == {"error": "RecordParseError", "message": message}
+    assert victim.read_bytes() == b"{broken\n"
+
+
 def test_failed_run_keeps_existing_out(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=3)
     with open(corpus, "a", encoding="utf-8") as f:
@@ -1104,7 +1130,7 @@ def test_option_with_no_effect_is_refused_before_reading(tmp_path, args, message
 
 def test_strategy_choices_are_the_inference_strategies():
     from mmtkit.cli import INFERENCE_STRATEGIES
-    from mmtkit.synthesis import InferenceStrategy
+    from mmtkit.prompts import InferenceStrategy
 
     assert list(INFERENCE_STRATEGIES) == [s.value for s in InferenceStrategy]
 
@@ -1132,6 +1158,25 @@ def test_stage_imports_only_the_modules_it_runs(tmp_path, command):
     ours = {name.removeprefix("mmtkit.") for name in loaded if name.startswith("mmtkit.")}
     assert ours == {"cli", "errors", "hashing", "records", "registry"} | _STAGE_ONLY[command]
     assert "subprocess" not in loaded
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (("synth", "--mode", "direct", "--direction", "en2fr", "--backend-cmd", "TOY"), {"mmtkit.prompts"}),
+        (("infer-prompt", "--strategy", "dt"), {"mmtkit.synthesis", "mmtkit.backends", "subprocess"}),
+        (("infer-prompt", "--strategy", "pmp-o"), {"mmtkit.synthesis", "mmtkit.backends", "subprocess"}),
+        (("mix",), {"mmtkit.backends", "subprocess"}),
+    ],
+    ids=["synth", "infer-prompt-dt", "infer-prompt-pmp-o", "mix"],
+)
+def test_stage_skips_the_modules_it_does_not_run(tmp_path, scripts_dir, args, absent):
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    toy = f"{sys.executable} {scripts_dir / 'toy_backend.py'}"
+    args = [toy if a == "TOY" else a for a in args]
+    loaded = _imported("-m", "mmtkit", *args, "--in", str(src), "--out", str(tmp_path / "o"))
+    assert loaded & absent == set()
 
 
 def test_help_imports_no_stage_module():

@@ -13,14 +13,13 @@ from mmtkit.prompts import (
     PROMPT_SCHEMA,
     PromptFormat,
     PromptedExample,
+    build_inference_prompt,
     parse_cpt_bilingual,
     read_prompted,
     render_cpt_bilingual,
     render_cpt_mono,
     render_pmp,
-    render_pmp_prompt,
     render_stp,
-    render_stp_prompt,
     write_prompted,
 )
 from mmtkit.records import json_line
@@ -140,23 +139,21 @@ def test_cpt_mono():
 def test_inference_prompts_are_training_prefixes(registry, mk_example):
     ex = mk_example("q1#en2fr", "en", "fr", "Good day", "Bonjour")
     training = render_stp(ex, registry)
-    prompt = render_stp_prompt("en", "fr", "Good day", registry, "q1#en2fr")
+    (prompt,) = build_inference_prompt("dt", "en", "fr", "Good day", registry, item_id="q1")
     assert training.text == prompt.text + "Bonjour"
     assert prompt.loss_start == prompt.loss_end == len(prompt.text.encode("utf-8"))
     assert prompt.loss_slice() == ""
 
     ex2 = mk_example("q2#en2bg", "en", "bg", "water", "voda")
     training2 = render_pmp(ex2, "voda-ru", "ru", registry)
-    prompt2 = render_pmp_prompt("en", "bg", "water", "ru", "voda-ru", registry, "q2#en2bg")
+    (prompt2,) = build_inference_prompt("pmp-o", "en", "bg", "water", registry, aux_text="voda-ru", item_id="q2")
     assert training2.text == prompt2.text + "voda"
     assert prompt2.loss_start == prompt2.loss_end == len(prompt2.text.encode("utf-8"))
 
 
 def test_pmp_prompt_errors(registry):
     with pytest.raises(NoAuxiliaryDefined):
-        render_pmp_prompt("en", "fr", "x", "de", "y", registry, "q")
-    with pytest.raises(ValueError):
-        render_pmp_prompt("en", "bg", "x", "de", "y", registry, "q")
+        build_inference_prompt("pmp-o", "en", "fr", "x", registry, aux_text="y")
 
 
 def test_prompted_example_validation():

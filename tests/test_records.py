@@ -51,18 +51,16 @@ def test_multiway_validation(registry):
     with pytest.raises(RecordParseError) as exc:
         list(read_multiway(io.StringIO(line + "\n"), registry))
     assert "qq" in str(exc.value)
-    # without a registry the language check is skipped
-    assert len(list(read_multiway(io.StringIO(line + "\n")))) == 1
     empty = json_line({"id": "r1", "sentences": {"en": ""}})
     with pytest.raises(RecordParseError):
-        list(read_multiway(io.StringIO(empty + "\n")))
+        list(read_multiway(io.StringIO(empty + "\n"), registry))
 
 
-def test_multiway_duplicate_ids():
+def test_multiway_duplicate_ids(registry):
     line = json_line({"id": "r1", "sentences": {"en": "a"}})
     stream = io.StringIO(line + "\n" + line + "\n")
     with pytest.raises(DuplicateRecordId):
-        list(read_multiway(stream))
+        list(read_multiway(stream, registry))
 
 
 def test_examples_roundtrip(mk_example):
@@ -109,10 +107,10 @@ def test_examples_unknown_provenance():
         list(read_examples(io.StringIO(payload)))
 
 
-def test_blank_lines_skipped():
+def test_blank_lines_skipped(registry):
     line = json_line({"id": "r1", "sentences": {"en": "a"}})
     stream = io.StringIO("\n" + line + "\n\n")
-    assert len(list(read_multiway(stream))) == 1
+    assert len(list(read_multiway(stream, registry))) == 1
 
 
 def test_scored_roundtrip_and_bounds(mk_example):
@@ -163,9 +161,9 @@ def test_sidecar_accepts_full_scored_lines(mk_example):
         st.sampled_from(["en", "zh", "fr", "de", "ja"]), text_strategy, min_size=1, max_size=4
     ),
 )
-def test_multiway_roundtrip_property(rec_id, sentences):
+def test_multiway_roundtrip_property(registry, rec_id, sentences):
     line = json_line({"id": rec_id, "sentences": sentences})
-    (back,) = read_multiway(io.StringIO(line + "\n"))
+    (back,) = read_multiway(io.StringIO(line + "\n"), registry)
     assert back == MultiWayRecord(id=rec_id, sentences=sentences)
 
 
@@ -194,6 +192,10 @@ def _reader(read):
     return run
 
 
+def _read_multiway(stream, path):
+    return read_multiway(stream, load_registry(), path)
+
+
 def _read_eval_records(stream, path):
     return read_eval_records(stream, load_registry(), path)
 
@@ -206,7 +208,7 @@ _PROMPTED = {
 # case -> (reader of a path, lines with the bad one last and "" for a blank line, mistyped field)
 NON_STRING_CASES = {
     "read_examples": (_reader(read_examples), ["", {**_PAIR, "src": 5}], "src"),
-    "read_multiway": (_reader(read_multiway), ["", {"id": 7, "sentences": {"en": "a"}}], "id"),
+    "read_multiway": (_reader(_read_multiway), ["", {"id": 7, "sentences": {"en": "a"}}], "id"),
     "read_score_sidecar": (_reader(read_score_sidecar), ["", {"id": 7, "qe_score": 0.5}], "id"),
     "read_eval_records": (
         _reader(_read_eval_records),
@@ -237,7 +239,7 @@ def test_non_string_field_reports_file_and_line(tmp_path, case):
 # case -> (reader of a path, lines with the bad one last, error type, message)
 LOCATED_ERROR_CASES = {
     "read_multiway": (
-        _reader(read_multiway),
+        _reader(_read_multiway),
         [{"id": "a", "sentences": {"en": "x"}}] * 2,
         DuplicateRecordId,
         "duplicate record id 'a'",
@@ -288,7 +290,7 @@ _EVAL = {"model": "m", "src": "en", "tgt": "fr", "metric": "COMET22", "value": 8
 # input -> (reader of a path, two good lines, bad line 3, error type, message)
 EVERY_READER_CASES = {
     "mwjsonl": (
-        _reader(read_multiway),
+        _reader(_read_multiway),
         [{"id": "a", "sentences": {"en": "x"}}, {"id": "b", "sentences": {"en": "y"}}],
         {"id": "c", "sentences": {"en": ""}},
         RecordParseError,

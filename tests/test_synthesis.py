@@ -6,15 +6,9 @@ import pytest
 from mmtkit.backends import Backend, DictionaryBackend, IdentityBackend
 from mmtkit.directions import Direction
 from mmtkit.errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined
-from mmtkit.prompts import PromptFormat
+from mmtkit.prompts import InferenceStrategy, PromptFormat, build_inference_prompt
 from mmtkit.records import Provenance
-from mmtkit.synthesis import (
-    InferenceStrategy,
-    SynthStats,
-    build_inference_prompt,
-    synth_direct,
-    synth_pivot,
-)
+from mmtkit.synthesis import SynthStats, synth_direct, synth_pivot
 
 EN_WORDS = ["water", "bread", "night", "stone", "bird"]
 ZH = {w: f"zh_{w}" for w in EN_WORDS}
