@@ -236,14 +236,14 @@ def cmd_synth(args) -> dict:
         raise RecordParseError("--direction is required for direct synthesis")
     if args.mode == "pivot" and args.direction:
         raise RecordParseError("--direction is only for direct synthesis")
+    direction = _parse_direction(args.direction) if args.mode == "direct" else None
     stats = SynthStats()
     with (
         _open_out(args) as fout,
         open(args.infile, encoding="utf-8") as fin,
         SubprocessBackend(args.backend_cmd) as backend,
     ):
-        if args.mode == "direct":
-            direction = _parse_direction(args.direction)
+        if direction is not None:
             synth = synth_direct(_read_mono(fin, args.infile, direction.src), backend, direction, stats)
         else:
             synth = synth_pivot(read_examples(fin, path=args.infile), backend, stats)

@@ -18,9 +18,13 @@ from .records import DirectionalExample
 from .registry import CENTERS
 
 
-def _text_key(text: str) -> str:
+_KEY_MASK = (1 << 64) - 1
+
+
+def _text_key(text: str) -> int:
+    """The first 8 bytes of sha256 over the NFC form, as an int."""
     norm = unicodedata.normalize("NFC", text)
-    return hashlib.sha256(norm.encode("utf-8")).hexdigest()[:16]
+    return int.from_bytes(hashlib.sha256(norm.encode("utf-8")).digest()[:8], "big")
 
 
 @dataclass
@@ -59,14 +63,28 @@ class RepetitionStats:
 
 
 def target_repetition_stats(examples: Iterable[DirectionalExample]) -> RepetitionStats:
-    """Exact distinct-source counts per identical target. Memory grows with
-    the number of distinct texts (16-character hex keys, not the texts themselves)."""
-    sources: dict[tuple[str, str], set[tuple[str, str]]] = {}
-    for ex in examples:
-        tgt_key = (ex.tgt_lang, _text_key(ex.tgt))
-        sources.setdefault(tgt_key, set()).add((ex.src_lang, _text_key(ex.src)))
+    """Exact distinct-source counts per identical target.
 
-    per_target = {k: len(v) for k, v in sources.items()}
+    A text is keyed by the 64-bit sha256 prefix of its NFC form, so memory
+    grows with the number of distinct pairs and targets, not with text size.
+    While counting, a side is one int, (language index << 64) | text key, and
+    a pair is (target << 96) | source; language indices stay below 2³², so
+    both packings are injective. per_target keys are (lang, 16-digit hex key).
+    """
+    lang_index: dict[str, int] = {}
+    pairs: set[int] = set()
+    n_sources: dict[int, int] = {}
+    for ex in examples:
+        tgt = (lang_index.setdefault(ex.tgt_lang, len(lang_index)) << 64) | _text_key(ex.tgt)
+        src = (lang_index.setdefault(ex.src_lang, len(lang_index)) << 64) | _text_key(ex.src)
+        pair = (tgt << 96) | src
+        if pair not in pairs:
+            pairs.add(pair)
+            n_sources[tgt] = n_sources.get(tgt, 0) + 1
+    del pairs  # freed before the public keys are built, so the two never coexist
+
+    langs = list(lang_index)
+    per_target = {(langs[t >> 64], f"{t & _KEY_MASK:016x}"): c for t, c in n_sources.items()}
     histogram: dict[int, int] = {}
     by_class = {c: ClassStats() for c in SampleClass}
     for (tgt_lang, _), count in per_target.items():

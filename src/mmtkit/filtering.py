@@ -13,6 +13,7 @@ character counts by 4 to stay comparable across scripts.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -102,11 +103,23 @@ class ControlCharFree(FilterRule):
 
 
 class ExactDedup(FilterRule):
+    """Drops a pair whose exact (src, tgt) was seen earlier in the pass.
+
+    A pair is held as the 16-byte blake2b digest of its UTF-8 src, the byte
+    0xff and its UTF-8 tgt, not as its texts. 0xff never occurs in UTF-8 and
+    "surrogatepass" encodes every str, lone surrogates included, injectively,
+    so two pairs share a key only by a digest collision: about n²/2¹²⁹ for n
+    kept pairs. A lone surrogate still fails later, in the writer.
+    """
+
     def __init__(self):
-        self._seen: set[tuple[str, str]] = set()
+        self._seen: set[bytes] = set()
 
     def passes(self, ex: DirectionalExample) -> bool:
-        key = (ex.src, ex.tgt)
+        key = hashlib.blake2b(
+            ex.src.encode("utf-8", "surrogatepass") + b"\xff" + ex.tgt.encode("utf-8", "surrogatepass"),
+            digest_size=16,
+        ).digest()
         if key in self._seen:
             return False
         self._seen.add(key)

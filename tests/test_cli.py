@@ -331,6 +331,39 @@ def test_filter_scores_streams_its_histogram(tmp_path, capsys):
     assert peak < 700 * n
 
 
+def test_filter_dedup_holds_digests_not_texts(tmp_path, capsys):
+    # Every pair passes the default rules, so ExactDedup remembers each one.
+    # Keyed by its (src, tgt) texts, the run peaks at about 1 KB per pair
+    # here; keyed by a 16-byte digest, at about 0.4 KB, which is mostly the
+    # reader's example-id set.
+    n = 5000
+    pairs = tmp_path / "p.djsonl"
+    pairs.write_text("".join(
+        json_line({"id": f"p{i:05d}#en2fr", "src_lang": "en", "tgt_lang": "fr",
+                   "src": f"en {i} " + "word " * 60, "tgt": f"fr {i} " + "mot " * 60}) + "\n"
+        for i in range(n)
+    ), encoding="utf-8")
+    peak = _traced_peak("filter", "--in", str(pairs), "--out", str(tmp_path / "f.djsonl"))
+    assert json.loads(capsys.readouterr().out)["kept"] == n
+    assert peak < 600 * n
+
+
+def test_diagnose_holds_fixed_size_keys(tmp_path, capsys):
+    # One source per target, so every pair adds a target. With (lang, hex)
+    # tuples and a set per target the run peaks at about 0.8 KB per pair
+    # here; with packed int keys at about 0.4 KB, the example-id set included.
+    n = 6000
+    pairs = tmp_path / "p.djsonl"
+    pairs.write_text("".join(
+        json_line({"id": f"r{i:05d}#fr2en", "src_lang": "fr", "tgt_lang": "en",
+                   "src": f"fr {i} " + "mot " * 60, "tgt": f"en {i} " + "word " * 60}) + "\n"
+        for i in range(n)
+    ), encoding="utf-8")
+    peak = _traced_peak("diagnose", "--in", str(pairs))
+    assert capsys.readouterr().out == f"     1 sources | {'#' * 50} {n}\n"
+    assert peak < 600 * n
+
+
 def test_score_filter_roundtrip(tmp_path, scripts_dir):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=10)
     expanded = tmp_path / "c.djsonl"
@@ -673,17 +706,20 @@ def test_synth_direct_non_string_item_exits_1(tmp_path, scripts_dir):
 
 
 @pytest.mark.parametrize("direction", ["fr2de", "en2fr2de", "en2", "enfr"])
-def test_synth_direct_unsupported_direction_exits_1(tmp_path, scripts_dir, direction):
+def test_synth_direct_unsupported_direction_exits_1(tmp_path, direction):
+    # The direction is refused before the backend starts, so the backend never creates its marker.
     mono = tmp_path / "mono.jsonl"
     mono.write_text(json_line({"id": "m0", "text": "x"}) + "\n", encoding="utf-8")
+    marker = tmp_path / "started"
     proc = run_cli(
         "synth", "--mode", "direct", "--direction", direction,
-        "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
+        "--backend-cmd", f"touch {marker}",
         "--in", str(mono), "--out", str(tmp_path / "o"),
         expect=1,
     )
     assert last_error(proc)["error"] == "RecordParseError"
     assert not (tmp_path / "o").exists()
+    assert not marker.exists()
 
 
 def test_infer_prompt_non_string_src_exits_1(tmp_path):
@@ -1009,14 +1045,21 @@ def test_non_utf8_line_past_the_first_read_chunk_names_file_and_line(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["expand", "synth"])
+@pytest.mark.parametrize("command", ["expand", "synth", "filter", "diagnose"])
 def test_lone_surrogate_exits_1(tmp_path, scripts_dir, command):
-    # "\ud800" is valid JSON but has no UTF-8 form, so writing it must fail cleanly.
+    # "\ud800" is valid JSON but has no UTF-8 form, so writing or hashing it must fail cleanly.
     out = tmp_path / "o"
     if command == "expand":
         inp = tmp_path / "c.mwjsonl"
         inp.write_text('{"id": "a", "sentences": {"en": "hi \\ud800 there", "zh": "ni hao"}}\n', encoding="utf-8")
         args = ("expand", "--in", str(inp))
+    elif command in ("filter", "diagnose"):
+        inp = tmp_path / "p.djsonl"
+        inp.write_text(
+            '{"id": "a#en2zh", "src_lang": "en", "tgt_lang": "zh", "src": "hi \\ud800 there", "tgt": "ni hao"}\n',
+            encoding="utf-8",
+        )
+        args = (command, "--in", str(inp))
     else:
         inp = tmp_path / "mono.jsonl"
         inp.write_text('{"id": "m0", "text": "hi \\ud800 there"}\n', encoding="utf-8")

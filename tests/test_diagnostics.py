@@ -1,12 +1,18 @@
 """Repetition statistics: exact counts, NFC collapsing, stats after downsampling."""
 from __future__ import annotations
 
+import hashlib
 import random
+import unicodedata
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmtkit.diagnostics import render_histogram, target_repetition_stats
 from mmtkit.directions import expand
 from mmtkit.downsampling import RetentionPolicy, SampleClass, downsample
 from mmtkit.records import MultiWayRecord
+from mmtkit.registry import CENTERS
 
 
 def full_record(registry, rec_id="f0"):
@@ -79,6 +85,42 @@ def test_brute_force_recount_on_random_partial_records(registry, dirset):
     assert len(stats.per_target) == len(brute)
     assert sorted(stats.per_target.values()) == sorted(len(v) for v in brute.values())
     assert stats.max_repetition == max((len(v) for v in brute.values()), default=0)
+
+
+def _reference_stats(examples):
+    """The per-target sets of (lang, 16-digit hex key) tuples the packed int keys replaced."""
+    def key(text):
+        return hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()[:16]
+
+    sources: dict[tuple[str, str], set] = {}
+    for ex in examples:
+        sources.setdefault((ex.tgt_lang, key(ex.tgt)), set()).add((ex.src_lang, key(ex.src)))
+    per_target = {k: len(v) for k, v in sources.items()}
+    histogram: dict[int, int] = {}
+    by_class: dict[SampleClass, list[int]] = {c: [] for c in SampleClass}
+    for (lang, _), count in per_target.items():
+        histogram[count] = histogram.get(count, 0) + 1
+        by_class[SampleClass.REVERSE if lang in CENTERS else SampleClass.FORWARD].append(count)
+    return per_target, histogram, {c: (len(v), sum(v), max(v, default=0)) for c, v in by_class.items()}
+
+
+# Canonically equivalent spellings, and short texts so that pairs repeat.
+_diag_text = st.one_of(st.sampled_from(["\u00e9", "e\u0301", "a", "b", "", "\U0001f600"]),
+                       st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+_diag_example = st.tuples(st.sampled_from(["en", "zh", "fr", "de"]), st.sampled_from(["en", "zh", "fr", "ja"]),
+                          _diag_text, _diag_text)
+
+
+@given(st.lists(_diag_example, max_size=40))
+def test_packed_keys_count_as_the_text_key_sets(mk_example, rows):
+    examples = [mk_example(f"e{i}", src_lang, tgt_lang, src, tgt) for i, (src_lang, tgt_lang, src, tgt) in enumerate(rows)]
+    # The same text under two languages, and an NFC variant, on every draw.
+    examples += [mk_example("x", "fr", "en", "\u00e9", "\u00e9"), mk_example("y", "de", "en", "\u00e9", "e\u0301")]
+    per_target, histogram, by_class = _reference_stats(examples)
+    stats = target_repetition_stats(examples)
+    assert list(stats.per_target.items()) == list(per_target.items())
+    assert stats.histogram == histogram
+    assert {c: (s.distinct_targets, s.total_pairs, s.max_repetition) for c, s in stats.by_class.items()} == by_class
 
 
 def test_frozen_seeded_mean_after_policy(registry, dirset):

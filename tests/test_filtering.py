@@ -4,9 +4,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import any_text
 from mmtkit.errors import MissingScore, RecordParseError
 from mmtkit.filtering import (
     ControlCharFree,
@@ -97,6 +98,24 @@ def test_exact_dedup_and_reset(mk_example):
     assert not rule.passes(b)
     rule.reset()
     assert rule.passes(b)
+
+
+# Pairs that differ only at a boundary, by a lone surrogate, by a surrogate
+# pair against its code point, or by normalization must all stay distinct.
+_DEDUP_TEXTS = ["", "a", "ab", "bc", "c", "\ud800", "\ud801", "\udfff", "\u00e9", "e\u0301", "\xff", "\U0001f600"]
+_dedup_text = st.one_of(st.sampled_from(_DEDUP_TEXTS), any_text)
+_NEAR_PAIRS = [("ab", "c"), ("a", "bc"), ("\ud800", "x"), ("\ud801", "x"), ("\u00e9", "x"), ("e\u0301", "x"),
+               ("\ud83d\ude00", "x"), ("\U0001f600", "x")]
+
+
+@given(st.lists(st.tuples(_dedup_text, _dedup_text), max_size=40))
+@example(_NEAR_PAIRS + _NEAR_PAIRS)
+def test_exact_dedup_decides_as_a_set_of_text_pairs(mk_example, pairs):
+    rule, seen, expected = ExactDedup(), set(), []
+    for pair in pairs:
+        expected.append(pair not in seen)
+        seen.add(pair)
+    assert [rule.passes(mk_example(src=s, tgt=t)) for s, t in pairs] == expected
 
 
 def test_first_failing_rule_charged(mk_example):
