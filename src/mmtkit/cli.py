@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import RecordParseError, ToolkitError
+from .errors import InvalidInput, RecordParseError, ToolkitError
 from .hashing import DEFAULT_SEED
 
 # Each cmd_* imports the library modules it runs, so a stage loads only those
@@ -229,6 +229,7 @@ def _read_mono(stream, path: str, lang: str):
 def cmd_synth(args) -> dict:
     from .backends import SubprocessBackend
     from .records import read_examples, write_jsonl
+    from .registry import CENTERS
     from .synthesis import SynthStats, synth_direct, synth_pivot
 
     _log_to_stderr()
@@ -237,6 +238,8 @@ def cmd_synth(args) -> dict:
     if args.mode == "pivot" and args.direction:
         raise RecordParseError("--direction is only for direct synthesis")
     direction = _parse_direction(args.direction) if args.mode == "direct" else None
+    if direction is not None and direction.src not in CENTERS:
+        raise InvalidInput(f"direct synthesis needs a center source, got {direction}")
     stats = SynthStats()
     with (
         _open_out(args) as fout,

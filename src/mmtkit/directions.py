@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .records import DirectionalExample, MultiWayRecord, Provenance
 from .registry import CENTERS, Registry, direction_error
@@ -75,15 +74,10 @@ def covered(record: MultiWayRecord, dirset: DirectionSet) -> list[Direction]:
     return [d for d in dirset.directions if d.src in sentences and d.tgt in sentences]
 
 
-def examples(record: MultiWayRecord, directions: Iterable[Direction]) -> list[DirectionalExample]:
-    """The record's human-provenance example in each of the directions, which it must cover."""
+def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
+    """One human-provenance example per direction covered by the record."""
     record_id, sentences = record.id, record.sentences
     return [
         DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
-        for d in directions
+        for d in covered(record, dirset)
     ]
-
-
-def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
-    """One human-provenance example per direction covered by the record."""
-    return examples(record, covered(record, dirset))

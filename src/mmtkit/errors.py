@@ -11,8 +11,8 @@ line's converter, so it reads "path:line N: message"; only the CLI's
 --rules reader passes json's lineno. A path without a line reads
 "path: message". The request refusals InvalidInput, NoAuxiliaryDefined
 and EmptySource are RecordParseErrors, so an infer-prompt request, judged
-in the converter, is refused at its line. Raised after a line is read, as
-synth raises them, they carry no location.
+in the converter, is refused at its line. Raised outside the reading loop,
+as synth raises them, they carry no location.
 """
 from __future__ import annotations
 

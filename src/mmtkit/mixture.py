@@ -11,7 +11,9 @@ the same multi-way record as the pair itself; examples whose direction has no
 auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
 
 A candidate is a reference to the multi-way record that covers its direction;
-its example is built only if it survives the cap and the retention coin.
+its prompt is rendered, straight from the record's sentences, only if it
+survives the cap and the retention coin. The records are taken as
+read_multiway checked them, so the prompts are not checked again.
 Selection holds at most per_direction_max candidates per direction without
 scores (corpus order, so later candidates are only counted) and at most
 2 x per_direction_max + 1 with scores, so memory does not grow with the
@@ -25,11 +27,11 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .directions import Direction, DirectionSet, covered, examples
+from .directions import Direction, DirectionSet, covered
 from .downsampling import RetentionPolicy, retained
 from .errors import MissingScore
 from .hashing import DEFAULT_SEED, unit_uniform
-from .prompts import PromptedExample, render_pmp, render_stp
+from .prompts import PromptedExample, PromptFormat, render_translation
 from .records import MultiWayRecord
 from .registry import Registry
 
@@ -157,14 +159,15 @@ def stream_sft_mixture(
             survivors.sort(key=lambda s: s[0])
             aux = registry.auxiliary_for(d.src, d.tgt)
             for ex_id, record in survivors:
-                (ex,) = examples(record, (d,))
-                aux_text = record.sentences.get(aux) if aux is not None else None
+                sentences = record.sentences
+                src, tgt = sentences[d.src], sentences[d.tgt]
+                aux_text = sentences.get(aux) if aux is not None else None
                 if aux_text and unit_uniform(spec.seed, f"fmt:{ex_id}") < pmp_share:
                     rep.pmp += 1
-                    yield render_pmp(ex, aux_text, aux, registry)
+                    yield render_translation(PromptFormat.PMP, ex_id, d.src, d.tgt, src, tgt, registry, aux, aux_text)
                 else:
                     rep.stp += 1
-                    yield render_stp(ex, registry)
+                    yield render_translation(PromptFormat.STP, ex_id, d.src, d.tgt, src, tgt, registry)
         if report.warnings:
             log.warning(
                 "%d of %d directions below per_direction_min=%d; first: %s",

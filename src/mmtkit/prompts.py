@@ -8,6 +8,12 @@ Inference prompts are the STP or PMP training prefix with an empty loss span
 at end of text, built by one of four strategies: DT (direct), PT (two-step
 pivot through en), PMP-O (gold auxiliary), PMP-S (auxiliary produced by the
 backend).
+
+STP and PMP text comes from one formatter, render_translation, which checks
+nothing; render_stp and render_pmp check their example, build_inference_prompt
+its request, and mix renders records read_multiway checked. read_prompted
+alone checks a PromptedExample (span inside the text's UTF-8 bytes, aux_lang
+set exactly for PMP), which every renderer here meets by construction.
 """
 from __future__ import annotations
 
@@ -50,15 +56,6 @@ class PromptedExample:
     id: str
     prompt_schema: str = PROMPT_SCHEMA
 
-    def __post_init__(self):
-        n = len(self.text.encode("utf-8"))
-        if not 0 <= self.loss_start <= self.loss_end <= n:
-            raise ValueError(
-                f"loss span [{self.loss_start}, {self.loss_end}) outside text of {n} bytes"
-            )
-        if (self.aux_lang is not None) != (self.format is PromptFormat.PMP):
-            raise ValueError("aux_lang must be set exactly for PMP prompts")
-
     def loss_slice(self) -> str:
         return self.text.encode("utf-8")[self.loss_start : self.loss_end].decode("utf-8")
 
@@ -96,72 +93,60 @@ def _spanned(prefix: str, target: str) -> tuple[str, int, int]:
     return text, start, len(text.encode("utf-8"))
 
 
-def _render_translation(
+def render_translation(
     fmt: PromptFormat,
-    item_id: str,
+    prompt_id: str,
     src_lang: str,
     tgt_lang: str,
     src: str,
-    tgt: str | None,
+    tgt: str,
     registry: Registry,
     aux_lang: str | None = None,
     aux_text: str | None = None,
 ) -> PromptedExample:
-    """Render an STP or PMP prompt. A tgt of None renders an inference prompt:
-    the training prefix with an empty loss span at end of text."""
-    owner = f"item {item_id!r}" if tgt is None else f"example {item_id!r}"
+    """Render an STP or PMP prompt, checking nothing: the caller has checked
+    that both codes are in the registry, that src is non-empty, and for PMP
+    that aux_lang is the direction's auxiliary and aux_text a non-empty
+    sentence in it. A tgt of "" renders an inference prompt: the training
+    prefix with an empty loss span at end of text."""
+    names = registry.languages
+    src_name, tgt_name = names[src_lang].name, names[tgt_lang].name
+    prefix = f"Translate the following text from {src_name} to {tgt_name}.\n{src_name}: {src}\n"
+    if fmt is PromptFormat.PMP:
+        prefix += f"{names[aux_lang].name}: {aux_text}\n"
+    text, start, end = _spanned(prefix + f"{tgt_name}: ", tgt)
+    return PromptedExample(text, start, end, fmt, src_lang, tgt_lang, aux_lang, prompt_id)
+
+
+def _render_training(
+    fmt: PromptFormat, example: DirectionalExample, registry: Registry, aux_lang: str | None = None, aux_text: str | None = None
+) -> PromptedExample:
+    """render_translation of a training example, after checking it."""
+    src_lang, tgt_lang = example.src_lang, example.tgt_lang
+    for code in (src_lang, tgt_lang):
+        if code not in registry:
+            raise UnknownLanguage(code)
     if fmt is PromptFormat.PMP:
         expected = registry.auxiliary_for(src_lang, tgt_lang)
         if expected is None:
             raise NoAuxiliaryDefined(f"direction {src_lang}->{tgt_lang} has no auxiliary language")
         if aux_lang != expected:
             raise ValueError(f"auxiliary for {src_lang}->{tgt_lang} is {expected!r}, got {aux_lang!r}")
-    if not src:
-        raise EmptySource(f"{owner} has an empty source")
+    if not example.src:
+        raise EmptySource(f"example {example.id!r} has an empty source")
     if fmt is PromptFormat.PMP and not aux_text:
-        raise ValueError(f"{owner}: empty auxiliary text")
-    if tgt is not None and not tgt:
-        raise ValueError(f"{owner} has an empty target")
-    src_name, tgt_name = registry.name_of(src_lang), registry.name_of(tgt_lang)
-    prefix = f"Translate the following text from {src_name} to {tgt_name}.\n{src_name}: {src}\n"
-    if fmt is PromptFormat.PMP:
-        prefix += f"{registry.name_of(aux_lang)}: {aux_text}\n"
-    text, start, end = _spanned(prefix + f"{tgt_name}: ", tgt or "")
-    return PromptedExample(
-        text=text,
-        loss_start=start,
-        loss_end=end,
-        format=fmt,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        aux_lang=aux_lang,
-        id=item_id,
-    )
+        raise ValueError(f"example {example.id!r}: empty auxiliary text")
+    if not example.tgt:
+        raise ValueError(f"example {example.id!r} has an empty target")
+    return render_translation(fmt, example.id, src_lang, tgt_lang, example.src, example.tgt, registry, aux_lang, aux_text)
 
 
 def render_stp(example: DirectionalExample, registry: Registry) -> PromptedExample:
-    return _render_translation(
-        PromptFormat.STP, example.id, example.src_lang, example.tgt_lang, example.src, example.tgt, registry
-    )
+    return _render_training(PromptFormat.STP, example, registry)
 
 
-def render_pmp(
-    example: DirectionalExample,
-    aux_text: str,
-    aux_lang: str,
-    registry: Registry,
-) -> PromptedExample:
-    return _render_translation(
-        PromptFormat.PMP,
-        example.id,
-        example.src_lang,
-        example.tgt_lang,
-        example.src,
-        example.tgt,
-        registry,
-        aux_lang,
-        aux_text,
-    )
+def render_pmp(example: DirectionalExample, aux_text: str, aux_lang: str, registry: Registry) -> PromptedExample:
+    return _render_training(PromptFormat.PMP, example, registry, aux_lang, aux_text)
 
 
 def render_cpt_bilingual(
@@ -214,7 +199,7 @@ def parse_cpt_bilingual(text: str) -> tuple[str, str, str, str]:
 
     The separator is the first occurrence of " [TGT] " after the header, so
     the parse is ambiguous only when the source text itself contains that
-    token. Language codes must not contain the digit 2.
+    token.
     """
     m = _CPT_HEADER.match(text)
     if m is None:
@@ -259,7 +244,7 @@ def build_inference_prompt(
         raise EmptySource(f"item {prompt_id!r} has an empty source")
 
     if strategy is InferenceStrategy.DT:
-        return [_render_translation(PromptFormat.STP, prompt_id, src_lang, tgt_lang, src_text, None, registry)]
+        return [render_translation(PromptFormat.STP, prompt_id, src_lang, tgt_lang, src_text, "", registry)]
 
     if strategy is InferenceStrategy.PT:
         # The pivot is always en, so neither endpoint may be en.
@@ -267,11 +252,11 @@ def build_inference_prompt(
             raise InvalidInput(f"pivot strategy is undefined for {src_lang}->{tgt_lang}")
         if backend is None:
             raise InvalidInput("pivot strategy requires a backend for the first hop")
-        first = _render_translation(PromptFormat.STP, f"{item_id}#{src_lang}2en", src_lang, "en", src_text, None, registry)
+        first = render_translation(PromptFormat.STP, f"{item_id}#{src_lang}2en", src_lang, "en", src_text, "", registry)
         en_text = backend.translate(item_id, src_lang, "en", src_text)
         if not en_text:
             raise BackendError(f"item {item_id!r}: empty pivot translation")
-        second = _render_translation(PromptFormat.STP, f"{item_id}#en2{tgt_lang}", "en", tgt_lang, en_text, None, registry)
+        second = render_translation(PromptFormat.STP, f"{item_id}#en2{tgt_lang}", "en", tgt_lang, en_text, "", registry)
         return [first, second]
 
     aux_lang = registry.auxiliary_for(src_lang, tgt_lang)
@@ -289,7 +274,7 @@ def build_inference_prompt(
             raise BackendError(f"item {item_id!r}: empty auxiliary translation")
 
     return [
-        _render_translation(PromptFormat.PMP, prompt_id, src_lang, tgt_lang, src_text, None, registry, aux_lang, aux_text)
+        render_translation(PromptFormat.PMP, prompt_id, src_lang, tgt_lang, src_text, "", registry, aux_lang, aux_text)
     ]
 
 
@@ -304,8 +289,14 @@ def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[Pr
         (aux_lang,) = required_fields(obj, ("aux_lang",)) if obj.get("aux_lang") is not None else (None,)
         (schema,) = required_fields(obj, ("prompt_schema",)) if "prompt_schema" in obj else (PROMPT_SCHEMA,)
         try:
-            return PromptedExample(text, loss_start, loss_end, PromptFormat(fmt), src_lang, tgt_lang, aux_lang, item_id, schema)
+            fmt = PromptFormat(fmt)
+            n = len(text.encode("utf-8"))  # a lone surrogate has no UTF-8 form
         except ValueError as e:
             raise RecordParseError(str(e)) from None
+        if not 0 <= loss_start <= loss_end <= n:
+            raise RecordParseError(f"loss span [{loss_start}, {loss_end}) outside text of {n} bytes")
+        if (aux_lang is not None) != (fmt is PromptFormat.PMP):
+            raise RecordParseError("aux_lang must be set exactly for PMP prompts")
+        return PromptedExample(text, loss_start, loss_end, fmt, src_lang, tgt_lang, aux_lang, item_id, schema)
 
     return parse_json_lines(stream, path, prompted)

@@ -3,13 +3,15 @@
 The built-in registry ships 60 languages with script/family/tier metadata and
 a 19-entry auxiliary map used for parallel multilingual prompting. Custom
 registries load from line-delimited JSON and must contain both center
-languages (en, zh); everything else about them is up to the caller.
+languages (en, zh); each code is [a-z_]+, so that the "2" of an example id
+{id}#{src}2{tgt} splits it one way only.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +30,7 @@ CENTERS = ("en", "zh")
 T = TypeVar("T")
 
 _LANG_FIELDS = ("code", "name", "script", "family", "tier")
+_CODE = re.compile("[a-z_]+")
 
 
 class Tier(str, Enum):
@@ -193,8 +196,9 @@ def _load_languages(lines: Iterable[str], path: str | None) -> dict[str, Languag
         code, name, script, family, tier = required_fields(obj, _LANG_FIELDS)
         if not code:
             raise RecordParseError("empty language code")
-        if code != code.lower():
-            raise RecordParseError(f"language code must be lowercase: {code!r}")
+        # Example ids are {id}#{src}2{tgt}, so a code holds no digit.
+        if _CODE.fullmatch(code) is None:
+            raise RecordParseError(f"language code must be lowercase ASCII letters and underscores: {code!r}")
         try:
             tier = Tier(tier)
         except ValueError:

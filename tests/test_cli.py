@@ -686,6 +686,28 @@ def test_custom_registry_cli(tmp_path):
     assert proc.stdout.strip() == "3 languages, 6 directions"
 
 
+@pytest.mark.parametrize("code", ["zh2zh", "f2", "fr-ca", "é"])
+def test_registry_code_outside_id_grammar_refused(tmp_path, code):
+    """A code is lowercase a-z and '_', so the '2' of an example id
+    {id}#{src}2{tgt} splits it one way: with the code zh2zh, expand would
+    write two lines with the id r#zh2zh2zh."""
+    langs = tmp_path / "langs.jsonl"
+    rows = [
+        {"code": c, "name": c.upper(), "script": "L", "family": "F", "tier": "High"}
+        for c in ("en", "zh", code)
+    ]
+    langs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    corpus = tmp_path / "c.mwjsonl"
+    corpus.write_text(json_line({"id": "r", "sentences": {"zh": "a", code: "b"}}) + "\n", encoding="utf-8")
+    out = tmp_path / "o.djsonl"
+    proc = run_cli("expand", "--registry", str(langs), "--in", str(corpus), "--out", str(out), expect=1)
+    assert last_error(proc) == {
+        "error": "RecordParseError",
+        "message": f"{langs}:line 3: language code must be lowercase ASCII letters and underscores: {code!r}",
+    }
+    assert not out.exists()
+
+
 def last_error(proc):
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -718,6 +740,22 @@ def test_synth_direct_unsupported_direction_exits_1(tmp_path, direction):
         expect=1,
     )
     assert last_error(proc)["error"] == "RecordParseError"
+    assert not (tmp_path / "o").exists()
+    assert not marker.exists()
+
+
+def test_synth_direct_non_center_source_refused_before_backend_starts(tmp_path):
+    # fr2en is a supported direction, but direct synthesis needs a center source.
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text(json_line({"id": "m0", "text": "eau"}) + "\n", encoding="utf-8")
+    marker = tmp_path / "started"
+    proc = run_cli(
+        "synth", "--mode", "direct", "--direction", "fr2en",
+        "--backend-cmd", f"touch {marker}",
+        "--in", str(mono), "--out", str(tmp_path / "o"),
+        expect=1,
+    )
+    assert last_error(proc) == {"error": "InvalidInput", "message": "direct synthesis needs a center source, got fr->en"}
     assert not (tmp_path / "o").exists()
     assert not marker.exists()
 

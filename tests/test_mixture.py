@@ -1,17 +1,20 @@
 """SFT mixture: selection, retention, format assignment, output order."""
 from __future__ import annotations
 
+import io
 import logging
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmtkit.directions import enumerate_directions
+from mmtkit.directions import enumerate_directions, expand
 from mmtkit.errors import MissingScore
 from mmtkit.hashing import unit_uniform
 from mmtkit.mixture import MixtureSpec, build_sft_mixture
-from mmtkit.prompts import PromptFormat
-from mmtkit.records import MultiWayRecord
+from mmtkit.prompts import PromptFormat, read_prompted
+from mmtkit.records import MultiWayRecord, write_jsonl
 
 
 def spec(**kw):
@@ -270,3 +273,57 @@ def test_spec_refuses_non_integer_counts(field, value):
 def test_spec_refuses_non_number_shares(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a number"):
         MixtureSpec(**{field: value})
+
+
+_MIX_LANGS = ("en", "zh", "fr", "bg", "ru", "sw", "ja")
+# Any non-empty text with a UTF-8 form: multi-byte, control and JSON-escaped
+# characters included.
+_mix_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+
+
+@st.composite
+def _mix_records(draw):
+    n = draw(st.integers(0, 8))
+    return [
+        MultiWayRecord(f"r{i}", {lang: draw(_mix_text) for lang in draw(st.lists(st.sampled_from(_MIX_LANGS), unique=True))})
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=60)
+@given(
+    recs=_mix_records(),
+    cap=st.integers(1, 4),
+    share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 3),
+    scored=st.booleans(),
+)
+def test_mixture_prompts_hold_their_record_sentences(registry, dirset, recs, cap, share, seed, scored):
+    """mix renders each prompt straight from its record, unchecked: each
+    loss slice is the record's target sentence, aux_lang is set exactly for
+    PMP, a PMP text holds the record's auxiliary sentence, and read_prompted
+    gives the written lines back as the same records."""
+    by_id = {r.id: r for r in recs}
+    scores = None
+    if scored:
+        scores = {ex.id: unit_uniform(seed, ex.id) for r in recs for ex in expand(r, dirset)}
+    s = spec(per_direction_max=cap, forward_pmp_share=share, reverse_total_retention=1.0,
+             reverse_pmp_share_of_retained=share, seed=seed)
+    prompted, report = build_sft_mixture(recs, registry, dirset, s, scores=scores)
+    assert len(prompted) == report.emitted
+    for pe in prompted:
+        rec_id, suffix = pe.id.split("#")
+        sentences = by_id[rec_id].sentences
+        assert suffix == f"{pe.src_lang}2{pe.tgt_lang}"
+        assert pe.text.encode("utf-8")[pe.loss_start : pe.loss_end] == sentences[pe.tgt_lang].encode("utf-8")
+        assert pe.loss_end == len(pe.text.encode("utf-8"))
+        assert f"{registry.name_of(pe.src_lang)}: {sentences[pe.src_lang]}\n" in pe.text
+        assert (pe.aux_lang is not None) == (pe.format is PromptFormat.PMP)
+        if pe.format is PromptFormat.PMP:
+            assert pe.aux_lang == registry.auxiliary_for(pe.src_lang, pe.tgt_lang)
+            assert f"\n{registry.name_of(pe.aux_lang)}: {sentences[pe.aux_lang]}\n" in pe.text
+        else:
+            assert pe.format is PromptFormat.STP
+    buf = io.StringIO()
+    write_jsonl(prompted, buf)
+    assert list(read_prompted(io.StringIO(buf.getvalue()), path="mix.pjsonl")) == prompted

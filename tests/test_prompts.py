@@ -156,22 +156,27 @@ def test_pmp_prompt_errors(registry):
         build_inference_prompt("pmp-o", "en", "fr", "x", registry, aux_text="y")
 
 
-def test_prompted_example_validation():
-    with pytest.raises(ValueError):
-        PromptedExample(
-            text="ab", loss_start=1, loss_end=5, format=PromptFormat.STP,
-            src_lang="en", tgt_lang="fr", aux_lang=None, id="x",
-        )
-    with pytest.raises(ValueError):
-        PromptedExample(
-            text="ab", loss_start=2, loss_end=1, format=PromptFormat.STP,
-            src_lang="en", tgt_lang="fr", aux_lang=None, id="x",
-        )
-    with pytest.raises(ValueError):  # aux_lang only on PMP
-        PromptedExample(
-            text="ab", loss_start=0, loss_end=1, format=PromptFormat.STP,
-            src_lang="en", tgt_lang="fr", aux_lang="ru", id="x",
-        )
+def test_read_prompted_refuses_bad_span_or_aux_at_its_line():
+    """read_prompted is a PromptedExample's one check: a span outside the
+    text's bytes, or an aux_lang on any format but PMP (or none on PMP), is
+    refused at path:line."""
+    good = json_line(render_cpt_mono("m1", "sw", "ab").to_json())
+    base = {"text": "ab", "format": "STP", "src_lang": "en", "tgt_lang": "fr", "aux_lang": None, "id": "x"}
+    cases = [
+        ({"loss_start": 1, "loss_end": 5}, "loss span [1, 5) outside text of 2 bytes"),
+        ({"loss_start": 2, "loss_end": 1}, "loss span [2, 1) outside text of 2 bytes"),
+        ({"loss_start": 0, "loss_end": 1, "aux_lang": "ru"}, "aux_lang must be set exactly for PMP prompts"),
+        ({"loss_start": 0, "loss_end": 1, "format": "PMP"}, "aux_lang must be set exactly for PMP prompts"),
+    ]
+    for fields, message in cases:
+        bad = json_line({**base, **fields})
+        with pytest.raises(RecordParseError) as exc:
+            list(read_prompted(io.StringIO(f"{good}\n{bad}\n"), path="p.pjsonl"))
+        assert str(exc.value) == f"p.pjsonl:line 2: {message}"
+    # A text with a lone surrogate has no UTF-8 bytes to measure the span in.
+    bad = json_line({**base, "text": "\ud800", "loss_start": 0, "loss_end": 0})
+    with pytest.raises(RecordParseError, match="^p.pjsonl:line 1: 'utf-8' codec can't encode"):
+        list(read_prompted(io.StringIO(bad + "\n"), path="p.pjsonl"))
 
 
 def test_prompted_io_roundtrip(registry, mk_example):
