@@ -128,17 +128,23 @@ def cmd_validate(args) -> None:
 
 
 def cmd_expand(args) -> dict:
-    from .directions import enumerate_directions, expand
+    from .directions import covered, enumerate_directions, examples
     from .records import read_multiway, write_jsonl
 
-    n_records = n_examples = 0
+    n_records = 0
     with _open_out(args) as fout:
         registry = _load_registry(args)
         dirset = enumerate_directions(registry)
         with open(args.infile, encoding="utf-8") as fin:
-            for record in read_multiway(fin, registry, path=args.infile):
-                n_records += 1
-                n_examples += write_jsonl(expand(record, dirset), fout)
+
+            def expanded():
+                nonlocal n_records
+                memo = {}
+                for record in read_multiway(fin, registry, path=args.infile):
+                    n_records += 1
+                    yield from examples(record, covered(record, dirset, memo))
+
+            n_examples = write_jsonl(expanded(), fout)
     return {"records": n_records, "examples": n_examples}
 
 

@@ -8,10 +8,19 @@ NFC-normalized before hashing so canonically equivalent strings collapse.
 """
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
+
+# CPython's built-in sha256 (_sha2 from 3.12, _sha256 before): hashlib would
+# also load OpenSSL's _hashlib, a few MB per process, for the same digest.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .downsampling import SampleClass
 from .records import DirectionalExample
@@ -19,12 +28,16 @@ from .registry import CENTERS
 
 
 _KEY_MASK = (1 << 64) - 1
+# Texts whose keys target_repetition_stats remembers. A record's examples
+# come together and share a dozen or so texts, so a few hundred suffice; the
+# memo holds the texts themselves, which is why it stays this small.
+_TEXT_KEY_MEMO = 256
 
 
 def _text_key(text: str) -> int:
     """The first 8 bytes of sha256 over the NFC form, as an int."""
     norm = unicodedata.normalize("NFC", text)
-    return int.from_bytes(hashlib.sha256(norm.encode("utf-8")).digest()[:8], "big")
+    return int.from_bytes(sha256(norm.encode("utf-8")).digest()[:8], "big")
 
 
 @dataclass
@@ -70,13 +83,24 @@ def target_repetition_stats(examples: Iterable[DirectionalExample]) -> Repetitio
     While counting, a side is one int, (language index << 64) | text key, and
     a pair is (target << 96) | source; language indices stay below 2³², so
     both packings are injective. per_target keys are (lang, 16-digit hex key).
+    The keys of recent texts are remembered, up to _TEXT_KEY_MEMO texts.
     """
     lang_index: dict[str, int] = {}
     pairs: set[int] = set()
     n_sources: dict[int, int] = {}
+    memo: dict[str, int] = {}
+
+    def text_key(text: str) -> int:
+        key = memo.get(text)
+        if key is None:
+            if len(memo) >= _TEXT_KEY_MEMO:
+                memo.clear()
+            key = memo[text] = _text_key(text)
+        return key
+
     for ex in examples:
-        tgt = (lang_index.setdefault(ex.tgt_lang, len(lang_index)) << 64) | _text_key(ex.tgt)
-        src = (lang_index.setdefault(ex.src_lang, len(lang_index)) << 64) | _text_key(ex.src)
+        tgt = (lang_index.setdefault(ex.tgt_lang, len(lang_index)) << 64) | text_key(ex.tgt)
+        src = (lang_index.setdefault(ex.src_lang, len(lang_index)) << 64) | text_key(ex.src)
         pair = (tgt << 96) | src
         if pair not in pairs:
             pairs.add(pair)

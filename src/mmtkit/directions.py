@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .records import DirectionalExample, MultiWayRecord, Provenance
 from .registry import CENTERS, Registry, direction_error
@@ -68,16 +69,40 @@ def enumerate_directions(registry: Registry) -> DirectionSet:
     )
 
 
-def covered(record: MultiWayRecord, dirset: DirectionSet) -> list[Direction]:
-    """The directions of dirset with both sides in the record, in dirset order."""
+# Language sets a memo of covered holds, at about 1 KB each. A corpus
+# usually has few sets, often one, so the memo rarely fills.
+_COVERED_MEMO = 64
+
+
+def covered(
+    record: MultiWayRecord, dirset: DirectionSet, memo: dict[frozenset[str], tuple[Direction, ...]] | None = None
+) -> tuple[Direction, ...]:
+    """The directions of dirset with both sides in the record, in dirset order.
+
+    memo, a dict a loop over records keeps for one dirset, remembers the
+    answer per language set, up to _COVERED_MEMO sets.
+    """
     sentences = record.sentences
-    return [d for d in dirset.directions if d.src in sentences and d.tgt in sentences]
+    if memo is None:
+        return tuple([d for d in dirset.directions if d.src in sentences and d.tgt in sentences])
+    langs = frozenset(sentences)
+    found = memo.get(langs)
+    if found is None:
+        if len(memo) >= _COVERED_MEMO:
+            memo.clear()
+        found = memo[langs] = covered(record, dirset)
+    return found
+
+
+def examples(record: MultiWayRecord, directions: Iterable[Direction]) -> list[DirectionalExample]:
+    """One human-provenance example per direction, each of which the record covers."""
+    record_id, sentences = record.id, record.sentences
+    return [
+        DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
+        for d in directions
+    ]
 
 
 def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
     """One human-provenance example per direction covered by the record."""
-    record_id, sentences = record.id, record.sentences
-    return [
-        DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
-        for d in covered(record, dirset)
-    ]
+    return examples(record, covered(record, dirset))

@@ -9,17 +9,27 @@ Lengths are whitespace-token counts, except for languages written without
 word spacing (zh, ja, th, my, km, lo, bo, yue) where characters stand in for
 tokens: bounds scale their maximum by 4 characters per token (the minimum
 stays in raw characters so short CJK sentences survive) and ratios divide
-character counts by 4 to stay comparable across scripts.
+character counts by 4 to stay comparable across scripts. MaxLengthRatio and
+LengthBounds read the same two lengths, so apply_heuristics gives them one
+shared count, which measures each pair's sides once however many length
+rules the list holds and in whatever order; each rule still decides, and is
+charged, on its own. A rule used outside apply_heuristics counts for itself.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import MissingScore, RecordParseError
 from .records import DirectionalExample, ScoredPair
+
+# CPython's built-in blake2b: hashlib would also load OpenSSL's _hashlib, a
+# few MB per process, for the same digest.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 SPACELESS = frozenset({"zh", "ja", "th", "my", "km", "lo", "bo", "yue"})
 
@@ -60,9 +70,28 @@ class SrcTgtDistinct(FilterRule):
         return ex.src != ex.tgt
 
 
+class _SideLengths:
+    """token_length of each side of the last pair asked about, counted again
+    only when a side's language or text differs."""
+
+    __slots__ = ("_key", "_lengths")
+
+    def __init__(self):
+        self._key = None
+        self._lengths = (0.0, 0.0)
+
+    def of(self, ex: DirectionalExample) -> tuple[float, float]:
+        key = (ex.src_lang, ex.src, ex.tgt_lang, ex.tgt)
+        if key != self._key:
+            self._lengths = (token_length(ex.src_lang, ex.src), token_length(ex.tgt_lang, ex.tgt))
+            self._key = key
+        return self._lengths
+
+
 @dataclass
 class MaxLengthRatio(FilterRule):
     ratio: float = 3.0
+    _lengths: _SideLengths = field(default_factory=_SideLengths, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.ratio
@@ -70,8 +99,8 @@ class MaxLengthRatio(FilterRule):
             raise ValueError(f"ratio must be a positive number, got {r!r}")
 
     def passes(self, ex: DirectionalExample) -> bool:
-        a = max(1.0, token_length(ex.src_lang, ex.src))
-        b = max(1.0, token_length(ex.tgt_lang, ex.tgt))
+        a, b = self._lengths.of(ex)
+        a, b = max(1.0, a), max(1.0, b)
         return max(a, b) / min(a, b) <= self.ratio
 
 
@@ -79,6 +108,7 @@ class MaxLengthRatio(FilterRule):
 class LengthBounds(FilterRule):
     min_len: int = 1
     max_len: int = 512
+    _lengths: _SideLengths = field(default_factory=_SideLengths, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("min_len", "max_len"):
@@ -88,13 +118,14 @@ class LengthBounds(FilterRule):
         if not 0 < self.min_len <= self.max_len:
             raise ValueError(f"need 0 < min_len <= max_len, got {self.min_len}..{self.max_len}")
 
-    def _ok(self, lang: str, text: str) -> bool:
-        if lang in SPACELESS:
-            return self.min_len <= len(text) <= self.max_len * CHARS_PER_TOKEN
-        return self.min_len <= len(text.split()) <= self.max_len
+    def _ok(self, lang: str, length: float) -> bool:
+        if lang in SPACELESS:  # length is len(text) / 4, so this product is len(text) exactly
+            return self.min_len <= length * CHARS_PER_TOKEN <= self.max_len * CHARS_PER_TOKEN
+        return self.min_len <= length <= self.max_len
 
     def passes(self, ex: DirectionalExample) -> bool:
-        return self._ok(ex.src_lang, ex.src) and self._ok(ex.tgt_lang, ex.tgt)
+        a, b = self._lengths.of(ex)
+        return self._ok(ex.src_lang, a) and self._ok(ex.tgt_lang, b)
 
 
 class ControlCharFree(FilterRule):
@@ -116,7 +147,7 @@ class ExactDedup(FilterRule):
         self._seen: set[bytes] = set()
 
     def passes(self, ex: DirectionalExample) -> bool:
-        key = hashlib.blake2b(
+        key = blake2b(
             ex.src.encode("utf-8", "surrogatepass") + b"\xff" + ex.tgt.encode("utf-8", "surrogatepass"),
             digest_size=16,
         ).digest()
@@ -196,8 +227,11 @@ def apply_heuristics(
     report = FilterReport()
 
     def run() -> Iterator[DirectionalExample]:
+        lengths = _SideLengths()
         for rule in rules:
             rule.reset()
+            if isinstance(rule, (MaxLengthRatio, LengthBounds)):
+                rule._lengths = lengths
         for ex in pairs:
             report.input_count += 1
             failed = None

@@ -122,8 +122,9 @@ def stream_sft_mixture(
         # Keyed by (src, tgt): a Direction would hash through a Python method.
         pools: dict[tuple[str, str], list[MultiWayRecord]] = {(d.src, d.tgt): [] for d in dirset.directions}
         seen = dict.fromkeys(pools, 0)
+        memo: dict = {}
         for record in records:
-            for d in covered(record, dirset):
+            for d in covered(record, dirset, memo):
                 key = d.src, d.tgt
                 seen[key] += 1
                 pool = pools[key]

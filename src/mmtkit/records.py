@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 # The C escaper json_line uses under ensure_ascii=False: to_line methods quote
 # each string field with it, so their lines equal json_line(to_json()) byte for
 # byte, and lone surrogates pass through to the stream as there.
@@ -152,13 +153,19 @@ def read_examples(stream: Iterable[str], path: str | None = None, validate: bool
     return parse_json_lines(stream, path, example)
 
 
+# Lines write_jsonl joins into one write: enough to save most per-line calls,
+# few enough that a batch stays a few tens of KB.
+_WRITE_BATCH = 64
+
+
 def write_jsonl(items: Iterable, stream: IO[str]) -> int:
     """Write each item's to_line(), which equals json_line(item.to_json()),
-    as one line; return the count."""
+    as one line, up to _WRITE_BATCH lines per write; return the count."""
+    lines = (item.to_line() + "\n" for item in items)
     n = 0
-    for item in items:
-        stream.write(item.to_line() + "\n")
-        n += 1
+    while batch := list(islice(lines, _WRITE_BATCH)):
+        stream.write("".join(batch))
+        n += len(batch)
     return n
 
 

@@ -1290,3 +1290,39 @@ def test_readme_names_every_subcommand_option_and_no_other(scripts_dir):
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
     # --version belongs to the top-level parser, --no-build-isolation to pip.
     assert named - {"--version", "--no-build-isolation"} == options - {"--help"}
+
+
+def test_filter_and_diagnose_load_no_openssl(tmp_path):
+    # hashlib imports OpenSSL's _hashlib, a few MB of RSS per process; the
+    # stages take their digests from CPython's built-in modules instead.
+    corpus, djsonl = write_corpus(tmp_path / "c.mwjsonl"), tmp_path / "c.djsonl"
+    run_cli("expand", "--in", str(corpus), "--out", str(djsonl))
+    script = (
+        "import sys\n"
+        "from mmtkit.cli import main\n"
+        "args, out = sys.argv[1], sys.argv[2]\n"
+        "assert main(['filter', '--in', args, '--out', out + '.f']) == 0\n"
+        "assert main(['diagnose', '--in', out + '.f', '--out', out + '.json']) == 0\n"
+        "assert main(['diagnose', '--p', '0.5', '--in', args]) == 0\n"
+        "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(djsonl), str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
+    assert json.loads((tmp_path / "o.json").read_text(encoding="utf-8"))["distinct_targets"] > 0
+
+
+def test_filter_lone_surrogate_in_a_later_batch_exits_1(tmp_path):
+    # Line 70 falls in write_jsonl's second batch, after the first was written.
+    inp, out = tmp_path / "p.djsonl", tmp_path / "o.djsonl"
+    lines = []
+    for i in range(1, 101):
+        src = "hi \\ud800 there" if i == 70 else f"source words {i}"
+        lines.append(f'{{"id": "r{i}#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": "{src}", "tgt": "mots {i}"}}\n')
+    inp.write_text("".join(lines), encoding="utf-8")
+    proc = run_cli("filter", "--in", str(inp), "--out", str(out), expect=1)
+    assert last_error(proc)["error"] == "UnicodeEncodeError"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["p.djsonl"]

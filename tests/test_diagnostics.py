@@ -8,7 +8,7 @@ import unicodedata
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmtkit.diagnostics import render_histogram, target_repetition_stats
+from mmtkit.diagnostics import _TEXT_KEY_MEMO, render_histogram, target_repetition_stats
 from mmtkit.directions import expand
 from mmtkit.downsampling import RetentionPolicy, SampleClass, downsample
 from mmtkit.records import MultiWayRecord
@@ -164,3 +164,27 @@ def test_as_dict_shape(registry, dirset):
     assert d["max_repetition"] == 59
     assert d["histogram"] == {"2": 58, "59": 2}
     assert d["by_class"]["Reverse"]["max_repetition"] == 59
+
+
+@given(n_texts=st.integers(min_value=1, max_value=3 * _TEXT_KEY_MEMO),
+       picks=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0), st.booleans(), st.booleans()),
+                      max_size=3 * _TEXT_KEY_MEMO))
+def test_text_key_memo_counts_as_the_plain_keys_past_its_bound(mk_example, n_texts, picks):
+    # Texts with two canonically equivalent spellings each: the memo keys a
+    # spelling, and both spellings must still count as one text.
+    def spelling(i, decomposed):
+        return ("cafe\u0301 " if decomposed else "caf\u00e9 ") + str(i)
+
+    examples = [
+        mk_example(f"e{k}", "fr", "en", spelling(s % n_texts, ds), spelling(t % n_texts, dt))
+        for k, (s, t, ds, dt) in enumerate(picks)
+    ]
+    # Past the bound on every draw: one pass over twice as many texts, then the first texts again.
+    examples += [mk_example(f"w{i}", "de", "zh", spelling(i, i % 2), spelling(i // 3, False))
+                 for i in range(2 * _TEXT_KEY_MEMO + 1)]
+    examples += examples[:10]
+    per_target, histogram, by_class = _reference_stats(examples)
+    stats = target_repetition_stats(examples)
+    assert list(stats.per_target.items()) == list(per_target.items())
+    assert stats.histogram == histogram
+    assert {c: (s.distinct_targets, s.total_pairs, s.max_repetition) for c, s in stats.by_class.items()} == by_class

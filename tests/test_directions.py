@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmtkit.directions import Direction, enumerate_directions, expand
+from mmtkit.directions import _COVERED_MEMO, Direction, covered, enumerate_directions, expand
 from mmtkit.errors import MissingCenter
 from mmtkit.records import MultiWayRecord, Provenance
 from mmtkit.registry import load_registry
@@ -114,3 +114,21 @@ def test_expand_count_matches_brute_force(dirset, langs):
     expected = sum(1 for d in dirset.directions if d.src in langs and d.tgt in langs)
     assert len(out) == expected
     assert len({ex.id for ex in out}) == len(out)
+
+
+_LANGS = ["en", "zh", "fr", "de", "ar", "ja", "bg", "sw", "ru", "ko"]
+
+
+@settings(max_examples=25)  # each draw walks more than twice the memo's bound
+@given(drawn=st.lists(st.sets(st.sampled_from(_LANGS)), max_size=30), order=st.randoms(use_true_random=False))
+def test_covered_memo_answers_as_covered_past_its_bound(dirset, drawn, order):
+    # Twice the bound of distinct language sets, drawn sets around them and
+    # again after, in the first key order and a shuffled one.
+    many = [{"en", *(lang for bit, lang in enumerate(_LANGS[1:]) if i >> bit & 1)} for i in range(2 * _COVERED_MEMO + 1)]
+    memo = {}
+    for i, langs in enumerate(drawn + many + drawn):
+        codes = sorted(langs)
+        order.shuffle(codes)
+        rec = MultiWayRecord(id=f"r{i}", sentences={lang: f"text-{lang}" for lang in codes})
+        assert covered(rec, dirset, memo) == covered(rec, dirset)
+        assert len(memo) <= _COVERED_MEMO

@@ -1,6 +1,7 @@
 """Heuristic rules, report conservation, and threshold semantics."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -248,3 +249,73 @@ def test_report_as_dict_includes_histogram(mk_example):
     report.histogram = {0.6: (2, 1.0), 0.7: (1, 0.5), 0.8: (0, 0.0)}
     d = report.as_dict()
     assert d["histogram"]["0.6"] == {"count": 2, "proportion": 1.0}
+
+
+def _plain_ratio_ok(ex, ratio):
+    """MaxLengthRatio's decision, each side counted on its own."""
+    a = max(1.0, token_length(ex.src_lang, ex.src))
+    b = max(1.0, token_length(ex.tgt_lang, ex.tgt))
+    return max(a, b) / min(a, b) <= ratio
+
+
+def _plain_bounds_ok(ex, min_len, max_len):
+    """LengthBounds' decision, each side counted on its own."""
+    def ok(lang, text):
+        if lang in ("zh", "ja"):
+            return min_len <= len(text) <= max_len * 4
+        return min_len <= len(text.split()) <= max_len
+    return ok(ex.src_lang, ex.src) and ok(ex.tgt_lang, ex.tgt)
+
+
+_length_text = st.one_of(
+    st.sampled_from(["", " ", "a", "a b", "a  b c", "\u4e00" * 3, "\u4e00" * 9, "w " * 12]),
+    st.text(alphabet=st.sampled_from("ab \t\n\u4e00\u3042"), max_size=24),
+)
+_length_pair = st.tuples(st.sampled_from(["en", "zh", "ja", "fr"]), st.sampled_from(["en", "zh", "fr"]),
+                         _length_text, _length_text)
+
+
+@given(
+    rows=st.lists(_length_pair, max_size=30),
+    ratio=st.sampled_from([1, 1.5, 3.0, 4]),
+    bounds=st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 512), (10**30, 10**30)]),
+)
+def test_length_rules_share_a_count_and_keep_their_own_verdicts(mk_example, rows, ratio, bounds):
+    pairs = [mk_example(f"p{i}", src_lang, tgt_lang, src, tgt) for i, (src_lang, tgt_lang, src, tgt) in enumerate(rows)]
+    # Repeated sides, the same texts under a spaced and a spaceless language,
+    # and one pair object met twice, so a stale count would show.
+    han = "\u4e00" * 9
+    pairs += [mk_example("q0", "en", "fr", "a b c d", "a"), mk_example("q1", "en", "fr", "a b c d", "a b c"),
+              mk_example("q2", "zh", "en", "\u4e00", "a b c d e"),
+              mk_example("q3", "en", "fr", han, "a"), mk_example("q4", "zh", "fr", han, "a"),
+              mk_example("q5", "fr", "en", "a", han), mk_example("q6", "fr", "zh", "a", han)]
+    pairs.append(pairs[0])
+    min_len, max_len = bounds
+    plain = {
+        "MaxLengthRatio": lambda ex: _plain_ratio_ok(ex, ratio),
+        "LengthBounds": lambda ex: _plain_bounds_ok(ex, min_len, max_len),
+        "NonEmpty": lambda ex: bool(ex.src.strip()) and bool(ex.tgt.strip()),
+    }
+    config = {
+        "MaxLengthRatio": {"kind": "MaxLengthRatio", "ratio": ratio},
+        "LengthBounds": {"kind": "LengthBounds", "min_len": min_len, "max_len": max_len},
+        "NonEmpty": {"kind": "NonEmpty"},
+    }
+    for size in (1, 2, 3):
+        for kinds in itertools.permutations(config, size):
+            rules = rules_from_config([config[k] for k in kinds])
+            kept, report = apply_heuristics(pairs, rules)
+            kept_ids = [ex.id for ex in kept]
+            want_kept, want_rejected = [], {}
+            for ex in pairs:
+                failed = next((k for k in kinds if not plain[k](ex)), None)
+                if failed is None:
+                    want_kept.append(ex.id)
+                else:
+                    want_rejected[failed] = want_rejected.get(failed, 0) + 1
+            assert kept_ids == want_kept, kinds
+            assert report.rejected == want_rejected, kinds
+            # The same rules alone, one after another over every pair, as a
+            # per-rule timing loop calls them.
+            for rule, kind in zip(rules_from_config([config[k] for k in kinds]), kinds):
+                assert [rule.passes(ex) for ex in pairs] == [plain[kind](ex) for ex in pairs], kind
