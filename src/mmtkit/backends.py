@@ -131,7 +131,8 @@ class _LineProtocolClient:
     def send_ahead(self, items: Iterable[T], to_request: Callable[[T], dict | None]) -> Iterator[T]:
         """Yield items in order, with the requests of up to WINDOW later items
         already sent. For each yielded item whose to_request(item) is not None,
-        the caller must call request() with that request before the next item."""
+        the caller must read that request's response, by response() or
+        request(), before the next item."""
         items = iter(items)
         ahead: deque = deque()
         while True:
@@ -152,9 +153,18 @@ class _LineProtocolClient:
         if not self._in_flight:
             self._queue(obj)
             self._write()
+        return self.response(obj["id"])
+
+    @property
+    def in_flight(self) -> bool:
+        """Whether a request is sent or queued and not yet answered."""
+        return bool(self._in_flight)
+
+    def response(self, item_id: str) -> dict:
+        """The response to the oldest request in flight, whose id must be item_id."""
         sent = self._in_flight.popleft()
-        if sent != obj["id"]:
-            raise BackendError(f"request {obj['id']!r} is out of order: {sent!r} is next in flight")
+        if sent != item_id:
+            raise BackendError(f"request {item_id!r} is out of order: {sent!r} is next in flight")
         line = self._read_line(sent)
         try:
             resp = json.loads(line.decode("utf-8"))
@@ -269,7 +279,13 @@ class SubprocessScorer:
         self.client = _LineProtocolClient(cmd)
 
     def score(self, item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: str) -> float:
-        resp = self.client.request(_score_request(item_id, src_lang, tgt_lang, src, tgt))
+        """The checked score of one pair. Inside score_stream the pair's request
+        is already in flight, so only its response is read."""
+        client = self.client
+        if client.in_flight:
+            resp = client.response(item_id)
+        else:
+            resp = client.request(_score_request(item_id, src_lang, tgt_lang, src, tgt))
         if "error" in resp:
             raise BackendError(f"scorer failed on item {item_id!r}: {resp['error']}")
         if "qe_score" not in resp:

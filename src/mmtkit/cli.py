@@ -162,7 +162,7 @@ def cmd_downsample(args) -> dict:
 def cmd_mix(args) -> dict:
     from .directions import enumerate_directions
     from .mixture import MixtureSpec, stream_sft_mixture
-    from .records import read_multiway, read_score_sidecar, write_jsonl
+    from .records import open_score_sidecar, read_multiway, write_jsonl
 
     _log_to_stderr()
     # A mixture flag left out keeps MixtureSpec's default.
@@ -175,11 +175,10 @@ def cmd_mix(args) -> dict:
     with _open_out(args) as fout:
         registry = _load_registry(args)
         dirset = enumerate_directions(registry)
-        scores = None
-        if args.scores:
-            with open(args.scores, encoding="utf-8") as f:
-                scores = read_score_sidecar(f, path=args.scores)
-        with open(args.infile, encoding="utf-8") as fin:
+        with (
+            open_score_sidecar(args.scores) if args.scores else contextlib.nullcontext() as scores,
+            open(args.infile, encoding="utf-8") as fin,
+        ):
             records = read_multiway(fin, registry, path=args.infile)
             prompted, report = stream_sft_mixture(records, registry, dirset, spec, scores=scores)
             write_jsonl(prompted, fout)

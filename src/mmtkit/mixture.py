@@ -16,16 +16,20 @@ survives the cap and the retention coin. The records are taken as
 read_multiway checked them, so the prompts are not checked again.
 Selection holds at most per_direction_max candidates per direction without
 scores (corpus order, so later candidates are only counted) and at most
-2 x per_direction_max + 1 with scores, so memory does not grow with the
-corpus. Prompts are streamed direction by direction in direction-set order,
-sorted by id within each direction, so scored mixtures are independent of
-input shard order.
+2 x per_direction_max + 1 with scores, each beside its score, so the pools do
+not grow with the corpus. Each candidate's score is looked up once, in corpus
+order and each record's directions in direction-set order, the order expand
+writes examples in; a score sidecar in that order is read in step with the
+lookups (records.open_score_sidecar), so no map of the corpus's scores is
+held either. Prompts are streamed direction by direction in direction-set
+order, sorted by id within each direction, so scored mixtures are
+independent of input shard order.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .directions import Direction, DirectionSet, covered
 from .downsampling import RetentionPolicy, retained
@@ -98,30 +102,34 @@ def stream_sft_mixture(
     registry: Registry,
     dirset: DirectionSet,
     spec: MixtureSpec,
-    scores: dict[str, float] | None = None,
+    scores: Mapping[str, float] | None = None,
 ) -> tuple[Iterator[PromptedExample], MixtureReport]:
     """Stream the SFT mixture; the report is complete once the stream is consumed.
 
     Records are read when the first prompt is asked for, and each direction's
-    candidates are released once its prompts are emitted.
+    candidates are released once its prompts are emitted. Only scores[example
+    id] is read, once per candidate; a KeyError there raises MissingScore.
     """
     cap = spec.per_direction_max
     report = MixtureReport()
+    if scores is not None:
+        # Imported here: loading the module raises unscored mix's peak RSS.
+        from array import array
 
-    def cut(pool: list[MultiWayRecord], d: Direction) -> None:
-        """Keep the pool's best cap records by (-score, example id)."""
-
-        def rank(record: MultiWayRecord) -> tuple[float, str]:
-            ex_id = f"{record.id}{d.id_tag}"
-            return -scores[ex_id], ex_id
-
-        pool.sort(key=rank)
-        del pool[cap:]
+    def cut(pool: list[MultiWayRecord], kept: "array[float]", d: Direction) -> None:
+        """Keep the pool's best cap records by (-score, example id), and their scores."""
+        order = sorted(range(len(pool)), key=lambda i: (-kept[i], f"{pool[i].id}{d.id_tag}"))
+        del order[cap:]
+        pool[:] = [pool[i] for i in order]
+        kept[:] = array("d", [kept[i] for i in order])
 
     def run() -> Iterator[PromptedExample]:
         # Keyed by (src, tgt): a Direction would hash through a Python method.
         pools: dict[tuple[str, str], list[MultiWayRecord]] = {(d.src, d.tgt): [] for d in dirset.directions}
         seen = dict.fromkeys(pools, 0)
+        if scores is not None:
+            # Each pooled record's score, at the record's index in its pool.
+            kept = {key: array("d") for key in pools}
         memo: dict = {}
         for record in records:
             for d in covered(record, dirset, memo):
@@ -133,17 +141,20 @@ def stream_sft_mixture(
                         pool.append(record)
                 else:
                     ex_id = f"{record.id}{d.id_tag}"
-                    if ex_id not in scores:
-                        raise MissingScore(ex_id)
+                    try:
+                        score = scores[ex_id]
+                    except KeyError:
+                        raise MissingScore(ex_id) from None
                     pool.append(record)
+                    kept[key].append(score)
                     if len(pool) > 2 * cap:
-                        cut(pool, d)
+                        cut(pool, kept[key], d)
 
         policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
         for d in dirset.directions:
             chosen = pools.pop((d.src, d.tgt))
             if scores is not None:
-                cut(chosen, d)
+                cut(chosen, kept.pop((d.src, d.tgt)), d)
             rep = report.per_direction[str(d)] = DirectionMixReport(candidates=seen[d.src, d.tgt], selected=len(chosen))
             if rep.selected < spec.per_direction_min:
                 report.warnings.append(
@@ -183,7 +194,7 @@ def build_sft_mixture(
     registry: Registry,
     dirset: DirectionSet,
     spec: MixtureSpec,
-    scores: dict[str, float] | None = None,
+    scores: Mapping[str, float] | None = None,
 ) -> tuple[list[PromptedExample], MixtureReport]:
     """Assemble the SFT mixture. Returns (prompted examples, report)."""
     stream, report = stream_sft_mixture(records, registry, dirset, spec, scores)

@@ -186,10 +186,15 @@ def test_pipelined_synthesis_matches_lockstep(scripts_dir, mk_example):
         assert error is not None and "items failed" in error
 
 
-def test_pipelined_scores_match_lockstep(scripts_dir, mk_example):
+def test_pipelined_scores_match_lockstep(scripts_dir, mk_example, monkeypatch):
     pairs = [mk_example(f"p{i}", src=f"s{i}", tgt=f"t{i}") for i in range(2 * WINDOW + 3)]
+    built = []
+    build = backends._score_request
+    monkeypatch.setattr(backends, "_score_request", lambda *args: built.append(args[0]) or build(*args))
     with SubprocessScorer(scorer_cmd(scripts_dir)) as s:
         pipelined = list(s.score_stream(pairs))
+    # Each request is built once, when it is sent ahead.
+    assert built == [ex.id for ex in pairs]
     with SubprocessScorer(scorer_cmd(scripts_dir)) as s:
         lockstep = [(ex.id, s.score(ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)) for ex in pairs]
     assert pipelined == lockstep

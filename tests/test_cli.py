@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ import tracemalloc
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmtkit.records import json_line
 
@@ -283,6 +287,140 @@ def test_bad_sidecar_score_names_file_and_line(tmp_path, stage):
     assert not out.exists()
 
 
+# Scored mix reads a sidecar in its candidates' order in step with them, and
+# any other sidecar into read_score_sidecar's map; either way its exit code,
+# output and error must be those of the map read before the corpus is opened.
+_MIX_FLAGS = ("--per-direction-min", "0", "--per-direction-max", "2", "--reverse-retention", "0.5", "--seed", "4")
+_MIX_LANGS = ("en", "zh", "fr", "ru")
+
+
+def _mix_through_the_map(corpus, sidecar):
+    """(exit code, output, error line) of a mix that reads the whole sidecar
+    into read_score_sidecar's map before it opens the corpus."""
+    from mmtkit.directions import enumerate_directions
+    from mmtkit.errors import ToolkitError
+    from mmtkit.mixture import MixtureSpec, build_sft_mixture
+    from mmtkit.records import read_multiway, read_score_sidecar, write_jsonl
+    from mmtkit.registry import load_registry
+
+    registry = load_registry()
+    spec = MixtureSpec(per_direction_min=0, per_direction_max=2, reverse_total_retention=0.5, seed=4)
+    try:
+        with open(sidecar, encoding="utf-8") as f:
+            scores = read_score_sidecar(f, str(sidecar))
+        with open(corpus, encoding="utf-8") as f:
+            records = read_multiway(f, registry, str(corpus))
+            prompted, _ = build_sft_mixture(records, registry, enumerate_directions(registry), spec, scores=scores)
+    except (ToolkitError, OSError) as e:
+        return 1, None, {"error": "OSError" if isinstance(e, OSError) else type(e).__name__, "message": str(e)}
+    text = io.StringIO()
+    write_jsonl(prompted, text)
+    return 0, text.getvalue(), None
+
+
+def _mix_in_process(corpus, sidecar, out):
+    """(exit code, output, error line) of mix --scores run in this process."""
+    from mmtkit import cli
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(out), *_MIX_FLAGS])
+    output = out.read_text(encoding="utf-8") if out.exists() else None
+    error = json.loads(stderr.getvalue().splitlines()[-1]) if code else None
+    return code, output, error
+
+
+def _candidate_lines(corpus, sidecar):
+    """One sidecar line per candidate, in the order expand writes examples."""
+    _score_every_example(corpus, sidecar)
+    return sidecar.read_text(encoding="utf-8").splitlines()
+
+
+def _with(lines, index, line):
+    return lines[:index] + [line] + lines[index:]
+
+
+_BAD_CORPUS_LINE = '{"id": "t0002"}'
+_BAD_SCORE = json_line({"id": "zz#en2fr", "qe_score": 1.5})
+# name: (edit of the in-order sidecar lines, edit of the corpus lines, error name or None)
+_SIDECAR_CASES = {
+    "in order": (lambda s: s, None, None),
+    "shuffled": (lambda s: s[1::2] + s[::2], None, None),
+    "one id dropped": (lambda s: [l for l in s if '"t0004#zh2ru"' not in l], None, "MissingScore"),
+    "last id dropped": (lambda s: s[:-1], None, "MissingScore"),
+    "an extra id": (lambda s: _with(s, 7, json_line({"id": "zz#en2fr", "qe_score": 0.5})), None, None),
+    "an extra id at the end": (lambda s: s + [json_line({"id": "zz#en2fr", "qe_score": 0.5})], None, None),
+    "an id repeated, same score": (lambda s: _with(s, 8, s[7]), None, "RecordParseError"),
+    "an id repeated at the end, other score": (lambda s: s + [s[3].replace('"qe_score":', '"qe_score":0.99,"x":')],
+                                               None, "RecordParseError"),
+    "a bad score after the prefix": (lambda s: _with(s, 20, _BAD_SCORE), None, "InvalidScore"),
+    "a bad score at the end": (lambda s: s + [_BAD_SCORE], None, "InvalidScore"),
+    "a non-JSON line at the end": (lambda s: s + ["{broken"], None, "RecordParseError"),
+    "a bad corpus line": (lambda s: s, lambda c: _with(c, 2, _BAD_CORPUS_LINE), "RecordParseError"),
+    "a missing corpus": (lambda s: s, lambda c: None, "OSError"),
+    "a bad sidecar and a bad corpus line": (lambda s: s + [_BAD_SCORE], lambda c: _with(c, 2, _BAD_CORPUS_LINE),
+                                            "InvalidScore"),
+    "a bad sidecar and a missing corpus": (lambda s: s + ["{broken"], lambda c: None, "RecordParseError"),
+}
+
+
+def _check_mix_matches_the_map(tmp, corpus_lines, sidecar_lines):
+    corpus, sidecar = tmp / "c.mwjsonl", tmp / "s.jsonl"
+    corpus.unlink(missing_ok=True)
+    if corpus_lines is not None:
+        corpus.write_text("".join(l + "\n" for l in corpus_lines), encoding="utf-8")
+    sidecar.write_text("".join(l + "\n" for l in sidecar_lines), encoding="utf-8")
+    got = _mix_in_process(corpus, sidecar, tmp / "m.pjsonl")
+    assert got == _mix_through_the_map(corpus, sidecar)
+    return got
+
+
+@pytest.mark.parametrize("case", list(_SIDECAR_CASES))
+def test_scored_mix_reports_what_the_sidecar_map_does(tmp_path, case):
+    edit_sidecar, edit_corpus, error = _SIDECAR_CASES[case]
+    corpus_lines = write_corpus(tmp_path / "c.mwjsonl", n=12, langs=_MIX_LANGS).read_text(encoding="utf-8").splitlines()
+    sidecar_lines = _candidate_lines(tmp_path / "c.mwjsonl", tmp_path / "s.jsonl")
+    if edit_corpus is not None:
+        corpus_lines = edit_corpus(corpus_lines)
+    _, output, got_error = _check_mix_matches_the_map(tmp_path, corpus_lines, edit_sidecar(sidecar_lines))
+    assert (got_error or {}).get("error") == error
+    assert (output is not None) == (error is None)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_scored_mix_matches_the_sidecar_map(data):
+    import pathlib
+    import tempfile
+
+    n = data.draw(st.integers(0, 6), label="records")
+    with tempfile.TemporaryDirectory() as d:
+        tmp = pathlib.Path(d)
+        corpus_lines = write_corpus(tmp / "c.mwjsonl", n=n, langs=_MIX_LANGS).read_text(encoding="utf-8").splitlines()
+        lines = _candidate_lines(tmp / "c.mwjsonl", tmp / "s.jsonl")
+        if data.draw(st.booleans(), label="shuffle"):
+            lines = data.draw(st.permutations(lines), label="order")
+        index = st.integers(0, len(lines))
+        extra = st.sampled_from([
+            json_line({"id": "zz#en2fr", "qe_score": 0.5}), _BAD_SCORE, "{broken", "[]",
+            json_line({"id": "", "qe_score": 0.5}), json_line({"id": "t0000#en2zh"}),
+        ])
+        for _ in range(data.draw(st.integers(0, 2), label="edits")):
+            kind = data.draw(st.sampled_from(["drop", "repeat", "insert"]), label="edit")
+            if kind == "drop" and lines:
+                del lines[data.draw(st.integers(0, len(lines) - 1), label="dropped")]
+            elif kind == "repeat" and lines:
+                line = data.draw(st.sampled_from(lines), label="repeated")
+                if data.draw(st.booleans(), label="other score"):
+                    line = line.replace('"qe_score":', '"qe_score":0.99,"x":')
+                lines.insert(data.draw(index, label="at"), line)
+            elif kind == "insert":
+                lines.insert(data.draw(index, label="at"), data.draw(extra, label="line"))
+        if data.draw(st.booleans(), label="bad corpus"):
+            corpus_lines.insert(data.draw(st.integers(0, n), label="bad corpus at"), _BAD_CORPUS_LINE)
+        _check_mix_matches_the_map(tmp, corpus_lines, lines)
+
+
 def _traced_peak(*argv):
     """Peak traced allocation of one in-process CLI run."""
     from mmtkit import cli
@@ -309,6 +447,51 @@ def test_mix_holds_the_candidate_pool_not_the_output(tmp_path, capsys):
     peak = _traced_peak("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", "--reverse-retention", "1")
     assert json.loads(capsys.readouterr().out)["emitted"] == 2 * n
     assert peak < 2500 * n
+
+
+def test_scored_mix_holds_no_map_of_an_in_order_sidecar(tmp_path, capsys):
+    # 10 candidates per record, so read_score_sidecar's map of the sidecar
+    # takes about 1.1 KB per record. Read in step, with a cap of 5 the pools
+    # stay small, and the peak is about 0.2 KB per record.
+    n = 3000
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=n, langs=("en", "zh", "fr", "de"))
+    sidecar = tmp_path / "s.jsonl"
+    ids, _ = _score_every_example(corpus, sidecar)
+    out = tmp_path / "m.pjsonl"
+    peak = _traced_peak("mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(out),
+                        "--per-direction-min", "0", "--per-direction-max", "5")
+    assert json.loads(capsys.readouterr().out)["directions"] == 234
+    assert len(ids) == 10 * n
+    assert peak < 800 * n
+
+
+@pytest.mark.parametrize("via", ["fifo", "stdin"])
+def test_scored_mix_reads_a_sidecar_it_cannot_reread_into_the_map(tmp_path, via):
+    # The sidecar is out of order, so reading it in step would have to read
+    # it again from the start, which a pipe cannot do.
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=12, langs=_MIX_LANGS)
+    sidecar = tmp_path / "s.jsonl"
+    lines = _candidate_lines(corpus, sidecar)
+    data = "".join(l + "\n" for l in lines[1::2] + lines[::2])
+    sidecar.write_text(data, encoding="utf-8")
+    run_cli("mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(tmp_path / "file.pjsonl"), *_MIX_FLAGS)
+    args = [sys.executable, "-m", "mmtkit", "mix", "--in", str(corpus), "--out", str(tmp_path / "pipe.pjsonl"), *_MIX_FLAGS]
+    if via == "stdin":
+        proc = subprocess.run([*args, "--scores", "/dev/stdin"], input=data, capture_output=True, text=True)
+    else:
+        fifo = tmp_path / "s.fifo"
+        os.mkfifo(fifo)
+        # The writer's open waits for mix to open the other end.
+        copy = "import shutil, sys\nwith open(sys.argv[1], 'rb') as s, open(sys.argv[2], 'wb') as d: shutil.copyfileobj(s, d)"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(sidecar), str(fifo)])
+        try:
+            proc = subprocess.run([*args, "--scores", str(fifo)], capture_output=True, text=True, timeout=60)
+            assert writer.wait(timeout=10) == 0
+        finally:
+            writer.kill()
+            writer.wait()
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pipe.pjsonl").read_bytes() == (tmp_path / "file.pjsonl").read_bytes()
 
 
 def test_filter_scores_streams_its_histogram(tmp_path, capsys):
