@@ -11,10 +11,14 @@ waiting for more input.
   scorer request      {"id", "src_lang", "tgt_lang", "src", "tgt"}
   scorer response     {"id", "qe_score"}
 
+Every response is read by one call, _LineProtocolClient.response(item_id,
+build, *args). It sends build(item_id, *args) first only when nothing is in
+flight (a lockstep call); a request sent ahead was built once, when sent.
+
 An "error" response marks a per-item failure (the caller may skip the item);
-transport problems (early exit, unparseable output, id mismatch, no output
-for RESPONSE_TIMEOUT_S) raise BackendError and abort the run. In-process mock
-backends cover tests and offline pipelines.
+transport problems (a command that cannot start, early exit, unparseable
+output, id mismatch, no output for RESPONSE_TIMEOUT_S) raise BackendError and
+abort the run. In-process mock backends cover tests and offline pipelines.
 """
 from __future__ import annotations
 
@@ -113,10 +117,11 @@ class _LineProtocolClient:
     def __init__(self, cmd: str):
         self.cmd = cmd
         try:
-            self.proc = subprocess.Popen(
-                shlex.split(cmd), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
-            )
-        except OSError as e:
+            argv = shlex.split(cmd)
+            if not argv:
+                raise ValueError("empty command")
+            self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+        except (OSError, ValueError) as e:  # shlex raises ValueError for an unclosed quote
             raise BackendError(f"cannot start backend {cmd!r}: {e}") from None
         self._stdin = self.proc.stdin.fileno()
         self._stdout = self.proc.stdout.fileno()
@@ -128,40 +133,34 @@ class _LineProtocolClient:
         self._received = bytearray()  # response bytes not yet parsed
         self._in_flight: deque[str] = deque()  # ids sent or queued, not yet answered
 
-    def send_ahead(self, items: Iterable[T], to_request: Callable[[T], dict | None]) -> Iterator[T]:
+    def send_ahead(
+        self, items: Iterable[T], to_args: Callable[[T], tuple | None], build: Callable[..., dict]
+    ) -> Iterator[T]:
         """Yield items in order, with the requests of up to WINDOW later items
-        already sent. For each yielded item whose to_request(item) is not None,
-        the caller must read that request's response, by response() or
-        request(), before the next item."""
+        already sent. For each item whose to_args(item) is not None, the
+        request build(*to_args(item)) is sent, and the caller must read its
+        response by response() before the next item."""
         items = iter(items)
         ahead: deque = deque()
         while True:
             if len(ahead) <= WINDOW // 2:
                 for item in islice(items, WINDOW - len(ahead)):
-                    request = to_request(item)
-                    if request is not None:
-                        self._queue(request)
+                    args = to_args(item)
+                    if args is not None:
+                        self._queue(build(*args))
                     ahead.append(item)
                 self._write()
             if not ahead:
                 return
             yield ahead.popleft()
 
-    def request(self, obj: dict) -> dict:
-        """The response to obj, which must be the oldest request in flight;
-        with none in flight, obj is sent first."""
+    def response(self, item_id: str, build: Callable[..., dict], *args) -> dict:
+        """The response to the oldest request in flight, whose id must be
+        item_id. With none in flight, build(item_id, *args) is sent first; a
+        request sent ahead was built when it was sent."""
         if not self._in_flight:
-            self._queue(obj)
+            self._queue(build(item_id, *args))
             self._write()
-        return self.response(obj["id"])
-
-    @property
-    def in_flight(self) -> bool:
-        """Whether a request is sent or queued and not yet answered."""
-        return bool(self._in_flight)
-
-    def response(self, item_id: str) -> dict:
-        """The response to the oldest request in flight, whose id must be item_id."""
         sent = self._in_flight.popleft()
         if sent != item_id:
             raise BackendError(f"request {item_id!r} is out of order: {sent!r} is next in flight")
@@ -253,7 +252,7 @@ class SubprocessBackend(Backend):
         self.client = _LineProtocolClient(cmd)
 
     def translate(self, item_id: str, src_lang: str, tgt_lang: str, text: str) -> str:
-        resp = self.client.request(_translation_request(item_id, src_lang, tgt_lang, text))
+        resp = self.client.response(item_id, _translation_request, src_lang, tgt_lang, text)
         if "error" in resp:
             raise BackendItemError(f"item {item_id!r}: {resp['error']}")
         out = resp.get("text")
@@ -264,11 +263,7 @@ class SubprocessBackend(Backend):
     def send_ahead(
         self, items: Iterable[T], to_args: Callable[[T], tuple[str, str, str, str] | None]
     ) -> Iterator[T]:
-        def to_request(item: T) -> dict | None:
-            args = to_args(item)
-            return None if args is None else _translation_request(*args)
-
-        return self.client.send_ahead(items, to_request)
+        return self.client.send_ahead(items, to_args, _translation_request)
 
     def close(self) -> None:
         self.client.close()
@@ -281,11 +276,7 @@ class SubprocessScorer:
     def score(self, item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: str) -> float:
         """The checked score of one pair. Inside score_stream the pair's request
         is already in flight, so only its response is read."""
-        client = self.client
-        if client.in_flight:
-            resp = client.response(item_id)
-        else:
-            resp = client.request(_score_request(item_id, src_lang, tgt_lang, src, tgt))
+        resp = self.client.response(item_id, _score_request, src_lang, tgt_lang, src, tgt)
         if "error" in resp:
             raise BackendError(f"scorer failed on item {item_id!r}: {resp['error']}")
         if "qe_score" not in resp:
@@ -294,7 +285,7 @@ class SubprocessScorer:
 
     def score_stream(self, pairs: Iterable) -> Iterator[tuple[str, float]]:
         for ex in self.client.send_ahead(
-            pairs, lambda ex: _score_request(ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)
+            pairs, lambda ex: (ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt), _score_request
         ):
             yield ex.id, self.score(ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)
 

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import InvalidInput, RecordParseError, ToolkitError
+from .errors import DuplicateRecordId, InvalidInput, RecordParseError, ToolkitError
 from .hashing import DEFAULT_SEED
 
 # Each cmd_* imports the library modules it runs, so a stage loads only those
@@ -219,13 +219,22 @@ def cmd_score(args) -> dict:
 
 
 def _read_mono(stream, path: str, lang: str):
-    """(id, text) of each monolingual item; an item's "lang", if given, must be lang."""
+    """(id, text) of each monolingual item. Ids are non-empty and unique, as
+    the example ids made from them must be; an item's "lang", if given, must
+    be lang."""
     from .registry import parse_json_lines, required_fields
+
+    seen: set[str] = set()
 
     def item(obj: dict) -> tuple[str, str]:
         item_id, text = required_fields(obj, ("id", "text"))
+        if not item_id:
+            raise RecordParseError("item id must be non-empty")
         if obj.get("lang") not in (None, lang):
             raise RecordParseError(f"item language {obj['lang']!r} does not match direction source {lang!r}")
+        if item_id in seen:
+            raise DuplicateRecordId(f"duplicate item id {item_id!r}")
+        seen.add(item_id)
         return item_id, text
 
     return parse_json_lines(stream, path, item)

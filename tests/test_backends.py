@@ -200,6 +200,23 @@ def test_pipelined_scores_match_lockstep(scripts_dir, mk_example, monkeypatch):
     assert pipelined == lockstep
 
 
+def test_each_translation_request_is_built_once(scripts_dir, monkeypatch):
+    # every 20th text is empty: skipped without a request
+    mono = [(f"m{i}", "" if i % 20 == 3 else f"text {i}") for i in range(2 * WINDOW + 3)]
+    built = []
+    build = backends._translation_request
+    monkeypatch.setattr(backends, "_translation_request", lambda *args: built.append(args[0]) or build(*args))
+    with SubprocessBackend(backend_cmd(scripts_dir)) as b:
+        out = list(synth_direct(mono, b, Direction("en", "fr")))
+        # Each request is built once, when it is sent ahead.
+        assert built == [item_id for item_id, text in mono if text]
+        assert len(out) == len(built)
+        built.clear()
+        # A lockstep call builds its request when it reads the response.
+        assert b.translate("lone", "en", "fr", "hello") == "[fr] hello"
+    assert built == ["lone"]
+
+
 def test_crash_inside_window_is_transport_error(scripts_dir):
     items = [(f"m{i}", f"text {i}") for i in range(2 * WINDOW)]
     done = []

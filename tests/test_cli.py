@@ -910,6 +910,48 @@ def test_synth_direct_non_string_item_exits_1(tmp_path, scripts_dir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "ids, error, message",
+    [
+        (["m0", "m1", "m0"], "DuplicateRecordId", "line 3: duplicate item id 'm0'"),
+        (["m0", ""], "RecordParseError", "line 2: item id must be non-empty"),
+    ],
+    ids=["duplicate", "empty"],
+)
+def test_synth_direct_refuses_ids_it_cannot_make_unique(tmp_path, scripts_dir, ids, error, message):
+    # A repeated item id would write a repeated example id; an empty one, "#en2sw".
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text("".join(json_line({"id": i, "text": f"text {n}"}) + "\n" for n, i in enumerate(ids)), encoding="utf-8")
+    out = tmp_path / "o.djsonl"
+    proc = run_cli(
+        "synth", "--mode", "direct", "--direction", "en2sw",
+        "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
+        "--in", str(mono), "--out", str(out),
+        expect=1,
+    )
+    assert proc.stderr.count("\n") == 1
+    assert last_error(proc) == {"error": error, "message": f"{mono}:{message}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["", "   ", "'x"], ids=["empty", "blank", "unclosed_quote"])
+@pytest.mark.parametrize("stage", ["synth", "score"])
+def test_unstartable_backend_command_exits_1(tmp_path, stage, cmd):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(json_line({"id": "m0", "text": "x"}) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    if stage == "synth":
+        args = ("synth", "--mode", "direct", "--direction", "en2sw", "--backend-cmd", cmd)
+    else:
+        args = ("score", "--scorer-cmd", cmd)
+    proc = run_cli(*args, "--in", str(inp), "--out", str(out), expect=1)
+    assert "Traceback" not in proc.stderr
+    err = last_error(proc)
+    assert err["error"] == "BackendError"
+    assert err["message"].startswith(f"cannot start backend {cmd!r}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("direction", ["fr2de", "en2fr2de", "en2", "enfr"])
 def test_synth_direct_unsupported_direction_exits_1(tmp_path, direction):
     # The direction is refused before the backend starts, so the backend never creates its marker.

@@ -339,6 +339,20 @@ EVERY_READER_CASES = {
         RecordParseError,
         "item language 'fr' does not match direction source 'en'",
     ),
+    "synth-mono-empty-id": (
+        _read_mono,
+        [{"id": "m1", "text": "a"}, {"id": "m2", "text": "b"}],
+        {"id": "", "text": "c"},
+        RecordParseError,
+        "item id must be non-empty",
+    ),
+    "synth-mono-duplicate-id": (
+        _read_mono,
+        [{"id": "m1", "text": "a"}, {"id": "m2", "text": "b"}],
+        {"id": "m1", "text": "c"},
+        DuplicateRecordId,
+        "duplicate item id 'm1'",
+    ),
     "infer-prompt-requests": (
         _infer_prompt,
         [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}] * 2,
