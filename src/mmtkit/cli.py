@@ -222,9 +222,10 @@ def _read_mono(stream, path: str, lang: str):
     """(id, text) of each monolingual item. Ids are non-empty and unique, as
     the example ids made from them must be; an item's "lang", if given, must
     be lang."""
+    from .records import SeenIds
     from .registry import parse_json_lines, required_fields
 
-    seen: set[str] = set()
+    seen = SeenIds()
 
     def item(obj: dict) -> tuple[str, str]:
         item_id, text = required_fields(obj, ("id", "text"))
@@ -232,9 +233,8 @@ def _read_mono(stream, path: str, lang: str):
             raise RecordParseError("item id must be non-empty")
         if obj.get("lang") not in (None, lang):
             raise RecordParseError(f"item language {obj['lang']!r} does not match direction source {lang!r}")
-        if item_id in seen:
+        if not seen.add(item_id):
             raise DuplicateRecordId(f"duplicate item id {item_id!r}")
-        seen.add(item_id)
         return item_id, text
 
     return parse_json_lines(stream, path, item)
@@ -270,7 +270,7 @@ def cmd_synth(args) -> dict:
 
 def cmd_infer_prompt(args) -> dict:
     from .prompts import InferenceStrategy, build_inference_prompt
-    from .records import write_jsonl
+    from .records import SeenIds, write_jsonl
     from .registry import parse_json_lines, required_fields
 
     strategy = InferenceStrategy(args.strategy)
@@ -289,9 +289,19 @@ def cmd_infer_prompt(args) -> dict:
             open(args.infile, encoding="utf-8") as fin,
             SubprocessBackend(args.backend_cmd) if args.backend_cmd else contextlib.nullcontext() as backend,
         ):
+            seen = SeenIds()
+
             def prompts_for(obj: dict) -> list:
                 item_id, src_lang, tgt_lang, src = required_fields(obj, ("id", "src_lang", "tgt_lang", "src"))
                 (aux,) = required_fields(obj, ("aux",)) if "aux" in obj else (None,)
+                if not item_id:
+                    raise RecordParseError("request id must be non-empty")
+                # A prompt id is the request id and a direction. pt's two
+                # prompts pass through en, so a shared source or target repeats one.
+                hops = ((src_lang, "en"), ("en", tgt_lang)) if strategy is InferenceStrategy.PT else ((src_lang, tgt_lang),)
+                for a, b in hops:
+                    if not seen.add(prompt_id := f"{item_id}#{a}2{b}"):
+                        raise DuplicateRecordId(f"duplicate prompt id {prompt_id!r}")
                 return build_inference_prompt(
                     strategy, src_lang, tgt_lang, src, registry, backend=backend, aux_text=aux, item_id=item_id
                 )

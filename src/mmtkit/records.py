@@ -6,7 +6,9 @@ Three file flavors, all UTF-8, one JSON object per line:
   *.sjsonl   scored pairs        directional fields plus "qe_score"
 
 Readers yield one record at a time and never buffer the file; the only state
-kept across lines is the set of seen ids for uniqueness checking. A score
+kept across lines is a SeenIds store of the ids read so far, which refuses a
+repeat. It keeps one int of bits per record prefix of an id such as
+`r1#en2fr`, not the id string, so it grows with records, not examples. A score
 sidecar is read into a map (read_score_sidecar), or line by line in step
 with lookups made in its own order (open_score_sidecar). Each reader
 is a converter of one parsed line that checks the record once, as it reads
@@ -106,8 +108,52 @@ def check_score(score, owner: str) -> float:
     return float(score)
 
 
+# Distinct id suffixes that SeenIds gives a bit of their own: more than the
+# built-in registry's 234 directions, few enough that a mask stays small.
+_SUFFIX_BITS = 256
+
+
+class SeenIds:
+    """The ids added so far, held to refuse a repeat.
+
+    An id splits at its last '#' into a prefix and a suffix, as
+    hashing.prefix_coin splits it (`r1#en2fr` -> `r1`, `en2fr`). Each distinct
+    suffix gets one bit, in order of arrival, and each prefix keeps the bits of
+    its suffixes seen so far in one int, so an expanded record's directions
+    cost one dict entry between them. An id without '#', or whose suffix came
+    after _SUFFIX_BITS others, is held whole in a set. The split is one-to-one
+    and a suffix keeps the place it got first, so add answers exactly as a set
+    of the ids would.
+    """
+
+    __slots__ = ("_bits", "_masks", "_ids")
+
+    def __init__(self) -> None:
+        self._bits: dict[str, int] = {}
+        self._masks: dict[str, int] = {}
+        self._ids: set[str] = set()
+
+    def add(self, item_id: str) -> bool:
+        """Add item_id; False, adding nothing, if it was added before."""
+        prefix, cut, suffix = item_id.rpartition("#")
+        if cut:
+            bit = self._bits.get(suffix)
+            if bit is None and len(self._bits) < _SUFFIX_BITS:
+                bit = self._bits[suffix] = 1 << len(self._bits)
+            if bit is not None:
+                mask = self._masks.get(prefix, 0)
+                if mask & bit:
+                    return False
+                self._masks[prefix] = mask | bit
+                return True
+        if item_id in self._ids:
+            return False
+        self._ids.add(item_id)
+        return True
+
+
 def read_multiway(stream: Iterable[str], registry: Registry, path: str | None = None) -> Iterator[MultiWayRecord]:
-    seen: set[str] = set()
+    seen = SeenIds()
 
     def record(obj: dict) -> MultiWayRecord:
         (rec_id,) = required_fields(obj, ("id",))
@@ -119,9 +165,8 @@ def read_multiway(stream: Iterable[str], registry: Registry, path: str | None = 
                 raise RecordParseError(f"unknown language code: {lang!r}")
             if not isinstance(text, str) or not text:
                 raise RecordParseError(f"sentence for {lang!r} must be a non-empty string")
-        if rec_id in seen:
+        if not seen.add(rec_id):
             raise DuplicateRecordId(f"duplicate record id {rec_id!r}")
-        seen.add(rec_id)
         return MultiWayRecord(id=rec_id, sentences=sentences)
 
     return parse_json_lines(stream, path, record)
@@ -135,7 +180,7 @@ def read_examples(stream: Iterable[str], path: str | None = None, validate: bool
     """Parse directional examples. validate=False skips only the empty-text
     check, so that empty pairs reach the NonEmpty filter rule as data; the id
     and direction checks run in both modes."""
-    seen: set[str] = set()
+    seen = SeenIds()
 
     def example(obj: dict) -> DirectionalExample:
         ex_id, src_lang, tgt_lang, src, tgt = required_fields(obj, _EXAMPLE_FIELDS)
@@ -151,9 +196,8 @@ def read_examples(stream: Iterable[str], path: str | None = None, validate: bool
             raise RecordParseError(problem)
         if validate and (not src or not tgt):
             raise RecordParseError(f"example {ex_id!r} has an empty text side")
-        if ex_id in seen:
+        if not seen.add(ex_id):
             raise DuplicateRecordId(f"duplicate example id {ex_id!r}")
-        seen.add(ex_id)
         return DirectionalExample(ex_id, src_lang, tgt_lang, src, tgt, provenance)
 
     return parse_json_lines(stream, path, example)

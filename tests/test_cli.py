@@ -1365,6 +1365,39 @@ def test_infer_prompt_unknown_language_names_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "strategy, second, error, message",
+    [
+        ("dt", {"id": ""}, "RecordParseError", "request id must be non-empty"),
+        ("dt", {}, "DuplicateRecordId", "duplicate prompt id 'q1#fr2de'"),
+        ("pt", {"id": ""}, "RecordParseError", "request id must be non-empty"),
+        ("pt", {"tgt_lang": "ja"}, "DuplicateRecordId", "duplicate prompt id 'q1#fr2en'"),
+        ("pt", {"src_lang": "ja"}, "DuplicateRecordId", "duplicate prompt id 'q1#en2de'"),
+    ],
+    ids=["dt-empty-id", "dt-duplicate-id", "pt-empty-id", "pt-shared-source", "pt-shared-target"],
+)
+def test_infer_prompt_refuses_empty_and_repeated_prompt_ids(tmp_path, scripts_dir, strategy, second, error, message):
+    # Each prompt id is the request id and a direction, and pt's two prompts
+    # pass through en, so these second requests would write an empty or
+    # repeated prompt id.
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json_line(_REQUEST) + "\n" + json_line({**_REQUEST, **second}) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    backend = ("--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}") if strategy == "pt" else ()
+    proc = run_cli("infer-prompt", "--strategy", strategy, *backend, "--in", str(reqs), "--out", str(out), expect=1)
+    assert proc.stderr.strip().splitlines() == [json.dumps({"error": error, "message": f"{reqs}:line 2: {message}"})]
+    assert not out.exists()
+
+
+def test_infer_prompt_takes_one_request_id_in_several_directions(tmp_path):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json_line(_REQUEST) + "\n" + json_line({**_REQUEST, "tgt_lang": "ja"}) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "dt", "--in", str(reqs), "--out", str(out))
+    assert json.loads(proc.stdout) == {"requests": 2, "prompts": 2}
+    assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == ["q1#fr2de", "q1#fr2ja"]
+
+
+@pytest.mark.parametrize(
     "strategy, src_lang, tgt_lang, problem, error, src",
     [
         ("dt", "fr", "fr", "direction with identical sides: 'fr'", "InvalidInput", "eau"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,8 @@ from mmtkit.records import (
     MultiWayRecord,
     Provenance,
     ScoredPair,
+    SeenIds,
+    _SUFFIX_BITS,
     check_score,
     json_line,
     read_examples,
@@ -355,10 +358,24 @@ EVERY_READER_CASES = {
     ),
     "infer-prompt-requests": (
         _infer_prompt,
-        [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}] * 2,
+        [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}, {"id": "q2", "src_lang": "en", "tgt_lang": "fr", "src": "a"}],
         {"id": "q3", "src_lang": "en", "tgt_lang": "fr"},
         RecordParseError,
         "missing field 'src'",
+    ),
+    "infer-prompt-empty-id": (
+        _infer_prompt,
+        [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}, {"id": "q2", "src_lang": "en", "tgt_lang": "fr", "src": "b"}],
+        {"id": "", "src_lang": "en", "tgt_lang": "fr", "src": "c"},
+        RecordParseError,
+        "request id must be non-empty",
+    ),
+    "infer-prompt-duplicate-id": (
+        _infer_prompt,
+        [{"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "a"}, {"id": "q2", "src_lang": "en", "tgt_lang": "fr", "src": "b"}],
+        {"id": "q1", "src_lang": "en", "tgt_lang": "fr", "src": "c"},
+        DuplicateRecordId,
+        "duplicate prompt id 'q1#en2fr'",
     ),
     "read_prompted": (
         _reader(read_prompted),
@@ -379,6 +396,50 @@ def test_every_reader_names_file_and_line(tmp_path, case):
         read(str(path))
     assert type(exc.value) is error
     assert str(exc.value) == f"{path}:line 3: {message}"
+
+
+# Ids with no, one or several '#', empty prefixes and suffixes, non-ASCII text
+# and lone surrogates, from few characters so that ids and prefixes repeat.
+_ID = st.text(alphabet=st.sampled_from("ab#2\u00e9\ud800"), max_size=6)
+
+
+@given(
+    before=st.lists(_ID, max_size=20),
+    filler=st.sampled_from([0, 5, _SUFFIX_BITS - 3, _SUFFIX_BITS, _SUFFIX_BITS + 5]),
+    after=st.lists(_ID, max_size=20),
+)
+def test_seen_ids_add_answers_as_a_set(before, filler, after):
+    # The filler's distinct suffixes can take every suffix bit, so that a new
+    # suffix after them goes to the plain set; every drawn id then comes back
+    # once more, its prefix out of order.
+    run = before + [f"f{k % 3}#s{k}" for k in range(filler)] + after + before + after
+    store, plain = SeenIds(), set()
+    for item_id in run:
+        new = item_id not in plain
+        plain.add(item_id)
+        assert store.add(item_id) is new, item_id
+
+
+def test_read_examples_holds_ids_per_record_not_per_example(registry, dirset):
+    # 12 languages give 42 directions, so each record's examples share one
+    # id prefix. A set of the full ids held 107-139 bytes per line.
+    from mmtkit.directions import covered, examples
+
+    codes = ("en", "zh", "fr", "de", "bg", "ar", "ru", "ja", "ko", "es", "it", "pt")
+    buf = io.StringIO()
+    for i in range(1000):
+        record = MultiWayRecord(f"r{i:05d}", {code: f"{code} {i}" for code in codes})
+        write_jsonl(examples(record, covered(record, dirset)), buf)
+    stream = io.StringIO(buf.getvalue())
+    del buf
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in read_examples(stream))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 42_000
+    assert peak < 16 * n
 
 
 def test_unhashable_provenance_is_a_parse_error():
