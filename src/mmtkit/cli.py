@@ -166,7 +166,7 @@ def cmd_mix(args) -> dict:
 
     _log_to_stderr()
     # A mixture flag left out keeps MixtureSpec's default.
-    given = {name: getattr(args, name) for name in MixtureSpec.__dataclass_fields__ if getattr(args, name) is not None}
+    given = {name: getattr(args, name) for name in MixtureSpec.__match_args__ if getattr(args, name) is not None}
     try:
         spec = MixtureSpec(**given)
     except ValueError as e:

@@ -9,7 +9,6 @@ NFC-normalized before hashing so canonically equivalent strings collapse.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from typing import Iterable
 
 # CPython's built-in sha256 (_sha2 from 3.12, _sha256 before): hashlib would
@@ -24,7 +23,7 @@ except ImportError:
 
 from .downsampling import SampleClass
 from .records import DirectionalExample
-from .registry import CENTERS
+from .registry import CENTERS, Value
 
 
 _KEY_MASK = (1 << 64) - 1
@@ -40,11 +39,11 @@ def _text_key(text: str) -> int:
     return int.from_bytes(sha256(norm.encode("utf-8")).digest()[:8], "big")
 
 
-@dataclass
-class ClassStats:
-    distinct_targets: int = 0
-    total_pairs: int = 0
-    max_repetition: int = 0
+class ClassStats(Value):
+    __slots__ = __match_args__ = ("distinct_targets", "total_pairs", "max_repetition")
+
+    def __init__(self, distinct_targets: int = 0, total_pairs: int = 0, max_repetition: int = 0):
+        self.distinct_targets, self.total_pairs, self.max_repetition = distinct_targets, total_pairs, max_repetition
 
     @property
     def mean_repetition(self) -> float:
@@ -59,12 +58,12 @@ class ClassStats:
         }
 
 
-@dataclass
-class RepetitionStats:
-    per_target: dict[tuple[str, str], int]
-    histogram: dict[int, int]
-    max_repetition: int
-    by_class: dict[SampleClass, ClassStats]
+class RepetitionStats(Value):
+    __slots__ = __match_args__ = ("per_target", "histogram", "max_repetition", "by_class")
+
+    def __init__(self, per_target: dict[tuple[str, str], int], histogram: dict[int, int], max_repetition: int,
+                 by_class: dict[SampleClass, ClassStats]):
+        self.per_target, self.histogram, self.max_repetition, self.by_class = per_target, histogram, max_repetition, by_class
 
     def as_dict(self) -> dict:
         return {

@@ -6,32 +6,33 @@ yields (n-1) + (n-2) pairs and twice as many directions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import total_ordering
 from typing import Iterable
 
 from .records import DirectionalExample, MultiWayRecord, Provenance
-from .registry import CENTERS, Registry, direction_error
+from .registry import CENTERS, Frozen, Registry, direction_error
 
 
-@dataclass(frozen=True, order=True)
-class Direction:
-    src: str
-    tgt: str
+@total_ordering
+class Direction(Frozen):
+    """A supported direction, ordered by (src, tgt). id_tag, what an id gains in
+    its example id in this direction, is read for every example, so made once."""
 
-    def __post_init__(self):
-        problem = direction_error(self.src, self.tgt)
+    __match_args__ = ("src", "tgt")
+    __slots__ = (*__match_args__, "id_tag")
+
+    def __init__(self, src: str, tgt: str):
+        problem = direction_error(src, tgt)
         if problem is not None:
             raise ValueError(problem)
+        self._set(src=src, tgt=tgt, id_tag=f"#{src}2{tgt}")
+
+    def __lt__(self, other):
+        return self._fields() < other._fields() if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def suffix(self) -> str:
         return f"{self.src}2{self.tgt}"
-
-    @cached_property  # read for every example, so made once per direction
-    def id_tag(self) -> str:
-        """What a record or item id gains in its example id in this direction."""
-        return f"#{self.suffix}"
 
     @property
     def is_reverse(self) -> bool:
@@ -42,11 +43,11 @@ class Direction:
         return f"{self.src}->{self.tgt}"
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    directions: tuple[Direction, ...]
-    pair_count: int
-    direction_count: int
+class DirectionSet(Frozen):
+    __slots__ = __match_args__ = ("directions", "pair_count", "direction_count")
+
+    def __init__(self, directions: tuple[Direction, ...], pair_count: int, direction_count: int):
+        self._set(directions=directions, pair_count=pair_count, direction_count=direction_count)
 
 
 def enumerate_directions(registry: Registry) -> DirectionSet:

@@ -8,13 +8,12 @@ monotone in p: raising p only ever adds examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .hashing import DEFAULT_SEED, prefix_coin, unit_uniform
 from .records import DirectionalExample
-from .registry import CENTERS
+from .registry import CENTERS, Frozen, Value
 
 
 class SampleClass(str, Enum):
@@ -22,14 +21,13 @@ class SampleClass(str, Enum):
     REVERSE = "Reverse"
 
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    p_reverse: float
-    seed: int = DEFAULT_SEED
+class RetentionPolicy(Frozen):
+    __slots__ = __match_args__ = ("p_reverse", "seed")
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_reverse <= 1.0:
-            raise ValueError(f"p_reverse must be in [0, 1], got {self.p_reverse}")
+    def __init__(self, p_reverse: float, seed: int = DEFAULT_SEED):
+        if not 0.0 <= p_reverse <= 1.0:
+            raise ValueError(f"p_reverse must be in [0, 1], got {p_reverse}")
+        self._set(p_reverse=p_reverse, seed=seed)
 
 
 def classify(example: DirectionalExample) -> SampleClass:
@@ -41,10 +39,12 @@ def retained(policy: RetentionPolicy, example_id: str) -> bool:
     return unit_uniform(policy.seed, example_id) < policy.p_reverse
 
 
-@dataclass
-class DownsampleStats:
-    retained: dict[SampleClass, int] = field(default_factory=lambda: {c: 0 for c in SampleClass})
-    dropped: dict[SampleClass, int] = field(default_factory=lambda: {c: 0 for c in SampleClass})
+class DownsampleStats(Value):
+    __slots__ = __match_args__ = ("retained", "dropped")
+
+    def __init__(self, retained: dict[SampleClass, int] | None = None, dropped: dict[SampleClass, int] | None = None):
+        self.retained = {c: 0 for c in SampleClass} if retained is None else retained
+        self.dropped = {c: 0 for c in SampleClass} if dropped is None else dropped
 
     def as_dict(self) -> dict:
         return {

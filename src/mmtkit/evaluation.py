@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .directions import Direction
 from .errors import DuplicateRecord, RecordParseError, UnknownLanguage
-from .registry import Registry, Tier, parse_json_lines, required_fields
+from .registry import Frozen, Registry, Tier, Value, parse_json_lines, required_fields
 
 METRICS = ("COMET22", "SacreBLEU")
 
@@ -28,20 +27,17 @@ CLASSES = ("En→X", "X→En", "Zh→X", "X→Zh")
 TIER_ORDER = (Tier.HIGH, Tier.MEDIUM, Tier.LOW)
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    model: str
-    direction: Direction
-    metric: str
-    value: float
+class EvalRecord(Frozen):
+    __slots__ = __match_args__ = ("model", "direction", "metric", "value")
 
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
-        if not 0.0 <= self.value <= 100.0:
-            raise ValueError(f"{self.metric} value outside [0, 100]: {self.value}")
-        if not self.model:
+    def __init__(self, model: str, direction: Direction, metric: str, value: float):
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"{metric} value outside [0, 100]: {value}")
+        if not model:
             raise ValueError("model name must be non-empty")
+        self._set(model=model, direction=direction, metric=metric, value=value)
 
 
 def read_eval_records(stream: Iterable[str], registry: Registry, path: str | None = None) -> Iterator[EvalRecord]:
@@ -104,12 +100,13 @@ def intersect_support(
     return overlap, (counts[Tier.HIGH], counts[Tier.MEDIUM], counts[Tier.LOW])
 
 
-@dataclass
-class TierTable:
-    metric: str
-    models: list[str]
-    cells: dict[tuple[str, Tier, str], float] = field(default_factory=dict)
-    skipped: int = 0
+class TierTable(Value):
+    __slots__ = __match_args__ = ("metric", "models", "cells", "skipped")
+
+    def __init__(self, metric: str, models: list[str], cells: dict[tuple[str, Tier, str], float] | None = None,
+                 skipped: int = 0):
+        self.metric, self.models, self.skipped = metric, models, skipped
+        self.cells = {} if cells is None else cells
 
     def cell(self, model: str, tier: Tier, cls: str) -> float | None:
         return self.cells.get((model, tier, cls))

@@ -18,11 +18,11 @@ charged, on its own. A rule used outside apply_heuristics counts for itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import MissingScore, RecordParseError
 from .records import DirectionalExample, ScoredPair
+from .registry import Value
 
 # CPython's built-in blake2b: hashlib would also load OpenSSL's _hashlib, a
 # few MB per process, for the same digest.
@@ -49,6 +49,8 @@ def token_length(lang: str, text: str) -> float:
 
 
 class FilterRule:
+    __slots__ = ()
+
     @property
     def name(self) -> str:
         return type(self).__name__
@@ -88,15 +90,15 @@ class _SideLengths:
         return self._lengths
 
 
-@dataclass
-class MaxLengthRatio(FilterRule):
-    ratio: float = 3.0
-    _lengths: _SideLengths = field(default_factory=_SideLengths, init=False, repr=False, compare=False)
+class MaxLengthRatio(Value, FilterRule):
+    __match_args__ = ("ratio",)
+    __slots__ = (*__match_args__, "_lengths")
 
-    def __post_init__(self):
-        r = self.ratio
-        if not isinstance(r, (int, float)) or isinstance(r, bool) or not r > 0:  # NaN fails r > 0
-            raise ValueError(f"ratio must be a positive number, got {r!r}")
+    def __init__(self, ratio: float = 3.0):
+        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or not ratio > 0:  # NaN fails ratio > 0
+            raise ValueError(f"ratio must be a positive number, got {ratio!r}")
+        self.ratio = ratio
+        self._lengths = _SideLengths()
 
     def passes(self, ex: DirectionalExample) -> bool:
         a, b = self._lengths.of(ex)
@@ -104,19 +106,18 @@ class MaxLengthRatio(FilterRule):
         return max(a, b) / min(a, b) <= self.ratio
 
 
-@dataclass
-class LengthBounds(FilterRule):
-    min_len: int = 1
-    max_len: int = 512
-    _lengths: _SideLengths = field(default_factory=_SideLengths, init=False, repr=False, compare=False)
+class LengthBounds(Value, FilterRule):
+    __match_args__ = ("min_len", "max_len")
+    __slots__ = (*__match_args__, "_lengths")
 
-    def __post_init__(self):
-        for name in ("min_len", "max_len"):
-            v = getattr(self, name)
+    def __init__(self, min_len: int = 1, max_len: int = 512):
+        for name, v in (("min_len", min_len), ("max_len", max_len)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not 0 < self.min_len <= self.max_len:
-            raise ValueError(f"need 0 < min_len <= max_len, got {self.min_len}..{self.max_len}")
+        if not 0 < min_len <= max_len:
+            raise ValueError(f"need 0 < min_len <= max_len, got {min_len}..{max_len}")
+        self.min_len, self.max_len = min_len, max_len
+        self._lengths = _SideLengths()
 
     def _ok(self, lang: str, length: float) -> bool:
         if lang in SPACELESS:  # length is len(text) / 4, so this product is len(text) exactly
@@ -193,12 +194,13 @@ def rules_from_config(entries: list[dict]) -> list[FilterRule]:
     return rules
 
 
-@dataclass
-class FilterReport:
-    input_count: int = 0
-    kept: int = 0
-    rejected: dict[str, int] = field(default_factory=dict)
-    histogram: dict[float, tuple[int, float]] | None = None
+class FilterReport(Value):
+    __slots__ = __match_args__ = ("input_count", "kept", "rejected", "histogram")
+
+    def __init__(self, input_count: int = 0, kept: int = 0, rejected: dict[str, int] | None = None,
+                 histogram: dict[float, tuple[int, float]] | None = None):
+        self.input_count, self.kept, self.histogram = input_count, kept, histogram
+        self.rejected = {} if rejected is None else rejected
 
     def consistent(self) -> bool:
         return self.kept + sum(self.rejected.values()) == self.input_count

@@ -28,7 +28,6 @@ independent of input shard order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .directions import Direction, DirectionSet, covered
@@ -37,21 +36,21 @@ from .errors import MissingScore
 from .hashing import DEFAULT_SEED, unit_uniform
 from .prompts import PromptedExample, PromptFormat, render_translation
 from .records import MultiWayRecord
-from .registry import Registry
+from .registry import Frozen, Registry, Value
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    per_direction_min: int = 3000
-    per_direction_max: int = 20000
-    forward_pmp_share: float = 0.5
-    reverse_total_retention: float = 0.05
-    reverse_pmp_share_of_retained: float = 0.5
-    seed: int = DEFAULT_SEED
+class MixtureSpec(Frozen):
+    __slots__ = __match_args__ = ("per_direction_min", "per_direction_max", "forward_pmp_share",
+                                  "reverse_total_retention", "reverse_pmp_share_of_retained", "seed")
 
-    def __post_init__(self):
+    def __init__(self, per_direction_min: int = 3000, per_direction_max: int = 20000, forward_pmp_share: float = 0.5,
+                 reverse_total_retention: float = 0.05, reverse_pmp_share_of_retained: float = 0.5,
+                 seed: int = DEFAULT_SEED):
+        self._set(per_direction_min=per_direction_min, per_direction_max=per_direction_max,
+                  forward_pmp_share=forward_pmp_share, reverse_total_retention=reverse_total_retention,
+                  reverse_pmp_share_of_retained=reverse_pmp_share_of_retained, seed=seed)
         for name in ("per_direction_min", "per_direction_max", "seed"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
@@ -69,19 +68,19 @@ class MixtureSpec:
             )
 
 
-@dataclass
-class DirectionMixReport:
-    candidates: int = 0
-    selected: int = 0
-    retained: int = 0
-    stp: int = 0
-    pmp: int = 0
+class DirectionMixReport(Value):
+    __slots__ = __match_args__ = ("candidates", "selected", "retained", "stp", "pmp")
+
+    def __init__(self, candidates: int = 0, selected: int = 0, retained: int = 0, stp: int = 0, pmp: int = 0):
+        self.candidates, self.selected, self.retained, self.stp, self.pmp = candidates, selected, retained, stp, pmp
 
 
-@dataclass
-class MixtureReport:
-    per_direction: dict[str, DirectionMixReport] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+class MixtureReport(Value):
+    __slots__ = __match_args__ = ("per_direction", "warnings")
+
+    def __init__(self, per_direction: dict[str, DirectionMixReport] | None = None, warnings: list[str] | None = None):
+        self.per_direction = {} if per_direction is None else per_direction
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def emitted(self) -> int:
@@ -91,7 +90,7 @@ class MixtureReport:
         return {
             "emitted": self.emitted,
             "per_direction": {
-                d: vars(r) for d, r in self.per_direction.items()
+                d: {name: getattr(r, name) for name in r.__match_args__} for d, r in self.per_direction.items()
             },
             "warnings": list(self.warnings),
         }

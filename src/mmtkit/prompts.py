@@ -18,14 +18,13 @@ set exactly for PMP), which every renderer here meets by construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring  # the escaper json_line uses
 from typing import Iterable, Iterator
 
 from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, RecordParseError, UnknownLanguage
 from .records import DirectionalExample, write_jsonl
-from .registry import Registry, direction_error, parse_json_lines, required_fields
+from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
 
@@ -44,17 +43,21 @@ class InferenceStrategy(str, Enum):
     PMP_S = "pmp-s"
 
 
-@dataclass(slots=True)
-class PromptedExample:
-    text: str
-    loss_start: int
-    loss_end: int
-    format: PromptFormat
-    src_lang: str
-    tgt_lang: str
-    aux_lang: str | None
-    id: str
-    prompt_schema: str = PROMPT_SCHEMA
+class PromptedExample(Value):
+    __slots__ = __match_args__ = ("text", "loss_start", "loss_end", "format", "src_lang", "tgt_lang", "aux_lang", "id",
+                                  "prompt_schema")
+
+    def __init__(self, text: str, loss_start: int, loss_end: int, format: PromptFormat, src_lang: str, tgt_lang: str,
+                 aux_lang: str | None, id: str, prompt_schema: str = PROMPT_SCHEMA):
+        self.text = text
+        self.loss_start = loss_start
+        self.loss_end = loss_end
+        self.format = format
+        self.src_lang = src_lang
+        self.tgt_lang = tgt_lang
+        self.aux_lang = aux_lang
+        self.id = id
+        self.prompt_schema = prompt_schema
 
     def loss_slice(self) -> str:
         return self.text.encode("utf-8")[self.loss_start : self.loss_end].decode("utf-8")

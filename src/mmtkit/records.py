@@ -14,11 +14,11 @@ with lookups made in its own order (open_score_sidecar). Each reader
 is a converter of one parsed line that checks the record once, as it reads
 it; parse_json_lines names the path:line of any error it raises.
 
-Records are slots dataclasses without frozen=True, because a frozen __init__
-sets every field through object.__setattr__ and every line builds a record.
-They compare by value and are not hashable; no stage changes a record after
-building it, so callers treat them as read-only. Stages write directional and
-scored pairs; multi-way records are only read, so they have no to_line.
+Records are slots classes (registry.Value), not Frozen: a frozen __init__ sets
+every field through object.__setattr__, and every line builds a record. They
+compare by value and are not hashable; no stage changes a record after building
+it, so callers treat them as read-only. Stages write directional and scored
+pairs; multi-way records are only read, so they have no to_line.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import contextlib
 import json
 import os
 import stat
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import islice
@@ -37,7 +36,7 @@ from json.encoder import encode_basestring
 from typing import IO, Container, Iterable, Iterator
 
 from .errors import DuplicateRecordId, InvalidScore, RecordParseError
-from .registry import Registry, direction_error, parse_json_lines, required_fields
+from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
 
 
 class Provenance(str, Enum):
@@ -51,20 +50,23 @@ class Provenance(str, Enum):
 json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-@dataclass(slots=True)
-class MultiWayRecord:
-    id: str
-    sentences: dict[str, str]
+class MultiWayRecord(Value):
+    __slots__ = __match_args__ = ("id", "sentences")
+
+    def __init__(self, id: str, sentences: dict[str, str]):
+        self.id, self.sentences = id, sentences
 
 
-@dataclass(slots=True)
-class DirectionalExample:
-    id: str
-    src_lang: str
-    tgt_lang: str
-    src: str
-    tgt: str
-    provenance: Provenance = Provenance.HUMAN
+class DirectionalExample(Value):
+    __slots__ = __match_args__ = ("id", "src_lang", "tgt_lang", "src", "tgt", "provenance")
+
+    def __init__(self, id: str, src_lang: str, tgt_lang: str, src: str, tgt: str, provenance: Provenance = Provenance.HUMAN):
+        self.id = id
+        self.src_lang = src_lang
+        self.tgt_lang = tgt_lang
+        self.src = src
+        self.tgt = tgt
+        self.provenance = provenance
 
     def to_json(self) -> dict:
         return {
@@ -86,10 +88,11 @@ class DirectionalExample:
         )
 
 
-@dataclass(slots=True)
-class ScoredPair:
-    example: DirectionalExample
-    qe_score: float
+class ScoredPair(Value):
+    __slots__ = __match_args__ = ("example", "qe_score")
+
+    def __init__(self, example: DirectionalExample, qe_score: float):
+        self.example, self.qe_score = example, qe_score
 
     def to_json(self) -> dict:
         obj = self.example.to_json()

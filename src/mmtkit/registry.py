@@ -4,7 +4,8 @@ The built-in registry ships 60 languages with script/family/tier metadata and
 a 19-entry auxiliary map used for parallel multilingual prompting. Custom
 registries load from line-delimited JSON and must contain both center
 languages (en, zh); each code is [a-z_]+, so that the "2" of an example id
-{id}#{src}2{tgt} splits it one way only.
+{id}#{src}2{tgt} splits it one way only. Value and Frozen, the bases of the
+package's record, value and report classes, live here: every stage imports it.
 """
 from __future__ import annotations
 
@@ -13,9 +14,7 @@ import json
 import os
 import re
 import stat
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
@@ -39,21 +38,63 @@ class Tier(str, Enum):
     LOW = "Low"
 
 
-@dataclass(frozen=True)
-class Language:
-    code: str
-    name: str
-    script: str
-    family: str
-    tier: Tier
+class Value:
+    """Base of a slots class that names its fields in __match_args__, as a
+    dataclass does, and writes its own __init__: field-wise == (an instance of
+    another type is unequal), the dataclass repr, no hash. dataclasses itself
+    would cost each stage's process about 1 MB and 10 ms (inspect, ast, dis)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Registry:
+class Frozen(Value):
+    """A Value hashed by its fields, which __init__ sets through _set; setattr and delattr raise."""
+
+    __slots__ = ()
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle would restore the slots through __setattr__
+        return type(self), self._fields()
+
+
+class Language(Frozen):
+    __slots__ = __match_args__ = ("code", "name", "script", "family", "tier")
+
+    def __init__(self, code: str, name: str, script: str, family: str, tier: Tier):
+        self._set(code=code, name=name, script=script, family=family, tier=tier)
+
+
+class Registry(Frozen):
     """Immutable after load; safe for concurrent shared reads."""
 
-    languages: dict[str, Language]
-    auxiliaries: dict[str, str] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("languages", "auxiliaries")
+
+    def __init__(self, languages: dict[str, Language], auxiliaries: dict[str, str] | None = None):
+        self._set(languages=languages, auxiliaries={} if auxiliaries is None else auxiliaries)
 
     def __contains__(self, code: str) -> bool:
         return code in self.languages
@@ -240,6 +281,8 @@ def _registry_file(path: str | None, builtin: str):
     """(lines, name) of a registry file; the bundled data/<builtin>.jsonl when
     path is None."""
     if path is None:
+        from importlib import resources  # here: loads pathlib, zipfile and tempfile
+
         text = resources.files("mmtkit").joinpath(f"data/{builtin}.jsonl").read_text(encoding="utf-8")
         yield text.splitlines(), f"builtin:{builtin}"
     else:

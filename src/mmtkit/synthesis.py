@@ -9,13 +9,12 @@ the stream.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .backends import Backend, BackendItemError
 from .errors import BackendError, InvalidInput
 from .records import DirectionalExample, Provenance
-from .registry import CENTERS
+from .registry import CENTERS, Value
 from .directions import Direction
 
 log = logging.getLogger(__name__)
@@ -25,12 +24,13 @@ T = TypeVar("T")
 FAILURE_BUDGET = 0.10
 
 
-@dataclass
-class SynthStats:
+class SynthStats(Value):
     """Items a synthesis stream read, and those it skipped as failed."""
 
-    items: int = 0
-    failed: int = 0
+    __slots__ = __match_args__ = ("items", "failed")
+
+    def __init__(self, items: int = 0, failed: int = 0):
+        self.items, self.failed = items, failed
 
 
 def _translated(

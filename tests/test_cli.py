@@ -1475,10 +1475,11 @@ def test_strategy_choices_are_the_inference_strategies():
 
 
 def _imported(*args):
-    """Names of the modules `python -X importtime *args` imports that a bare
-    interpreter does not (site-packages hooks also import at start-up)."""
+    """Names of the modules `python -S -X importtime *args` imports that a bare
+    interpreter does not. -S, on both sides, keeps site-packages hooks from
+    importing a module at start-up, which would hide that the stage imports it."""
     def names(*argv):
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
@@ -1497,6 +1498,37 @@ def test_stage_imports_only_the_modules_it_runs(tmp_path, command):
     ours = {name.removeprefix("mmtkit.") for name in loaded if name.startswith("mmtkit.")}
     assert ours == {"cli", "errors", "hashing", "records", "registry"} | _STAGE_ONLY[command]
     assert "subprocess" not in loaded
+    # expand reads the built-in registry through importlib.resources; the others read no registry.
+    assert ("importlib.resources" in loaded) == (command == "expand")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("validate",),
+        ("expand", "--in", "IN", "--out", "OUT"),
+        ("downsample", "--in", "IN", "--out", "OUT"),
+        ("filter", "--in", "IN", "--out", "OUT"),
+        ("diagnose", "--in", "IN", "--out", "OUT"),
+        ("mix", "--in", "IN", "--out", "OUT"),
+        ("score", "--scorer-cmd", "SCORER", "--in", "IN", "--out", "OUT"),
+        ("synth", "--mode", "direct", "--direction", "en2fr", "--backend-cmd", "BACKEND", "--in", "IN", "--out", "OUT"),
+        ("synth", "--mode", "pivot", "--backend-cmd", "BACKEND", "--in", "IN", "--out", "OUT"),
+        ("infer-prompt", "--strategy", "pmp-s", "--backend-cmd", "BACKEND", "--in", "IN", "--out", "OUT"),
+        ("eval", "--records", "IN"),
+    ],
+    ids=lambda args: "-".join(args[:3:2]) if args[0] == "synth" else args[0],
+)
+def test_no_stage_imports_dataclasses_or_inspect(tmp_path, scripts_dir, args):
+    """The record, value and report classes are plain slots classes, so no
+    stage pays for dataclasses and the inspect, ast and tokenize it imports."""
+    src = tmp_path / "in.jsonl"
+    src.write_text("", encoding="utf-8")
+    swap = {"IN": str(src), "OUT": str(tmp_path / "o"),
+            "SCORER": f"{sys.executable} {scripts_dir / 'toy_scorer.py'}",
+            "BACKEND": f"{sys.executable} {scripts_dir / 'toy_backend.py'}"}
+    loaded = _imported("-m", "mmtkit", *(swap.get(a, a) for a in args))
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize(
@@ -1531,12 +1563,12 @@ def test_mix_help_states_each_mixture_default():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     stated = {}
     for action in sub.choices["mix"]._actions:
-        if action.dest in MixtureSpec.__dataclass_fields__:
+        if action.dest in MixtureSpec.__match_args__:
             meaning, default = re.fullmatch(r"(.+) \(default ([^)]+)\)", action.help).groups()
             assert len(meaning.split()) >= 3
             stated[action.dest] = float(default)
     defaults = MixtureSpec()
-    assert stated == {name: getattr(defaults, name) for name in MixtureSpec.__dataclass_fields__}
+    assert stated == {name: getattr(defaults, name) for name in MixtureSpec.__match_args__}
 
 
 def test_readme_names_every_subcommand_option_and_no_other(scripts_dir):

@@ -1,8 +1,10 @@
 """Record types and line-delimited JSON round trips."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -10,9 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import any_text
+from mmtkit.diagnostics import ClassStats, RepetitionStats
+from mmtkit.directions import Direction, DirectionSet
+from mmtkit.downsampling import DownsampleStats, RetentionPolicy
 from mmtkit.errors import DuplicateLanguage, DuplicateRecordId, InvalidScore, RecordParseError, UnknownLanguage
-from mmtkit.evaluation import read_eval_records
-from mmtkit.prompts import read_prompted
+from mmtkit.evaluation import EvalRecord, TierTable, read_eval_records
+from mmtkit.filtering import FilterReport, LengthBounds, MaxLengthRatio, rules_from_config
+from mmtkit.mixture import DirectionMixReport, MixtureReport, MixtureSpec
+from mmtkit.prompts import PromptedExample, PromptFormat, read_prompted
 from mmtkit.records import (
     DirectionalExample,
     MultiWayRecord,
@@ -29,7 +36,8 @@ from mmtkit.records import (
     write_jsonl,
     write_score_sidecar,
 )
-from mmtkit.registry import load_registry, parse_json_lines
+from mmtkit.registry import Language, Registry, Tier, load_registry, parse_json_lines
+from mmtkit.synthesis import SynthStats
 
 text_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30
@@ -506,13 +514,8 @@ def test_parse_json_lines_strips_like_str_strip(pad):
 
 def test_records_are_slots_and_value_types_stay_frozen(registry):
     """The four record types, as their readers and renderers return them, have
-    no __dict__; the hashed or shared value types stay frozen."""
-    import dataclasses
-
-    from mmtkit.directions import Direction
-    from mmtkit.downsampling import RetentionPolicy
+    no __dict__; the hashed or shared value types stay frozen, and have none either."""
     from mmtkit.filtering import attach_scores
-    from mmtkit.mixture import MixtureSpec
     from mmtkit.prompts import render_stp
 
     row = {"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "hello", "tgt": "bonjour"}
@@ -525,9 +528,80 @@ def test_records_are_slots_and_value_types_stay_frozen(registry):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
     for value, name in ((Direction("en", "fr"), "src"), (RetentionPolicy(0.05), "p_reverse"), (MixtureSpec(), "seed")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, getattr(value, name))
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, type(before)())
+        assert getattr(value, name) == before
+        assert not hasattr(value, "__dict__"), type(value).__name__
     assert hash(Direction("en", "fr")) == hash(Direction("en", "fr"))
+
+
+_EX_E1 = DirectionalExample("e1", "en", "fr", "hello", "bonjour")
+_LANG_EN = Language("en", "English", "Latin", "Indo-European", Tier.HIGH)
+
+# (build, kind) for every record, value and report class: build() makes a new
+# instance with the same fields each call.
+_VALUES = [
+    (lambda: MultiWayRecord("r1", {"en": "hello", "fr": "bonjour"}), "record"),
+    (lambda: DirectionalExample("e1", "en", "fr", "hello", "bonjour", Provenance.SYNTH_PIVOT), "record"),
+    (lambda: ScoredPair(_EX_E1, 0.5), "record"),
+    (lambda: PromptedExample("ab", 1, 2, PromptFormat.STP, "en", "fr", None, "e1"), "record"),
+    (lambda: Language("en", "English", "Latin", "Indo-European", Tier.HIGH), "frozen"),
+    (lambda: Registry({"en": _LANG_EN}, {"sw": "fr"}), "frozen"),
+    (lambda: Direction("zh", "fr"), "frozen"),
+    (lambda: DirectionSet((Direction("en", "fr"), Direction("fr", "en")), 1, 2), "frozen"),
+    (lambda: RetentionPolicy(0.25, 7), "frozen"),
+    (lambda: MixtureSpec(per_direction_min=4, per_direction_max=9, seed=3), "frozen"),
+    (lambda: EvalRecord("m", Direction("en", "fr"), "COMET22", 80.5), "frozen"),
+    (lambda: DownsampleStats(), "report"),
+    (lambda: ClassStats(2, 5, 3), "report"),
+    (lambda: RepetitionStats({("en", "00"): 2}, {2: 1}, 2, {}), "report"),
+    (lambda: MaxLengthRatio(2.5), "report"),
+    (lambda: LengthBounds(2, 9), "report"),
+    (lambda: FilterReport(3, 2, {"NonEmpty": 1}), "report"),
+    (lambda: DirectionMixReport(5, 4, 3, 2, 1), "report"),
+    (lambda: MixtureReport({"en->fr": DirectionMixReport(1)}, ["w"]), "report"),
+    (lambda: SynthStats(10, 1), "report"),
+    (lambda: TierTable("COMET22", ["m"], {}, 1), "report"),
+]
+
+
+@pytest.mark.parametrize("build, kind", _VALUES, ids=[build().__class__.__name__ for build, _ in _VALUES])
+def test_value_classes_keep_dataclass_semantics(build, kind):
+    """Every record, value and report class compares, hashes, refuses changes,
+    prints and pickles as the dataclass it replaces, and has no __dict__."""
+    a, b = build(), build()
+    fields = tuple(getattr(a, f) for f in a.__match_args__)
+    assert a == b and not a != b and a is not b
+    # The reference: a dataclass of the same name and fields.
+    ref = dataclasses.make_dataclass(type(a).__name__, a.__match_args__, frozen=kind == "frozen")(*fields)
+    assert a != ref and a != fields and a != object()
+    assert repr(a) == repr(ref)
+    assert not hasattr(a, "__dict__")
+    assert pickle.loads(pickle.dumps(a)) == a
+    if kind != "frozen":
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    try:
+        expected = hash(fields)
+    except TypeError:  # a Registry holds dicts
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == expected
+    field = a.__match_args__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(a, field)
+    assert a == b
+
+
+def test_direction_sorts_by_its_sides():
+    pairs = [("zh", "fr"), ("en", "zh"), ("fr", "en"), ("en", "de"), ("de", "zh")]
+    assert [(d.src, d.tgt) for d in sorted(Direction(*p) for p in pairs)] == sorted(pairs)
+    assert Direction("en", "de") < Direction("en", "fr") <= Direction("en", "fr") and Direction("zh", "fr") > Direction("fr", "en")
 
 
 class _CountingStream(io.StringIO):
@@ -550,3 +624,28 @@ def test_write_jsonl_batches_write_the_lines_of_a_per_line_write(mk_example, n):
     # Whole lines per write, at most a batch of them.
     assert all(w.endswith("\n") and 1 <= w.count("\n") <= _WRITE_BATCH for w in stream.writes)
     assert len(stream.writes) == -(-n // _WRITE_BATCH)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RetentionPolicy(1.5), ValueError, "p_reverse must be in [0, 1], got 1.5"),
+        (lambda: MixtureSpec(per_direction_min=-1), ValueError,
+         "need 0 <= per_direction_min <= per_direction_max, got -1..20000"),
+        (lambda: MaxLengthRatio(ratio=0), ValueError, "ratio must be a positive number, got 0"),
+        (lambda: LengthBounds(0, 5), ValueError, "need 0 < min_len <= max_len, got 0..5"),
+        (lambda: Direction("en", "en"), ValueError, "direction with identical sides: 'en'"),
+        (lambda: EvalRecord("m", Direction("en", "fr"), "BLEU", 1.0), ValueError,
+         "unknown metric 'BLEU'; expected one of ('COMET22', 'SacreBLEU')"),
+        (lambda: rules_from_config([{"kind": "MaxLengthRatio", "max_len": 2}]), RecordParseError,
+         "rule 0 (MaxLengthRatio): MaxLengthRatio.__init__() got an unexpected keyword argument 'max_len'"),
+    ],
+    ids=["RetentionPolicy", "MixtureSpec", "MaxLengthRatio", "LengthBounds", "Direction", "EvalRecord", "rule-param"],
+)
+def test_value_classes_refuse_bad_fields_as_before(build, error, message):
+    """Each check a class makes of its fields raises the type and message it
+    raised as a dataclass; an unknown rule parameter is named by the rule's own
+    __init__."""
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
