@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands wire the library into file-to-file pipeline stages. Data flows
-through files (or stdout for tables); logs go to stderr. Each stage returns
+through files (or stdout for tables); warnings go to stderr. Each stage returns
 its one-line JSON summary, which main prints to stdout (None when the stage
 wrote a table or histogram there itself). Exit codes: 0 success, 1 data
 error (with a JSON error line on stderr, also for an unreadable file, one
@@ -31,13 +31,6 @@ def _load_registry(args) -> "Registry":
     from .registry import load_registry
 
     return load_registry(None if args.registry == "builtin" else args.registry, args.auxiliaries)
-
-
-def _log_to_stderr() -> None:
-    """Print the library's logged warnings to stderr (mix and synth log)."""
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _read_rules(path: str) -> list:
@@ -164,7 +157,6 @@ def cmd_mix(args) -> dict:
     from .mixture import MixtureSpec, stream_sft_mixture
     from .records import open_score_sidecar, read_multiway, write_jsonl
 
-    _log_to_stderr()
     # A mixture flag left out keeps MixtureSpec's default.
     given = {name: getattr(args, name) for name in MixtureSpec.__match_args__ if getattr(args, name) is not None}
     try:
@@ -246,7 +238,6 @@ def cmd_synth(args) -> dict:
     from .registry import CENTERS
     from .synthesis import SynthStats, synth_direct, synth_pivot
 
-    _log_to_stderr()
     if args.mode == "direct" and not args.direction:
         raise RecordParseError("--direction is required for direct synthesis")
     if args.mode == "pivot" and args.direction:

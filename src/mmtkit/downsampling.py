@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .hashing import DEFAULT_SEED, prefix_coin, unit_uniform
+from .hashing import DEFAULT_SEED, unit_uniform
 from .records import DirectionalExample
 from .registry import CENTERS, Frozen, Value
 
@@ -59,12 +59,10 @@ def downsample(
     stats: DownsampleStats | None = None,
 ) -> Iterator[DirectionalExample]:
     """Yield retained examples in input order. stats, when given, is complete
-    only after the iterator is exhausted. The coin is retained's, continued
-    from the previous id's prefix where it repeats."""
-    coin, p = prefix_coin(policy.seed), policy.p_reverse
+    only after the iterator is exhausted."""
     for ex in examples:
         cls = classify(ex)
-        keep = cls is SampleClass.FORWARD or coin(ex.id) < p
+        keep = cls is SampleClass.FORWARD or retained(policy, ex.id)
         if stats is not None:
             (stats.retained if keep else stats.dropped)[cls] += 1
         if keep:

@@ -13,8 +13,19 @@ line's converter, so it reads "path:line N: message"; only the CLI's
 and EmptySource are RecordParseErrors, so an infer-prompt request, judged
 in the converter, is refused at its line. Raised outside the reading loop,
 as synth raises them, they carry no location.
+
+A failure a stage survives, such as a skipped synthesis item, is a warning:
+one `WARNING <module>: <message>` line on stderr.
 """
 from __future__ import annotations
+
+import sys
+
+
+def warn(module: str, message: str) -> None:
+    """Write one warning line to stderr. logging would cost mix and synth about
+    10 ms of start-up for these lines."""
+    print(f"WARNING {module}: {message}", file=sys.stderr)
 
 
 class ToolkitError(Exception):

@@ -9,11 +9,7 @@ Lengths are whitespace-token counts, except for languages written without
 word spacing (zh, ja, th, my, km, lo, bo, yue) where characters stand in for
 tokens: bounds scale their maximum by 4 characters per token (the minimum
 stays in raw characters so short CJK sentences survive) and ratios divide
-character counts by 4 to stay comparable across scripts. MaxLengthRatio and
-LengthBounds read the same two lengths, so apply_heuristics gives them one
-shared count, which measures each pair's sides once however many length
-rules the list holds and in whatever order; each rule still decides, and is
-charged, on its own. A rule used outside apply_heuristics counts for itself.
+character counts by 4 to stay comparable across scripts.
 """
 from __future__ import annotations
 
@@ -72,43 +68,22 @@ class SrcTgtDistinct(FilterRule):
         return ex.src != ex.tgt
 
 
-class _SideLengths:
-    """token_length of each side of the last pair asked about, counted again
-    only when a side's language or text differs."""
-
-    __slots__ = ("_key", "_lengths")
-
-    def __init__(self):
-        self._key = None
-        self._lengths = (0.0, 0.0)
-
-    def of(self, ex: DirectionalExample) -> tuple[float, float]:
-        key = (ex.src_lang, ex.src, ex.tgt_lang, ex.tgt)
-        if key != self._key:
-            self._lengths = (token_length(ex.src_lang, ex.src), token_length(ex.tgt_lang, ex.tgt))
-            self._key = key
-        return self._lengths
-
-
 class MaxLengthRatio(Value, FilterRule):
-    __match_args__ = ("ratio",)
-    __slots__ = (*__match_args__, "_lengths")
+    __slots__ = __match_args__ = ("ratio",)
 
     def __init__(self, ratio: float = 3.0):
         if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or not ratio > 0:  # NaN fails ratio > 0
             raise ValueError(f"ratio must be a positive number, got {ratio!r}")
         self.ratio = ratio
-        self._lengths = _SideLengths()
 
     def passes(self, ex: DirectionalExample) -> bool:
-        a, b = self._lengths.of(ex)
-        a, b = max(1.0, a), max(1.0, b)
+        a = max(1.0, token_length(ex.src_lang, ex.src))
+        b = max(1.0, token_length(ex.tgt_lang, ex.tgt))
         return max(a, b) / min(a, b) <= self.ratio
 
 
 class LengthBounds(Value, FilterRule):
-    __match_args__ = ("min_len", "max_len")
-    __slots__ = (*__match_args__, "_lengths")
+    __slots__ = __match_args__ = ("min_len", "max_len")
 
     def __init__(self, min_len: int = 1, max_len: int = 512):
         for name, v in (("min_len", min_len), ("max_len", max_len)):
@@ -117,16 +92,14 @@ class LengthBounds(Value, FilterRule):
         if not 0 < min_len <= max_len:
             raise ValueError(f"need 0 < min_len <= max_len, got {min_len}..{max_len}")
         self.min_len, self.max_len = min_len, max_len
-        self._lengths = _SideLengths()
 
-    def _ok(self, lang: str, length: float) -> bool:
-        if lang in SPACELESS:  # length is len(text) / 4, so this product is len(text) exactly
-            return self.min_len <= length * CHARS_PER_TOKEN <= self.max_len * CHARS_PER_TOKEN
-        return self.min_len <= length <= self.max_len
+    def _ok(self, lang: str, text: str) -> bool:
+        if lang in SPACELESS:
+            return self.min_len <= len(text) <= self.max_len * CHARS_PER_TOKEN
+        return self.min_len <= len(text.split()) <= self.max_len
 
     def passes(self, ex: DirectionalExample) -> bool:
-        a, b = self._lengths.of(ex)
-        return self._ok(ex.src_lang, a) and self._ok(ex.tgt_lang, b)
+        return self._ok(ex.src_lang, ex.src) and self._ok(ex.tgt_lang, ex.tgt)
 
 
 class ControlCharFree(FilterRule):
@@ -229,11 +202,8 @@ def apply_heuristics(
     report = FilterReport()
 
     def run() -> Iterator[DirectionalExample]:
-        lengths = _SideLengths()
         for rule in rules:
             rule.reset()
-            if isinstance(rule, (MaxLengthRatio, LengthBounds)):
-                rule._lengths = lengths
         for ex in pairs:
             report.input_count += 1
             failed = None

@@ -4,16 +4,10 @@ All sampling decisions in the toolkit are pure functions of (seed, key) built
 on FNV-1a 64-bit. That makes every probabilistic stage reproducible bit for
 bit across runs, platforms, shard orders, and worker counts: there is no
 sequential RNG state to share or synchronize.
-
-A run of keys that share a prefix can continue one FNV state instead of
-hashing each key whole: prefix_coin splits a key at its last '#', which in
-an example id ends the record or item id and starts the direction tag
-(`r1#en2fr`). A key without '#' is hashed whole.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
 DEFAULT_SEED = 42
 
@@ -41,31 +35,6 @@ def unit_uniform(seed: int, key: str) -> float:
     second independent decision is needed for the same id.
     """
     return fnv1a64(key.encode("utf-8"), _seed_state(seed)) / _TWO64
-
-
-def prefix_coin(seed: int) -> Callable[[str], float]:
-    """A function equal to unit_uniform(seed, key) that remembers the FNV
-    state after the last key's prefix, up to its last '#', and hashes only
-    the rest of a key whose prefix repeats it. Expanded ids come grouped by
-    record, so most keys of a run reuse the state."""
-    seed_state = _seed_state(seed)
-    last_prefix: str | None = None
-    state = 0
-
-    def coin(key: str) -> float:
-        nonlocal last_prefix, state
-        cut = key.rfind("#")
-        if cut < 0:
-            return fnv1a64(key.encode("utf-8"), seed_state) / _TWO64
-        prefix = key[:cut]
-        if prefix != last_prefix:
-            # Encoded before last_prefix changes: a prefix that cannot be
-            # encoded raises here, every time, as unit_uniform would.
-            state = fnv1a64(prefix.encode("utf-8"), seed_state)
-            last_prefix = prefix
-        return fnv1a64(key[cut:].encode("utf-8"), state) / _TWO64
-
-    return coin
 
 
 @lru_cache(maxsize=256, typed=True)

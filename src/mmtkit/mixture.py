@@ -27,18 +27,15 @@ independent of input shard order.
 """
 from __future__ import annotations
 
-import logging
 from typing import Iterable, Iterator, Mapping
 
 from .directions import Direction, DirectionSet, covered
 from .downsampling import RetentionPolicy, retained
-from .errors import MissingScore
+from .errors import MissingScore, warn
 from .hashing import DEFAULT_SEED, unit_uniform
 from .prompts import PromptedExample, PromptFormat, render_translation
 from .records import MultiWayRecord
 from .registry import Frozen, Registry, Value
-
-log = logging.getLogger(__name__)
 
 
 class MixtureSpec(Frozen):
@@ -180,10 +177,8 @@ def stream_sft_mixture(
                     rep.stp += 1
                     yield render_translation(PromptFormat.STP, ex_id, d.src, d.tgt, src, tgt, registry)
         if report.warnings:
-            log.warning(
-                "%d of %d directions below per_direction_min=%d; first: %s",
-                len(report.warnings), len(dirset.directions), spec.per_direction_min, report.warnings[0],
-            )
+            warn(__name__, f"{len(report.warnings)} of {len(dirset.directions)} directions below "
+                           f"per_direction_min={spec.per_direction_min}; first: {report.warnings[0]}")
 
     return run(), report
 

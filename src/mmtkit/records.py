@@ -119,8 +119,8 @@ _SUFFIX_BITS = 256
 class SeenIds:
     """The ids added so far, held to refuse a repeat.
 
-    An id splits at its last '#' into a prefix and a suffix, as
-    hashing.prefix_coin splits it (`r1#en2fr` -> `r1`, `en2fr`). Each distinct
+    An id splits at its last '#' into a prefix and a suffix, the record or
+    item id and the direction tag (`r1#en2fr` -> `r1`, `en2fr`). Each distinct
     suffix gets one bit, in order of arrival, and each prefix keeps the bits of
     its suffixes seen so far in one int, so an expanded record's directions
     cost one dict entry between them. An id without '#', or whose suffix came

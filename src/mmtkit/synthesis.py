@@ -3,21 +3,18 @@
 Two synthesis modes: direct (translate center-language monolingual text into
 the target side) and pivot (turn En-X bitext into Zh-X bitext by translating
 the English side into Chinese). Items that fail in the backend are skipped
-and logged; a run aborts if more than 10% of its items failed by the end of
+with a warning; a run aborts if more than 10% of its items failed by the end of
 the stream.
 """
 from __future__ import annotations
 
-import logging
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .backends import Backend, BackendItemError
-from .errors import BackendError, InvalidInput
+from .errors import BackendError, InvalidInput, warn
 from .records import DirectionalExample, Provenance
 from .registry import CENTERS, Value
 from .directions import Direction
-
-log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -42,7 +39,7 @@ def _translated(
 ) -> Iterator[tuple[T, str]]:
     """Yield (item, translation) in input order. to_args(item) gives the
     translate() arguments (item_id, src_lang, tgt_lang, text). An item with an
-    empty text, an item error or an empty translation is skipped and logged.
+    empty text, an item error or an empty translation is skipped with a warning.
     If more than FAILURE_BUDGET of the items counted in stats failed, the end
     of the stream raises BackendError."""
     stats = SynthStats() if stats is None else stats
@@ -63,7 +60,7 @@ def _translated(
                     continue
                 err = "backend returned empty text"
         stats.failed += 1
-        log.warning("%s: skipping item %s: %s", what, args[0], err)
+        warn(__name__, f"{what}: skipping item {args[0]}: {err}")
     if stats.items and stats.failed > FAILURE_BUDGET * stats.items:
         raise BackendError(
             f"{what}: {stats.failed}/{stats.items} items failed, over the {FAILURE_BUDGET:.0%} budget"

@@ -1603,6 +1603,31 @@ def test_filter_and_diagnose_load_no_openssl(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text(encoding="utf-8"))["distinct_targets"] > 0
 
 
+def test_mix_and_synth_warn_without_logging(tmp_path, scripts_dir):
+    # logging costs each of these stages about 10 ms of start-up; their
+    # warnings are plain stderr lines. Both runs below warn.
+    corpus, mono = write_corpus(tmp_path / "c.mwjsonl"), tmp_path / "mono.jsonl"
+    mono.write_text("".join(json_line({"id": f"m{i}", "text": f"line {i}" if i else ""}) + "\n" for i in range(20)),
+                    encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from mmtkit.cli import main\n"
+        "corpus, mono, backend, out = sys.argv[1:]\n"
+        "assert main(['mix', '--in', corpus, '--out', out + '.mix']) == 0\n"
+        "assert main(['synth', '--mode', 'direct', '--direction', 'en2sw', '--backend-cmd', backend,\n"
+        "             '--in', mono, '--out', out + '.syn']) == 0\n"
+        "print('logging' in sys.modules)\n"
+    )
+    backend = f"{sys.executable} {scripts_dir / 'toy_backend.py'}"
+    proc = subprocess.run([sys.executable, "-c", script, str(corpus), str(mono), backend, str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    warnings = proc.stderr.splitlines()
+    assert [w.split(":")[0] for w in warnings] == ["WARNING mmtkit.mixture", "WARNING mmtkit.synthesis"]
+    assert warnings[1] == "WARNING mmtkit.synthesis: synth_direct en->sw: skipping item m0: empty source text"
+
+
 def test_filter_lone_surrogate_in_a_later_batch_exits_1(tmp_path):
     # Line 70 falls in write_jsonl's second batch, after the first was written.
     inp, out = tmp_path / "p.djsonl", tmp_path / "o.djsonl"

@@ -108,3 +108,36 @@ def test_output_preserves_input_order(mk_example):
     kept = list(downsample(examples, RetentionPolicy(0.5, seed=2)))
     positions = [int(ex.id[1:].split("#")[0]) for ex in kept]
     assert positions == sorted(positions)
+
+
+# Id parts with no '#', and tails that hold one or several; non-ASCII included.
+_id_part = st.text(alphabet=st.sampled_from("ab#2éü日本\U0001f600"), max_size=6)
+
+
+@given(
+    seed=st.integers(min_value=-(2**40), max_value=2**70),
+    p=st.floats(0, 1),
+    groups=st.lists(st.tuples(_id_part, st.lists(_id_part, min_size=1, max_size=4)), max_size=12),
+)
+def test_kept_reverse_ids_are_those_retained_keeps(mk_example, seed, p, groups):
+    # Runs of ids that share a record prefix, as expand writes them, and ids
+    # with zero, one or several '#' (a bare group part has none); each id
+    # comes as a reverse and a forward example.
+    ex_ids = []
+    for record_id, tails in groups:
+        ex_ids.append(record_id)
+        ex_ids += [f"{record_id}#{tail}" for tail in tails]
+    examples = [mk_example(ex_id, src, tgt) for ex_id in ex_ids for src, tgt in (("fr", "en"), ("en", "fr"))]
+    policy = RetentionPolicy(p, seed)
+    kept = list(downsample(examples, policy))
+    assert [ex.id for ex in kept if ex.tgt_lang == "en"] == [i for i in ex_ids if retained(policy, i)]
+    assert [ex.id for ex in kept if ex.tgt_lang == "fr"] == ex_ids
+
+
+def test_an_id_that_cannot_be_encoded_raises_every_time(mk_example):
+    policy = RetentionPolicy(0.5, seed=42)
+    for bad in ["r1\ud800#fr2en", "r1#\ud800"]:
+        examples = [mk_example("r1#fr2en", "fr", "en"), mk_example(bad, "fr", "en")]
+        for _ in range(2):
+            with pytest.raises(UnicodeEncodeError):
+                list(downsample(examples, policy))

@@ -280,10 +280,8 @@ _length_pair = st.tuples(st.sampled_from(["en", "zh", "ja", "fr"]), st.sampled_f
     ratio=st.sampled_from([1, 1.5, 3.0, 4]),
     bounds=st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 512), (10**30, 10**30)]),
 )
-def test_length_rules_share_a_count_and_keep_their_own_verdicts(mk_example, rows, ratio, bounds):
+def test_length_rules_keep_their_own_verdicts_in_every_order_and_subset(mk_example, rows, ratio, bounds):
     pairs = [mk_example(f"p{i}", src_lang, tgt_lang, src, tgt) for i, (src_lang, tgt_lang, src, tgt) in enumerate(rows)]
-    # Repeated sides, the same texts under a spaced and a spaceless language,
-    # and one pair object met twice, so a stale count would show.
     han = "\u4e00" * 9
     pairs += [mk_example("q0", "en", "fr", "a b c d", "a"), mk_example("q1", "en", "fr", "a b c d", "a b c"),
               mk_example("q2", "zh", "en", "\u4e00", "a b c d e"),

@@ -1,5 +1,5 @@
 """Hash primitive: published FNV-1a vectors, the digest rule, determinism,
-the continued coin, and the built-in digests the stages take instead of hashlib's."""
+and the built-in digests the stages take instead of hashlib's."""
 from __future__ import annotations
 
 import hashlib
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmtkit import diagnostics, filtering
-from mmtkit.hashing import FNV64_OFFSET, FNV64_PRIME, fnv1a64, prefix_coin, unit_uniform
+from mmtkit.hashing import FNV64_OFFSET, FNV64_PRIME, fnv1a64, unit_uniform
 
 # Published FNV-1a 64-bit reference vectors.
 KNOWN = {
@@ -65,39 +65,6 @@ def test_equal_seeds_of_other_types_keep_their_own_prefix():
     assert unit_uniform(True, "x") == fnv1a64(b"True:x") / 2**64
     assert unit_uniform(1, "x") == fnv1a64(b"1:x") / 2**64
     assert unit_uniform(1.0, "x") == fnv1a64(b"1.0:x") / 2**64
-
-
-# Id parts with no '#', and tails that hold one or several; non-ASCII included.
-_id_part = st.text(alphabet=st.sampled_from("ab#2éü日本\U0001f600"), max_size=6)
-
-
-@given(
-    seed=st.integers(min_value=-(2**40), max_value=2**70),
-    groups=st.lists(st.tuples(_id_part, st.lists(_id_part, min_size=1, max_size=4)), max_size=12),
-)
-def test_prefix_coin_equals_unit_uniform(seed, groups):
-    # Runs of ids that share a prefix, as expand writes them, and ids with
-    # zero, one or several '#' (a bare group part has none).
-    keys = []
-    for record_id, tails in groups:
-        keys.append(record_id)
-        keys += [f"{record_id}#{tail}" for tail in tails]
-    coin = prefix_coin(seed)
-    assert [coin(key) for key in keys] == [unit_uniform(seed, key) for key in keys]
-
-
-def test_prefix_coin_splits_at_the_last_hash_and_survives_a_bad_id():
-    coin = prefix_coin(42)
-    for key in ["r1#en2fr", "r1#fr2en", "a#b#en2fr", "a#b#fr2en", "a#x#en2fr", "#", "##", "no-hash", "r1#", "é#日"]:
-        assert coin(key) == unit_uniform(42, key)
-    # A lone surrogate fails as in unit_uniform, again when repeated, and
-    # leaves the kept state right.
-    for bad in ["r1\ud800#en2fr", "r1#\ud800"]:
-        for _ in range(2):
-            with pytest.raises(UnicodeEncodeError):
-                coin(bad)
-        assert coin("r1#fr2en") == unit_uniform(42, "r1#fr2en")
-        assert coin("r2#fr2en") == unit_uniform(42, "r2#fr2en")
 
 
 @given(data=st.binary(max_size=200))
