@@ -5,6 +5,8 @@ appears as the target of up to n-1 different sources. These statistics
 measure that structure exactly: distinct (src_lang, src_text) count per
 distinct (tgt_lang, tgt_text), before or after a retention policy. Texts are
 NFC-normalized before hashing so canonically equivalent strings collapse.
+The counts stay keyed by packed integers; the (lang, hex key) table of
+RepetitionStats.per_target is built only for a caller that reads it.
 """
 from __future__ import annotations
 
@@ -59,15 +61,27 @@ class ClassStats(Value):
 
 
 class RepetitionStats(Value):
-    __slots__ = __match_args__ = ("per_target", "histogram", "max_repetition", "by_class")
+    """Distinct-source counts per target. counts maps a packed target,
+    (language index << 64) | text key, to its count, and langs[i] is the
+    code of language index i, so stats without targets need no langs;
+    per_target names the targets."""
 
-    def __init__(self, per_target: dict[tuple[str, str], int], histogram: dict[int, int], max_repetition: int,
-                 by_class: dict[SampleClass, ClassStats]):
-        self.per_target, self.histogram, self.max_repetition, self.by_class = per_target, histogram, max_repetition, by_class
+    __slots__ = __match_args__ = ("counts", "histogram", "max_repetition", "by_class", "langs")
+
+    def __init__(self, counts: dict[int, int], histogram: dict[int, int], max_repetition: int,
+                 by_class: dict[SampleClass, ClassStats], langs: tuple[str, ...] = ()):
+        self.counts, self.histogram, self.max_repetition, self.by_class = counts, histogram, max_repetition, by_class
+        self.langs = langs
+
+    @property
+    def per_target(self) -> dict[tuple[str, str], int]:
+        """{(lang, 16-digit hex text key): count}, in counts' order, built on each access."""
+        langs = self.langs
+        return {(langs[t >> 64], f"{t & _KEY_MASK:016x}"): c for t, c in self.counts.items()}
 
     def as_dict(self) -> dict:
         return {
-            "distinct_targets": len(self.per_target),
+            "distinct_targets": len(self.counts),
             "max_repetition": self.max_repetition,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "by_class": {c.value: s.as_dict() for c, s in self.by_class.items()},
@@ -81,8 +95,10 @@ def target_repetition_stats(examples: Iterable[DirectionalExample]) -> Repetitio
     grows with the number of distinct pairs and targets, not with text size.
     While counting, a side is one int, (language index << 64) | text key, and
     a pair is (target << 96) | source; language indices stay below 2³², so
-    both packings are injective. per_target keys are (lang, 16-digit hex key).
-    The keys of recent texts are remembered, up to _TEXT_KEY_MEMO texts.
+    both packings are injective. The stats keep the packed target counts;
+    their per_target property builds the (lang, 16-digit hex key) table only
+    when read. The keys of recent texts are remembered, up to _TEXT_KEY_MEMO
+    texts.
     """
     lang_index: dict[str, int] = {}
     pairs: set[int] = set()
@@ -104,24 +120,25 @@ def target_repetition_stats(examples: Iterable[DirectionalExample]) -> Repetitio
         if pair not in pairs:
             pairs.add(pair)
             n_sources[tgt] = n_sources.get(tgt, 0) + 1
-    del pairs  # freed before the public keys are built, so the two never coexist
 
-    langs = list(lang_index)
-    per_target = {(langs[t >> 64], f"{t & _KEY_MASK:016x}"): c for t, c in n_sources.items()}
+    langs = tuple(lang_index)
     histogram: dict[int, int] = {}
     by_class = {c: ClassStats() for c in SampleClass}
-    for (tgt_lang, _), count in per_target.items():
+    # The ClassStats of each language index, so a target's class is one lookup.
+    class_of = [by_class[SampleClass.REVERSE if lang in CENTERS else SampleClass.FORWARD] for lang in langs]
+    for tgt, count in n_sources.items():
         histogram[count] = histogram.get(count, 0) + 1
-        cls = SampleClass.REVERSE if tgt_lang in CENTERS else SampleClass.FORWARD
-        stats = by_class[cls]
+        stats = class_of[tgt >> 64]
         stats.distinct_targets += 1
         stats.total_pairs += count
-        stats.max_repetition = max(stats.max_repetition, count)
+        if count > stats.max_repetition:
+            stats.max_repetition = count
     return RepetitionStats(
-        per_target=per_target,
+        counts=n_sources,
         histogram=histogram,
-        max_repetition=max(per_target.values(), default=0),
+        max_repetition=max(histogram, default=0),
         by_class=by_class,
+        langs=langs,
     )
 
 

@@ -4,7 +4,8 @@ Directions are grouped into four classes by which side is a center: En->X,
 X->En, Zh->X, X->Zh. The non-center side determines the resource tier. The
 two center-pair directions are members of both classes that match them (zh
 counts as an X for En-centric classes and en for Zh-centric ones); pass
-include_center_pairs=False to leave them out. Cells are unweighted means.
+include_center_pairs=False to leave them out. Cells are unweighted means,
+summed exactly (math.fsum), so they do not depend on record order.
 
 read_eval_records is the one check of an evaluation file: it refuses a bad
 field, an unknown code and a repeated (model, direction, metric) at the line
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from typing import Iterable, Iterator
 
 from .directions import Direction
@@ -125,7 +127,8 @@ def aggregate(
     The records are those read_eval_records returns: codes in the registry,
     one record per (model, direction, metric). Records whose direction touches
     a language outside the overlap set are skipped (and counted). Cell order
-    and values are independent of record order.
+    and values are independent of record order: each cell's sum is
+    math.fsum's correctly rounded sum, which no order of its terms changes.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -136,8 +139,7 @@ def aggregate(
             if code not in registry:
                 raise UnknownLanguage(code)
 
-    sums: dict[tuple[str, Tier, str], float] = {}
-    counts: dict[tuple[str, Tier, str], int] = {}
+    values: dict[tuple[str, Tier, str], list[float]] = {}
     seen_models: list[str] = []
     skipped = 0
     for rec in records:
@@ -151,15 +153,13 @@ def aggregate(
         if rec.model not in seen_models:
             seen_models.append(rec.model)
         for cls, x in classes_of(rec.direction, include_center_pairs):
-            k = (rec.model, registry.tier_of(x), cls)
-            sums[k] = sums.get(k, 0.0) + rec.value
-            counts[k] = counts.get(k, 0) + 1
+            values.setdefault((rec.model, registry.tier_of(x), cls), []).append(rec.value)
 
     # A repeated model name gives one row, at its first position.
     ordered = list(dict.fromkeys(models)) if models is not None else sorted(seen_models)
     table = TierTable(metric=metric, models=ordered, skipped=skipped)
-    for k, total in sums.items():
-        table.cells[k] = total / counts[k]
+    for k, cell in values.items():
+        table.cells[k] = math.fsum(cell) / len(cell)
     return table
 
 

@@ -153,18 +153,22 @@ def direction_error(src: str, tgt: str) -> str | None:
 
 # Decodes one JSON value at the start of a string and says where it ended.
 _raw_decode = json.JSONDecoder().raw_decode
+# The whitespace JSON allows around a value (RFC 8259); str.strip() with no
+# argument would also strip what json.loads refuses, such as U+00A0 and U+3000.
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_json_lines(
     stream: Iterable[str], path: str | None = None, convert: Callable[[dict], T] = lambda obj: obj
 ) -> Iterator[T]:
-    """Yield convert(object) for the JSON object on each non-blank line. A
+    """Yield convert(object) for the JSON object on each non-blank line; a
+    blank line holds only JSON whitespace (space, tab, LF, CR). A
     RecordParseError raised for a line, by the parse or by convert, leaves
     here with path and the 1-based line number set on it. A stream that is
     not valid UTF-8 raises at its first undecodable line."""
     try:
         for line_no, raw in enumerate(stream, start=1):
-            line = raw.strip()
+            line = raw.strip(_JSON_WHITESPACE)
             if not line:
                 continue
             # A stripped line holds no JSON whitespace at either end, so a value

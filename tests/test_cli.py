@@ -805,6 +805,20 @@ def test_eval_repeated_model_gives_one_row(data_dir):
     assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["Model", "LMT-60-4B", "LMT-60-8B"]
 
 
+def test_eval_cells_do_not_depend_on_record_order(tmp_path):
+    # Six High-tier X->En values whose float sum rounds differently when the
+    # last three are added in reverse order.
+    values = {"ar": 58.9, "es": 3.45, "de": 24.27, "fr": 79.74, "it": 41.43, "ja": 17.3}
+    rows = [{"model": "m", "src": src, "tgt": "en", "metric": "COMET22", "value": v} for src, v in values.items()]
+    tables = []
+    for name, order in (("a", (0, 1, 2, 3, 4, 5)), ("b", (0, 1, 2, 5, 4, 3))):
+        records = tmp_path / f"{name}.jsonl"
+        records.write_text("".join(json_line(rows[i]) + "\n" for i in order), encoding="utf-8")
+        tables.append(run_cli("eval", "--records", str(records), "--format", "csv").stdout)
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1].split(",")[1:6] == ["-", "37.52", "-", "-", "-"]
+
+
 _EVAL_ROW = {"model": "m", "src": "en", "tgt": "fr", "metric": "SacreBLEU", "value": 30.0}
 
 

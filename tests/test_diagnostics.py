@@ -1,8 +1,10 @@
 """Repetition statistics: exact counts, NFC collapsing, stats after downsampling."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 import unicodedata
 
 from hypothesis import given
@@ -142,6 +144,24 @@ def test_frozen_seeded_mean_after_policy(registry, dirset):
     assert max(en_counts) == 8
 
 
+def test_stats_hold_packed_counts_not_a_table_per_target(registry, dirset):
+    # 34 full-coverage records: 60 distinct targets each, 2040 in all. A
+    # (lang, hex) tuple key per target would hold about 160 bytes each.
+    examples = [ex for i in range(34) for ex in expand(full_record(registry, f"m{i}"), dirset)]
+    # A full collection empties the free lists, whose recycled tuples
+    # tracemalloc would not count, whatever ran before this test.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stats = target_repetition_stats(examples)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    targets = stats.as_dict()["distinct_targets"]
+    assert targets == 2040
+    assert held / targets < 110
+
+
 def test_render_histogram(registry, dirset):
     stats = target_repetition_stats(expand(full_record(registry), dirset))
     text = render_histogram(stats)
@@ -153,7 +173,7 @@ def test_render_histogram(registry, dirset):
     assert lines[1].endswith(" 2")
     from mmtkit.diagnostics import RepetitionStats
 
-    empty = RepetitionStats(per_target={}, histogram={}, max_repetition=0, by_class={})
+    empty = RepetitionStats(counts={}, histogram={}, max_repetition=0, by_class={}, langs=())
     assert render_histogram(empty) == "(no targets)\n"
 
 

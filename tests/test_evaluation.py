@@ -4,6 +4,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmtkit.directions import Direction
 from mmtkit.errors import DuplicateRecord, RecordParseError, UnknownLanguage
@@ -179,3 +181,21 @@ def test_render_empty_table():
 def test_read_eval_records_refuses_non_number_value(registry, value):
     with pytest.raises(RecordParseError, match="line 1: field 'value' must be a number"):
         list(read_eval_records(eval_lines({"value": value}), registry))
+
+
+_X = ("ar", "es", "de", "fr", "it", "ja", "bg", "ru", "sw", "ko")
+_EVAL_DIRECTIONS = [Direction(a, b) for x in _X for a, b in ((x, "en"), ("en", x), (x, "zh"), ("zh", x))]
+_EVAL_DIRECTIONS += [Direction("en", "zh"), Direction("zh", "en")]
+
+
+# Two-decimal values, as metric files hold them: most of their float sums round.
+_EVAL_VALUE = st.integers(0, 10000).map(lambda hundredths: hundredths / 100)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_EVAL_DIRECTIONS), _EVAL_VALUE, st.sampled_from(["m", "n"])),
+                unique_by=lambda row: (row[0], row[2]), max_size=40),
+       st.randoms(use_true_random=False))
+def test_aggregate_cells_do_not_depend_on_record_order(registry, rows, rng):
+    records = [rec(model, d.src, d.tgt, value) for d, value, model in rows]
+    shuffled = rng.sample(records, len(records))
+    assert aggregate(shuffled, registry).cells == aggregate(records, registry).cells

@@ -506,10 +506,44 @@ def test_invalid_utf8_in_a_stream_without_a_file_names_only_the_path():
     assert str(exc.value) == "not-a-file: invalid UTF-8"
 
 
-@pytest.mark.parametrize("pad", [" ", "\x1c", "\t \u2028"])
-def test_parse_json_lines_strips_like_str_strip(pad):
+@pytest.mark.parametrize("pad", [" ", "\t \r", "\x1c", "\t \u2028", "\u00a0", "\u3000"])
+def test_parse_json_lines_accepts_what_json_loads_accepts(pad):
+    # Only JSON's own whitespace pads a line; str.strip() would also take the rest.
     line = f'{pad}{{"a": [1, {{"b": null}}], "c": "\\u00e9"}}{pad}'
-    assert list(parse_json_lines([line + "\n"])) == [json.loads(line.strip())]
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as e:
+        with pytest.raises(RecordParseError) as exc:
+            list(parse_json_lines([line + "\n"], "f.jsonl"))
+        assert str(exc.value) == f"f.jsonl:line 1: invalid JSON ({e.msg})"
+    else:
+        assert list(parse_json_lines([line + "\n"])) == [expected]
+
+
+_MULTIWAY_LINE = json_line({"id": "r1", "sentences": {"en": "a", "fr": "b"}})
+_EXAMPLE_LINE = json_line({"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "a", "tgt": "b"})
+_SCORE_LINE = json_line({"id": "e1", "qe_score": 0.5})
+
+
+@pytest.mark.parametrize(
+    "read, line",
+    [
+        (lambda stream: list(read_multiway(stream, load_registry(), "in.jsonl")), _MULTIWAY_LINE),
+        (lambda stream: list(read_examples(stream, "in.jsonl")), _EXAMPLE_LINE),
+        (lambda stream: read_score_sidecar(stream, "in.jsonl"), _SCORE_LINE),
+    ],
+    ids=["read_multiway", "read_examples", "read_score_sidecar"],
+)
+@pytest.mark.parametrize(
+    "bad, problem",
+    [(lambda line: line + "\u00a0", "Extra data"), (lambda line: "\u3000", "Expecting value")],
+    ids=["trailing-nbsp", "ideographic-space-only"],
+)
+def test_readers_refuse_lines_padded_with_non_json_whitespace(read, line, bad, problem):
+    # A line of U+3000 alone is not blank: json.loads refuses it.
+    with pytest.raises(RecordParseError) as exc:
+        read(io.StringIO(line + "\n\n" + bad(line) + "\n"))
+    assert str(exc.value) == f"in.jsonl:line 3: invalid JSON ({problem})"
 
 
 def test_records_are_slots_and_value_types_stay_frozen(registry):
