@@ -179,18 +179,19 @@ def cmd_mix(args) -> dict:
 
 def cmd_filter(args) -> dict:
     from .filtering import apply_heuristics, attach_scores, count_thresholds, default_rules, rules_from_config, threshold_filter
-    from .records import read_examples, read_score_sidecar, write_jsonl
+    from .records import open_score_sidecar, read_examples, write_jsonl
 
     if args.tau is not None and not args.scores:
         raise RecordParseError("--tau requires --scores")
     with _open_out(args) as fout:
         rules = rules_from_config(_read_rules(args.rules)) if args.rules else default_rules()
-        with open(args.infile, encoding="utf-8") as fin:
+        with (
+            open(args.infile, encoding="utf-8") as fin,
+            open_score_sidecar(args.scores) if args.scores else contextlib.nullcontext() as scores,
+        ):
             kept, report = apply_heuristics(read_examples(fin, path=args.infile, validate=False), rules)
-            if args.scores:
-                with open(args.scores, encoding="utf-8") as f:
-                    sidecar = read_score_sidecar(f, path=args.scores)
-                kept = count_thresholds(attach_scores(kept, sidecar), report)
+            if scores is not None:
+                kept = count_thresholds(attach_scores(kept, scores), report)
                 if args.tau is not None:
                     kept = threshold_filter(kept, args.tau)
             written = write_jsonl(kept, fout)

@@ -14,7 +14,7 @@ character counts by 4 to stay comparable across scripts.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import MissingScore, RecordParseError
 from .records import DirectionalExample, ScoredPair
@@ -221,14 +221,17 @@ def apply_heuristics(
 
 
 def attach_scores(
-    pairs: Iterable[DirectionalExample], sidecar: dict[str, float]
+    pairs: Iterable[DirectionalExample], scores: Mapping[str, float]
 ) -> Iterator[ScoredPair]:
-    """Pair each example with its score from the map read_score_sidecar returns,
-    which has checked every score. An example without a score raises MissingScore."""
+    """Pair each example with its checked score, scores[id], from
+    read_score_sidecar's map or open_score_sidecar. An id whose lookup raises
+    KeyError raises MissingScore."""
     for ex in pairs:
-        if ex.id not in sidecar:
-            raise MissingScore(ex.id)
-        yield ScoredPair(ex, sidecar[ex.id])
+        try:
+            score = scores[ex.id]
+        except KeyError:
+            raise MissingScore(ex.id) from None
+        yield ScoredPair(ex, score)
 
 
 def threshold_filter(scored: Iterable[ScoredPair], tau: float) -> Iterator[ScoredPair]:

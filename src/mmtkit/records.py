@@ -9,10 +9,10 @@ Readers yield one record at a time and never buffer the file; the only state
 kept across lines is a SeenIds store of the ids read so far, which refuses a
 repeat. It keeps one int of bits per record prefix of an id such as
 `r1#en2fr`, not the id string, so it grows with records, not examples. A score
-sidecar is read into a map (read_score_sidecar), or line by line in step
-with lookups made in its own order (open_score_sidecar). Each reader
-is a converter of one parsed line that checks the record once, as it reads
-it; parse_json_lines names the path:line of any error it raises.
+sidecar is read into a map (read_score_sidecar), or forward in step with
+lookups made in its line order, which may skip lines (open_score_sidecar).
+Each reader is a converter of one parsed line that checks the record once, as
+it reads it; parse_json_lines names the path:line of any error it raises.
 
 Records are slots classes (registry.Value), not Frozen: a frozen __init__ sets
 every field through object.__setattr__, and every line builds a record. They
@@ -33,7 +33,7 @@ from itertools import islice
 # each string field with it, so their lines equal json_line(to_json()) byte for
 # byte, and lone surrogates pass through to the stream as there.
 from json.encoder import encode_basestring
-from typing import IO, Container, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import DuplicateRecordId, InvalidScore, RecordParseError
 from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
@@ -222,13 +222,13 @@ def write_jsonl(items: Iterable, stream: IO[str]) -> int:
     return n
 
 
-def _score_entry(obj: dict, seen: Container[str] = ()) -> tuple[str, float]:
-    """The (id, score) of one sidecar line, whose id must not be in seen."""
+def _score_entry(obj: dict, is_new: Callable[[str], bool]) -> tuple[str, float]:
+    """The (id, score) of one sidecar line, whose id is_new must accept."""
     (pair_id,) = required_fields(obj, ("id",))
     (raw,) = required_fields(obj, ("qe_score",), object)
     if not pair_id:
         raise RecordParseError("field 'id' must be a non-empty string")
-    if pair_id in seen:
+    if not is_new(pair_id):
         raise RecordParseError(f"duplicate score entry for id {pair_id!r}")
     return pair_id, check_score(raw, pair_id)
 
@@ -237,56 +237,43 @@ def read_score_sidecar(stream: Iterable[str], path: str | None = None) -> dict[s
     """Load an {"id", "qe_score"} sidecar into a map. Extra fields are ignored,
     so full scored-pair files double as sidecars."""
     scores: dict[str, float] = {}
-    for pair_id, score in parse_json_lines(stream, path, partial(_score_entry, seen=scores)):
+    for pair_id, score in parse_json_lines(stream, path, partial(_score_entry, is_new=lambda i: i not in scores)):
         scores[pair_id] = score
     return scores
 
 
 class _InStepScores:
-    """The scores of a regular sidecar file, for lookups made in its line order.
+    """The scores of a regular sidecar file, read forward as lookups ask for them.
 
-    While each lookup asks for the next line's id, the line is read then and
-    only its score is kept. A lookup for another id, or past the last line,
-    hands over to read_score_sidecar's map of the whole file, read again from
-    the start: the ids matched so far were unique, so the map reports the first
-    bad or duplicate line and each id's absence exactly as if it had been read
-    first. finish() does the same when lines are left after the last lookup.
+    A lookup reads lines until it meets its id, checking each line it passes
+    as read_score_sidecar does, repeats included, and keeping none of them. So
+    lookups made in the file's line order cost no map, even when they skip
+    lines, such as filter's lookups past the pairs a rule rejected. A lookup
+    that reaches the end of the file hands over to read_score_sidecar's map of
+    the whole file, read again from the start; every line has been checked by
+    then, so the map only answers or raises KeyError. Each line is checked
+    once, in file order, so the first bad line raised is the one the map would
+    report.
     """
 
     def __init__(self, f: IO[str], path: str):
         self._file, self._path = f, path
-        self._entries = parse_json_lines(f, path, _score_entry)
+        self._entries = parse_json_lines(f, path, partial(_score_entry, is_new=SeenIds().add))
         self._map: dict[str, float] | None = None
-
-    def _next_entry(self) -> tuple[str, float] | None:
-        """The next line's (id, score), or None at the end of the file. A line
-        that fails its check reads as the empty id, which no lookup asks for
-        (ids are non-empty), so that the map judges it."""
-        try:
-            return next(self._entries, None)
-        except RecordParseError:
-            return "", 0.0
-
-    def _read_map(self) -> None:
-        self._entries.close()
-        self._file.seek(0)
-        # No longer in step even if the map raises: it has judged the file.
-        self._map = {}
-        self._map = read_score_sidecar(self._file, self._path)
 
     def __getitem__(self, pair_id: str) -> float:
         if self._map is None:
-            entry = self._next_entry()
-            if entry is not None and entry[0] == pair_id:
-                return entry[1]
-            self._read_map()
+            for entry_id, score in self._entries:
+                if entry_id == pair_id:
+                    return score
+            self._file.seek(0)
+            self._map = read_score_sidecar(self._file, self._path)
         return self._map[pair_id]
 
     def finish(self) -> None:
-        """Hand over to the map if a line is left after the last lookup: the
-        map ignores extra ids and raises the first error in the whole file."""
-        if self._map is None and self._next_entry() is not None:
-            self._read_map()
+        """Check the lines left after the last lookup."""
+        for _ in self._entries:
+            pass
 
 
 @contextlib.contextmanager
@@ -294,12 +281,13 @@ def open_score_sidecar(path: str) -> Iterator[dict[str, float] | _InStepScores]:
     """The scores of the sidecar at path, looked up as scores[id], which raises
     KeyError for an id the sidecar lacks.
 
-    A regular file is read in step with lookups made in its line order, such
-    as mix's candidates in corpus order, so a sidecar that score wrote from an
-    expand output costs no map. Other files (a FIFO, /dev/stdin) cannot be read
-    twice and are read whole into read_score_sidecar's map. Either way, the
-    sidecar's error wins: if the block fails while the file is read in step,
-    the rest of the file is checked first and its error raised, if it has one.
+    A regular file is read forward in step with lookups made in its line
+    order, such as mix's candidates in corpus order or filter's kept pairs, so
+    a sidecar that score wrote from an expand output costs no map. Other files
+    (a FIFO, /dev/stdin) cannot be read twice and are read whole into
+    read_score_sidecar's map. Either way, the sidecar's error wins: if the
+    block fails while the file is read in step, the rest of the file is
+    checked first and its error raised, if it has one.
     """
     with open(path, encoding="utf-8") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):

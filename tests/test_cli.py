@@ -287,9 +287,11 @@ def test_bad_sidecar_score_names_file_and_line(tmp_path, stage):
     assert not out.exists()
 
 
-# Scored mix reads a sidecar in its candidates' order in step with them, and
-# any other sidecar into read_score_sidecar's map; either way its exit code,
-# output and error must be those of the map read before the corpus is opened.
+# Scored mix reads a regular sidecar file forward, in step with its
+# candidates, and hands over to read_score_sidecar's map when a lookup reaches
+# the end of the file; a FIFO goes to the map at once. Either way its exit
+# code, output and error must be those of the map read before the corpus is
+# opened.
 _MIX_FLAGS = ("--per-direction-min", "0", "--per-direction-max", "2", "--reverse-retention", "0.5", "--seed", "4")
 _MIX_LANGS = ("en", "zh", "fr", "ru")
 
@@ -421,6 +423,167 @@ def test_scored_mix_matches_the_sidecar_map(data):
         _check_mix_matches_the_map(tmp, corpus_lines, lines)
 
 
+# Scored filter reads its sidecar as mix does, but looks up only the pairs its
+# rules keep, so the lookups skip stretches of the sidecar. Its exit code,
+# output and summary or error must be those of the map read after --in is
+# opened and before any pair is read.
+_BAD_PAIRS_LINE = '{"id": "t0001#en2zh"}'
+
+
+def _filter_inputs(tmp, n):
+    """(pairs lines, sidecar lines) for n records: expand's output, in which
+    every fourth record from t0002 on repeats the texts of the record two
+    before it, so ExactDedup rejects all its 10 pairs, and a sidecar scoring
+    each pair in that order."""
+    from mmtkit import cli
+
+    corpus = tmp / "c.mwjsonl"
+    corpus.write_text("".join(
+        json_line({"id": f"t{i:04d}", "sentences": {l: f"{l} sentence {i - 2 * (i % 4 == 2)}" for l in _MIX_LANGS}})
+        + "\n" for i in range(n)
+    ), encoding="utf-8")
+    pairs = tmp / "p.djsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["expand", "--in", str(corpus), "--out", str(pairs)]) == 0
+    return pairs.read_text(encoding="utf-8").splitlines(), _candidate_lines(corpus, tmp / "s.jsonl")
+
+
+def _filter_through_the_map(pairs, sidecar, tau):
+    """(exit code, output, summary or error line) of a filter that opens
+    --in, then reads the whole sidecar into read_score_sidecar's map, then
+    reads the pairs."""
+    from mmtkit.errors import ToolkitError
+    from mmtkit.filtering import apply_heuristics, attach_scores, count_thresholds, default_rules, threshold_filter
+    from mmtkit.records import read_examples, read_score_sidecar, write_jsonl
+
+    text = io.StringIO()
+    try:
+        with open(pairs, encoding="utf-8") as fin:
+            with open(sidecar, encoding="utf-8") as f:
+                scores = read_score_sidecar(f, str(sidecar))
+            kept, report = apply_heuristics(read_examples(fin, str(pairs), validate=False), default_rules())
+            kept = count_thresholds(attach_scores(kept, scores), report)
+            if tau is not None:
+                kept = threshold_filter(kept, tau)
+            written = write_jsonl(kept, text)
+    except (ToolkitError, OSError) as e:
+        return 1, None, {"error": "OSError" if isinstance(e, OSError) else type(e).__name__, "message": str(e)}
+    return 0, text.getvalue(), json.loads(json.dumps({**report.as_dict(), "written": written}))
+
+
+def _filter_in_process(pairs, sidecar, out, tau):
+    """(exit code, output, summary or error line) of filter --scores run in this process."""
+    from mmtkit import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["filter", "--in", str(pairs), "--scores", str(sidecar), "--out", str(out)]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + (["--tau", str(tau)] if tau is not None else []))
+    output = out.read_text(encoding="utf-8") if out.exists() else None
+    return code, output, json.loads((stderr if code else stdout).getvalue().splitlines()[-1])
+
+
+def _check_filter_matches_the_map(tmp, pairs_lines, sidecar_lines, tau):
+    pairs, sidecar = tmp / "p.djsonl", tmp / "s.jsonl"
+    pairs.unlink(missing_ok=True)
+    if pairs_lines is not None:
+        pairs.write_text("".join(l + "\n" for l in pairs_lines), encoding="utf-8")
+    sidecar.write_text("".join(l + "\n" for l in sidecar_lines), encoding="utf-8")
+    got = _filter_in_process(pairs, sidecar, tmp / "f.sjsonl", tau)
+    assert got == _filter_through_the_map(pairs, sidecar, tau)
+    return got
+
+
+def _after(lines, pair_id, line, offset=1):
+    """lines with line inserted offset lines after the line of pair_id."""
+    return _with(lines, next(i for i, l in enumerate(lines) if f'"{pair_id}"' in l) + offset, line)
+
+
+def _line_of(lines, pair_id):
+    return next(l for l in lines if f'"{pair_id}"' in l)
+
+
+# name: (edit of the in-order sidecar lines, edit of the pairs lines, error name or None).
+# Of the 12 records, t0002, t0006 and t0010 are rejected; t0011 is kept.
+_FILTER_SIDECAR_CASES = {
+    "in order": (lambda s: s, None, None),
+    "shuffled": (lambda s: s[1::2] + s[::2], None, None),
+    "a rejected id dropped": (lambda s: [l for l in s if '"t0006#zh2ru"' not in l], None, None),
+    "a rejected record dropped": (lambda s: [l for l in s if '"t0006#' not in l], None, None),
+    "a kept id dropped": (lambda s: [l for l in s if '"t0004#zh2ru"' not in l], None, "MissingScore"),
+    "last id dropped": (lambda s: s[:-1], None, "MissingScore"),
+    "an extra id": (lambda s: _with(s, 7, json_line({"id": "zz#en2fr", "qe_score": 0.5})), None, None),
+    "an extra id at the end": (lambda s: s + [json_line({"id": "zz#en2fr", "qe_score": 0.5})], None, None),
+    "a skipped id repeated in its stretch": (lambda s: _after(s, "t0006#en2zh", _line_of(s, "t0006#en2zh"), 3),
+                                             None, "RecordParseError"),
+    "a skipped id repeated after a match": (lambda s: _after(s, "t0008#en2zh", _line_of(s, "t0006#en2ru")),
+                                            None, "RecordParseError"),
+    "a matched id repeated": (lambda s: _after(s, "t0005#en2zh", _line_of(s, "t0005#en2zh")), None, "RecordParseError"),
+    "a matched id repeated at the end, other score": (
+        lambda s: s + [_line_of(s, "t0001#zh2fr").replace('"qe_score":', '"qe_score":0.99,"x":')],
+        None, "RecordParseError"),
+    "a bad score in a skipped stretch": (lambda s: _after(s, "t0006#en2zh", _BAD_SCORE), None, "InvalidScore"),
+    "a non-JSON line in a skipped stretch": (lambda s: _after(s, "t0010#en2ru", "{broken"), None, "RecordParseError"),
+    "a bad score at the end": (lambda s: s + [_BAD_SCORE], None, "InvalidScore"),
+    "a non-JSON line at the end": (lambda s: s + ["{broken"], None, "RecordParseError"),
+    "a bad pairs line": (lambda s: s, lambda p: _with(p, 2, _BAD_PAIRS_LINE), "RecordParseError"),
+    "a missing input": (lambda s: s, lambda p: None, "OSError"),
+    "a bad sidecar and a bad pairs line": (lambda s: s + [_BAD_SCORE], lambda p: _with(p, 2, _BAD_PAIRS_LINE),
+                                           "InvalidScore"),
+    "a bad sidecar and a missing input": (lambda s: s + ["{broken"], lambda p: None, "OSError"),
+}
+
+
+@pytest.mark.parametrize("tau", [None, 0.6], ids=["no tau", "tau 0.6"])
+@pytest.mark.parametrize("case", list(_FILTER_SIDECAR_CASES))
+def test_scored_filter_reports_what_the_sidecar_map_does(tmp_path, case, tau):
+    edit_sidecar, edit_pairs, error = _FILTER_SIDECAR_CASES[case]
+    pairs_lines, sidecar_lines = _filter_inputs(tmp_path, 12)
+    if edit_pairs is not None:
+        pairs_lines = edit_pairs(pairs_lines)
+    code, output, line = _check_filter_matches_the_map(tmp_path, pairs_lines, edit_sidecar(sidecar_lines), tau)
+    assert (line["error"] if code else None) == error
+    assert (output is not None) == (error is None)
+    if error is None:
+        assert line["rejected"]["ExactDedup"] == 3 * 10
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_scored_filter_matches_the_sidecar_map(data):
+    import pathlib
+    import tempfile
+
+    n = data.draw(st.integers(0, 8), label="records")
+    tau = data.draw(st.sampled_from([None, 0.0, 0.6, 1.0]), label="tau")
+    with tempfile.TemporaryDirectory() as d:
+        tmp = pathlib.Path(d)
+        pairs_lines, lines = _filter_inputs(tmp, n)
+        if data.draw(st.booleans(), label="shuffle"):
+            lines = data.draw(st.permutations(lines), label="order")
+        index = st.integers(0, len(lines))
+        extra = st.sampled_from([
+            json_line({"id": "zz#en2fr", "qe_score": 0.5}), _BAD_SCORE, "{broken", "[]",
+            json_line({"id": "", "qe_score": 0.5}), json_line({"id": "t0000#en2zh"}),
+        ])
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            kind = data.draw(st.sampled_from(["drop", "repeat", "insert"]), label="edit")
+            if kind == "drop" and lines:
+                del lines[data.draw(st.integers(0, len(lines) - 1), label="dropped")]
+            elif kind == "repeat" and lines:
+                line = data.draw(st.sampled_from(lines), label="repeated")
+                if data.draw(st.booleans(), label="other score"):
+                    line = line.replace('"qe_score":', '"qe_score":0.99,"x":')
+                lines.insert(data.draw(index, label="at"), line)
+            elif kind == "insert":
+                lines.insert(data.draw(index, label="at"), data.draw(extra, label="line"))
+        if data.draw(st.booleans(), label="bad pairs"):
+            pairs_lines.insert(data.draw(st.integers(0, len(pairs_lines)), label="bad pairs at"), _BAD_PAIRS_LINE)
+        if data.draw(st.booleans(), label="missing input"):
+            pairs_lines = None
+        _check_filter_matches_the_map(tmp, pairs_lines, lines, tau)
+
+
 def _traced_peak(*argv):
     """Peak traced allocation of one in-process CLI run."""
     from mmtkit import cli
@@ -465,23 +628,48 @@ def test_scored_mix_holds_no_map_of_an_in_order_sidecar(tmp_path, capsys):
     assert peak < 800 * n
 
 
-@pytest.mark.parametrize("via", ["fifo", "stdin"])
-def test_scored_mix_reads_a_sidecar_it_cannot_reread_into_the_map(tmp_path, via):
+def test_scored_filter_holds_no_map_of_a_sidecar_with_gaps(tmp_path, capsys):
+    # filter of a downsample output looks up about 43% of the expand ids the
+    # sidecar scores. read_score_sidecar's map of the sidecar takes about
+    # 170 B per sidecar line; read forward, the run peaks at about 65 B, of
+    # which unscored filter's id set and digests are 55.
+    from mmtkit import cli
+
+    n = 3000
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=n, langs=("en", "zh", "fr", "de"))
+    expanded, downsampled, sidecar = tmp_path / "e.djsonl", tmp_path / "d.djsonl", tmp_path / "s.jsonl"
+    assert cli.main(["expand", "--in", str(corpus), "--out", str(expanded)]) == 0
+    assert cli.main(["downsample", "--in", str(expanded), "--out", str(downsampled), "--p", "0.05"]) == 0
+    ids, _ = _score_every_example(corpus, sidecar)
+    capsys.readouterr()
+    peak = _traced_peak("filter", "--in", str(downsampled), "--scores", str(sidecar), "--out", str(tmp_path / "f.sjsonl"))
+    assert json.loads(capsys.readouterr().out)["written"] == 12978
+    assert len(ids) == 10 * n
+    assert peak < 100 * len(ids)
+
+
+def _check_reads_a_sidecar_it_cannot_reread(tmp_path, stage, via):
     # The sidecar is out of order, so reading it in step would have to read
     # it again from the start, which a pipe cannot do.
-    corpus = write_corpus(tmp_path / "c.mwjsonl", n=12, langs=_MIX_LANGS)
+    if stage == "mix":
+        infile = write_corpus(tmp_path / "c.mwjsonl", n=12, langs=_MIX_LANGS)
+        lines = _candidate_lines(infile, tmp_path / "s.jsonl")
+        flags = _MIX_FLAGS
+    else:
+        _, lines = _filter_inputs(tmp_path, 12)
+        infile = tmp_path / "p.djsonl"
+        flags = ("--tau", "0.6")
     sidecar = tmp_path / "s.jsonl"
-    lines = _candidate_lines(corpus, sidecar)
     data = "".join(l + "\n" for l in lines[1::2] + lines[::2])
     sidecar.write_text(data, encoding="utf-8")
-    run_cli("mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(tmp_path / "file.pjsonl"), *_MIX_FLAGS)
-    args = [sys.executable, "-m", "mmtkit", "mix", "--in", str(corpus), "--out", str(tmp_path / "pipe.pjsonl"), *_MIX_FLAGS]
+    run_cli(stage, "--in", str(infile), "--scores", str(sidecar), "--out", str(tmp_path / "file.out"), *flags)
+    args = [sys.executable, "-m", "mmtkit", stage, "--in", str(infile), "--out", str(tmp_path / "pipe.out"), *flags]
     if via == "stdin":
         proc = subprocess.run([*args, "--scores", "/dev/stdin"], input=data, capture_output=True, text=True)
     else:
         fifo = tmp_path / "s.fifo"
         os.mkfifo(fifo)
-        # The writer's open waits for mix to open the other end.
+        # The writer's open waits for the stage to open the other end.
         copy = "import shutil, sys\nwith open(sys.argv[1], 'rb') as s, open(sys.argv[2], 'wb') as d: shutil.copyfileobj(s, d)"
         writer = subprocess.Popen([sys.executable, "-c", copy, str(sidecar), str(fifo)])
         try:
@@ -491,13 +679,23 @@ def test_scored_mix_reads_a_sidecar_it_cannot_reread_into_the_map(tmp_path, via)
             writer.kill()
             writer.wait()
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "pipe.pjsonl").read_bytes() == (tmp_path / "file.pjsonl").read_bytes()
+    assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "file.out").read_bytes()
+
+
+@pytest.mark.parametrize("via", ["fifo", "stdin"])
+def test_scored_mix_reads_a_sidecar_it_cannot_reread_into_the_map(tmp_path, via):
+    _check_reads_a_sidecar_it_cannot_reread(tmp_path, "mix", via)
+
+
+@pytest.mark.parametrize("via", ["fifo", "stdin"])
+def test_scored_filter_reads_a_sidecar_it_cannot_reread_into_the_map(tmp_path, via):
+    _check_reads_a_sidecar_it_cannot_reread(tmp_path, "filter", via)
 
 
 def test_filter_scores_streams_its_histogram(tmp_path, capsys):
     # Without ExactDedup nothing else keeps a pair's text, so a filter that
     # lists the scored pairs to count them holds about 1.1 KB per pair here;
-    # streaming holds the sidecar and the id set (about 0.3 KB).
+    # streaming, with the sidecar read forward, holds the id sets (about 0.3 KB).
     n = 3000
     pairs, sidecar, rules = tmp_path / "p.djsonl", tmp_path / "s.jsonl", tmp_path / "rules.json"
     pairs.write_text("".join(
