@@ -11,9 +11,10 @@ waiting for more input.
   scorer request      {"id", "src_lang", "tgt_lang", "src", "tgt"}
   scorer response     {"id", "qe_score"}
 
-Every response is read by one call, _LineProtocolClient.response(item_id,
-build, *args). It sends build(item_id, *args) first only when nothing is in
-flight (a lockstep call); a request sent ahead was built once, when sent.
+A client is built with its request builder, and every response is read by
+one call, _LineProtocolClient.response(item_id, *args). It sends the request
+build(item_id, *args) first only when nothing is in flight (a lockstep call);
+a request sent ahead was built once, when sent.
 
 An "error" response marks a per-item failure (the caller may skip the item);
 transport problems (a command that cannot start, early exit, unparseable
@@ -114,8 +115,9 @@ class _LineProtocolClient:
     pipes.
     """
 
-    def __init__(self, cmd: str):
+    def __init__(self, cmd: str, build: Callable[..., dict]):
         self.cmd = cmd
+        self._build = build  # (item_id, *args) -> request dict
         try:
             argv = shlex.split(cmd)
             if not argv:
@@ -133,9 +135,7 @@ class _LineProtocolClient:
         self._received = bytearray()  # response bytes not yet parsed
         self._in_flight: deque[str] = deque()  # ids sent or queued, not yet answered
 
-    def send_ahead(
-        self, items: Iterable[T], to_args: Callable[[T], tuple | None], build: Callable[..., dict]
-    ) -> Iterator[T]:
+    def send_ahead(self, items: Iterable[T], to_args: Callable[[T], tuple | None]) -> Iterator[T]:
         """Yield items in order, with the requests of up to WINDOW later items
         already sent. For each item whose to_args(item) is not None, the
         request build(*to_args(item)) is sent, and the caller must read its
@@ -147,19 +147,19 @@ class _LineProtocolClient:
                 for item in islice(items, WINDOW - len(ahead)):
                     args = to_args(item)
                     if args is not None:
-                        self._queue(build(*args))
+                        self._queue(self._build(*args))
                     ahead.append(item)
                 self._write()
             if not ahead:
                 return
             yield ahead.popleft()
 
-    def response(self, item_id: str, build: Callable[..., dict], *args) -> dict:
+    def response(self, item_id: str, *args) -> dict:
         """The response to the oldest request in flight, whose id must be
         item_id. With none in flight, build(item_id, *args) is sent first; a
         request sent ahead was built when it was sent."""
         if not self._in_flight:
-            self._queue(build(item_id, *args))
+            self._queue(self._build(item_id, *args))
             self._write()
         sent = self._in_flight.popleft()
         if sent != item_id:
@@ -249,10 +249,10 @@ def _score_request(item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: st
 
 class SubprocessBackend(Backend):
     def __init__(self, cmd: str):
-        self.client = _LineProtocolClient(cmd)
+        self.client = _LineProtocolClient(cmd, _translation_request)
 
     def translate(self, item_id: str, src_lang: str, tgt_lang: str, text: str) -> str:
-        resp = self.client.response(item_id, _translation_request, src_lang, tgt_lang, text)
+        resp = self.client.response(item_id, src_lang, tgt_lang, text)
         if "error" in resp:
             raise BackendItemError(f"item {item_id!r}: {resp['error']}")
         out = resp.get("text")
@@ -263,7 +263,7 @@ class SubprocessBackend(Backend):
     def send_ahead(
         self, items: Iterable[T], to_args: Callable[[T], tuple[str, str, str, str] | None]
     ) -> Iterator[T]:
-        return self.client.send_ahead(items, to_args, _translation_request)
+        return self.client.send_ahead(items, to_args)
 
     def close(self) -> None:
         self.client.close()
@@ -271,12 +271,12 @@ class SubprocessBackend(Backend):
 
 class SubprocessScorer:
     def __init__(self, cmd: str):
-        self.client = _LineProtocolClient(cmd)
+        self.client = _LineProtocolClient(cmd, _score_request)
 
     def score(self, item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: str) -> float:
         """The checked score of one pair. Inside score_stream the pair's request
         is already in flight, so only its response is read."""
-        resp = self.client.response(item_id, _score_request, src_lang, tgt_lang, src, tgt)
+        resp = self.client.response(item_id, src_lang, tgt_lang, src, tgt)
         if "error" in resp:
             raise BackendError(f"scorer failed on item {item_id!r}: {resp['error']}")
         if "qe_score" not in resp:
@@ -284,9 +284,7 @@ class SubprocessScorer:
         return check_score(resp["qe_score"], item_id)
 
     def score_stream(self, pairs: Iterable) -> Iterator[tuple[str, float]]:
-        for ex in self.client.send_ahead(
-            pairs, lambda ex: (ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt), _score_request
-        ):
+        for ex in self.client.send_ahead(pairs, lambda ex: (ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)):
             yield ex.id, self.score(ex.id, ex.src_lang, ex.tgt_lang, ex.src, ex.tgt)
 
     def close(self) -> None:

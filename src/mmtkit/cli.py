@@ -79,6 +79,14 @@ def _probability(text: str) -> float:
     return value
 
 
+def _names(text: str) -> list[str]:
+    """The comma-separated names in text, which must name at least one."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"must name at least one, got {text!r}")
+    return names
+
+
 # The options that name a file a stage reads; --registry builtin names none.
 _INPUT_OPTIONS = ("infile", "records", "scores", "rules", "registry", "auxiliaries")
 
@@ -121,7 +129,7 @@ def cmd_validate(args) -> None:
 
 
 def cmd_expand(args) -> dict:
-    from .directions import covered, enumerate_directions, examples
+    from .directions import enumerate_directions, expand
     from .records import read_multiway, write_jsonl
 
     n_records = 0
@@ -132,10 +140,9 @@ def cmd_expand(args) -> dict:
 
             def expanded():
                 nonlocal n_records
-                memo = {}
                 for record in read_multiway(fin, registry, path=args.infile):
                     n_records += 1
-                    yield from examples(record, covered(record, dirset, memo))
+                    yield from expand(record, dirset)
 
             n_examples = write_jsonl(expanded(), fout)
     return {"records": n_records, "examples": n_examples}
@@ -307,8 +314,7 @@ def cmd_infer_prompt(args) -> dict:
 def cmd_eval(args) -> dict | None:
     from .evaluation import aggregate, read_eval_records, render_table
 
-    overlap = {code.strip() for code in args.langs.split(",") if code.strip()} if args.langs else None
-    models = [m.strip() for m in args.models.split(",") if m.strip()] if args.models else None
+    overlap = None if args.langs is None else set(args.langs)
     with _open_out(args) if args.out else contextlib.nullcontext(sys.stdout) as out:
         registry = _load_registry(args)
         with open(args.records, encoding="utf-8") as f:
@@ -318,7 +324,7 @@ def cmd_eval(args) -> dict | None:
                 overlap=overlap,
                 metric=args.metric,
                 include_center_pairs=not args.exclude_center_pairs,
-                models=models,
+                models=args.models,
             )
         out.write(render_table(table, fmt=args.format))
     if args.out:
@@ -420,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[registry], help="aggregate per-direction metrics into a tier table")
     p.add_argument("--records", required=True, help="eval records jsonl")
     p.add_argument("--metric", choices=EVAL_METRICS, default="COMET22", help="metric to aggregate (default COMET22)")
-    p.add_argument("--models", default=None, help="comma-separated model filter and row order")
-    p.add_argument("--langs", default=None, help="comma-separated overlap languages (default: whole registry)")
+    p.add_argument("--models", type=_names, default=None, help="comma-separated model filter and row order")
+    p.add_argument("--langs", type=_names, default=None, help="comma-separated overlap languages (default: whole registry)")
     p.add_argument("--exclude-center-pairs", action="store_true", help="drop en-zh records from X classes")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     p.add_argument("--out", default=None, help="write the table here instead of stdout")

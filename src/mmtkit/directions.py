@@ -7,7 +7,6 @@ yields (n-1) + (n-2) pairs and twice as many directions.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterable
 
 from .records import DirectionalExample, MultiWayRecord, Provenance
 from .registry import CENTERS, Frozen, Registry, direction_error
@@ -44,10 +43,14 @@ class Direction(Frozen):
 
 
 class DirectionSet(Frozen):
-    __slots__ = __match_args__ = ("directions", "pair_count", "direction_count")
+    """_covered, the memo of covered, is no field: it does not count in ==,
+    hash or repr, and a copy or unpickled set starts with an empty one."""
+
+    __match_args__ = ("directions", "pair_count", "direction_count")
+    __slots__ = (*__match_args__, "_covered")
 
     def __init__(self, directions: tuple[Direction, ...], pair_count: int, direction_count: int):
-        self._set(directions=directions, pair_count=pair_count, direction_count=direction_count)
+        self._set(directions=directions, pair_count=pair_count, direction_count=direction_count, _covered={})
 
 
 def enumerate_directions(registry: Registry) -> DirectionSet:
@@ -70,40 +73,29 @@ def enumerate_directions(registry: Registry) -> DirectionSet:
     )
 
 
-# Language sets a memo of covered holds, at about 1 KB each. A corpus
-# usually has few sets, often one, so the memo rarely fills.
+# Language sets a DirectionSet's memo of covered holds, at about 1 KB each. A
+# corpus usually has few sets, often one, so the memo rarely fills.
 _COVERED_MEMO = 64
 
 
-def covered(
-    record: MultiWayRecord, dirset: DirectionSet, memo: dict[frozenset[str], tuple[Direction, ...]] | None = None
-) -> tuple[Direction, ...]:
+def covered(record: MultiWayRecord, dirset: DirectionSet) -> tuple[Direction, ...]:
     """The directions of dirset with both sides in the record, in dirset order.
-
-    memo, a dict a loop over records keeps for one dirset, remembers the
-    answer per language set, up to _COVERED_MEMO sets.
-    """
+    dirset remembers the answer per language set, up to _COVERED_MEMO sets."""
     sentences = record.sentences
-    if memo is None:
-        return tuple([d for d in dirset.directions if d.src in sentences and d.tgt in sentences])
+    memo = dirset._covered
     langs = frozenset(sentences)
     found = memo.get(langs)
     if found is None:
         if len(memo) >= _COVERED_MEMO:
             memo.clear()
-        found = memo[langs] = covered(record, dirset)
+        found = memo[langs] = tuple([d for d in dirset.directions if d.src in sentences and d.tgt in sentences])
     return found
-
-
-def examples(record: MultiWayRecord, directions: Iterable[Direction]) -> list[DirectionalExample]:
-    """One human-provenance example per direction, each of which the record covers."""
-    record_id, sentences = record.id, record.sentences
-    return [
-        DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
-        for d in directions
-    ]
 
 
 def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExample]:
     """One human-provenance example per direction covered by the record."""
-    return examples(record, covered(record, dirset))
+    record_id, sentences = record.id, record.sentences
+    return [
+        DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
+        for d in covered(record, dirset)
+    ]

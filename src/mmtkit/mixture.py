@@ -126,9 +126,8 @@ def stream_sft_mixture(
         if scores is not None:
             # Each pooled record's score, at the record's index in its pool.
             kept = {key: array("d") for key in pools}
-        memo: dict = {}
         for record in records:
-            for d in covered(record, dirset, memo):
+            for d in covered(record, dirset):
                 key = d.src, d.tgt
                 seen[key] += 1
                 pool = pools[key]

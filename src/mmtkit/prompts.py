@@ -23,7 +23,7 @@ from json.encoder import encode_basestring  # the escaper json_line uses
 from typing import Iterable, Iterator
 
 from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, RecordParseError, UnknownLanguage
-from .records import DirectionalExample, write_jsonl
+from .records import DirectionalExample, fields_json, write_jsonl
 from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
@@ -62,18 +62,7 @@ class PromptedExample(Value):
     def loss_slice(self) -> str:
         return self.text.encode("utf-8")[self.loss_start : self.loss_end].decode("utf-8")
 
-    def to_json(self) -> dict:
-        return {
-            "text": self.text,
-            "loss_start": self.loss_start,
-            "loss_end": self.loss_end,
-            "format": self.format.value,
-            "src_lang": self.src_lang,
-            "tgt_lang": self.tgt_lang,
-            "aux_lang": self.aux_lang,
-            "id": self.id,
-            "prompt_schema": self.prompt_schema,
-        }
+    to_json = fields_json
 
     def to_line(self) -> str:
         """json_line(self.to_json()), joined from the quoted fields. The loss

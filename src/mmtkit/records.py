@@ -50,6 +50,13 @@ class Provenance(str, Enum):
 json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
+def fields_json(record: Value) -> dict:
+    """The to_json of a written record type: its fields by name, in
+    __match_args__ order, each enum member given as its value."""
+    return {name: value.value if isinstance(value := getattr(record, name), Enum) else value
+            for name in record.__match_args__}
+
+
 class MultiWayRecord(Value):
     __slots__ = __match_args__ = ("id", "sentences")
 
@@ -68,15 +75,7 @@ class DirectionalExample(Value):
         self.tgt = tgt
         self.provenance = provenance
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "src_lang": self.src_lang,
-            "tgt_lang": self.tgt_lang,
-            "src": self.src,
-            "tgt": self.tgt,
-            "provenance": self.provenance.value,
-        }
+    to_json = fields_json
 
     def to_line(self) -> str:
         """json_line(self.to_json()), joined from the quoted fields. The

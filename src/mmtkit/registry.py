@@ -89,7 +89,7 @@ class Language(Frozen):
 
 
 class Registry(Frozen):
-    """Immutable after load; safe for concurrent shared reads."""
+    """Immutable after load."""
 
     __slots__ = __match_args__ = ("languages", "auxiliaries")
 

@@ -1003,6 +1003,18 @@ def test_eval_repeated_model_gives_one_row(data_dir):
     assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["Model", "LMT-60-4B", "LMT-60-8B"]
 
 
+@pytest.mark.parametrize("option", ["--langs", "--models"])
+@pytest.mark.parametrize("value", [",", ""])
+def test_eval_filter_naming_nothing_is_usage_error(data_dir, tmp_path, option, value):
+    # Unrefused, "," would skip every record and "" would filter nothing.
+    out = tmp_path / "t.md"
+    proc = run_cli("eval", "--records", str(data_dir / "comet_bleu_records.jsonl"), option, value,
+                   "--out", str(out), expect=2)
+    assert f"argument {option}: must name at least one, got {value!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_eval_cells_do_not_depend_on_record_order(tmp_path):
     # Six High-tier X->En values whose float sum rounds differently when the
     # last three are added in reverse order.
@@ -1792,6 +1804,15 @@ def test_readme_names_every_subcommand_option_and_no_other(scripts_dir):
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
     # --version belongs to the top-level parser, --no-build-isolation to pip.
     assert named - {"--version", "--no-build-isolation"} == options - {"--help"}
+
+
+def test_readme_module_table_names_every_module_and_no_other(scripts_dir):
+    package = scripts_dir.parent / "src" / "mmtkit"
+    modules = {f"mmtkit.{path.stem}" for path in package.glob("*.py")} - {"mmtkit.__init__", "mmtkit.__main__"}
+    readme = (scripts_dir.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(mmtkit\.\w+)` \|", readme, re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules
 
 
 def test_filter_and_diagnose_load_no_openssl(tmp_path):

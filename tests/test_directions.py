@@ -1,6 +1,9 @@
 """Direction space enumeration and multi-way expansion."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,14 +124,31 @@ _LANGS = ["en", "zh", "fr", "de", "ar", "ja", "bg", "sw", "ru", "ko"]
 
 @settings(max_examples=25)  # each draw walks more than twice the memo's bound
 @given(drawn=st.lists(st.sets(st.sampled_from(_LANGS)), max_size=30), order=st.randoms(use_true_random=False))
-def test_covered_memo_answers_as_covered_past_its_bound(dirset, drawn, order):
+def test_covered_memo_answers_as_covered_past_its_bound(registry, drawn, order):
     # Twice the bound of distinct language sets, drawn sets around them and
     # again after, in the first key order and a shuffled one.
+    dirset = enumerate_directions(registry)
     many = [{"en", *(lang for bit, lang in enumerate(_LANGS[1:]) if i >> bit & 1)} for i in range(2 * _COVERED_MEMO + 1)]
-    memo = {}
     for i, langs in enumerate(drawn + many + drawn):
         codes = sorted(langs)
         order.shuffle(codes)
         rec = MultiWayRecord(id=f"r{i}", sentences={lang: f"text-{lang}" for lang in codes})
-        assert covered(rec, dirset, memo) == covered(rec, dirset)
-        assert len(memo) <= _COVERED_MEMO
+        assert covered(rec, dirset) == tuple(d for d in dirset.directions if d.src in langs and d.tgt in langs)
+        assert len(dirset._covered) <= _COVERED_MEMO
+
+
+def test_covered_memo_is_no_field_of_the_direction_set(registry):
+    dirset, fresh = enumerate_directions(registry), enumerate_directions(registry)
+    for i in range(3 * _COVERED_MEMO // 2):
+        langs = ["en", *(lang for bit, lang in enumerate(_LANGS[1:]) if i >> bit & 1)]
+        expand(MultiWayRecord(id=f"r{i}", sentences={lang: f"text-{lang}" for lang in langs}), dirset)
+    assert dirset._covered
+    assert not fresh._covered
+    assert dirset == fresh
+    assert hash(dirset) == hash(fresh)
+    assert repr(dirset) == repr(fresh)
+    for twin in (copy.copy(dirset), copy.deepcopy(dirset), pickle.loads(pickle.dumps(dirset))):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert twin._covered == {}  # rebuilt through __init__
+    with pytest.raises(AttributeError):
+        dirset._covered = {}

@@ -431,13 +431,13 @@ def test_seen_ids_add_answers_as_a_set(before, filler, after):
 def test_read_examples_holds_ids_per_record_not_per_example(registry, dirset):
     # 12 languages give 42 directions, so each record's examples share one
     # id prefix. A set of the full ids held 107-139 bytes per line.
-    from mmtkit.directions import covered, examples
+    from mmtkit.directions import expand
 
     codes = ("en", "zh", "fr", "de", "bg", "ar", "ru", "ja", "ko", "es", "it", "pt")
     buf = io.StringIO()
     for i in range(1000):
         record = MultiWayRecord(f"r{i:05d}", {code: f"{code} {i}" for code in codes})
-        write_jsonl(examples(record, covered(record, dirset)), buf)
+        write_jsonl(expand(record, dirset), buf)
     stream = io.StringIO(buf.getvalue())
     del buf
     tracemalloc.start()
