@@ -2,11 +2,11 @@
 
 Subcommands wire the library into file-to-file pipeline stages. Data flows
 through files (or stdout for tables); warnings go to stderr. Each stage returns
-its one-line JSON summary, which main prints to stdout (None when the stage
-wrote a table or histogram there itself). Exit codes: 0 success, 1 data
-error (with a JSON error line on stderr, also for an unreadable file, one
-that is not UTF-8, or text that cannot be written as UTF-8, such as a lone
-surrogate), 2 usage error.
+its one-line JSON summary, which main prints to stdout, or to stderr when
+--out is stdout itself (None when the stage wrote a table or histogram there
+itself). Exit codes: 0 success, 1 data error (with a JSON error line on
+stderr, also for an unreadable file, one that is not UTF-8, or text that
+cannot be written as UTF-8, such as a lone surrogate), 2 usage error.
 """
 from __future__ import annotations
 
@@ -314,14 +314,13 @@ def cmd_infer_prompt(args) -> dict:
 def cmd_eval(args) -> dict | None:
     from .evaluation import aggregate, read_eval_records, render_table
 
-    overlap = None if args.langs is None else set(args.langs)
     with _open_out(args) if args.out else contextlib.nullcontext(sys.stdout) as out:
         registry = _load_registry(args)
         with open(args.records, encoding="utf-8") as f:
             table = aggregate(
                 read_eval_records(f, registry, path=args.records),
                 registry,
-                overlap=overlap,
+                overlap=args.langs,
                 metric=args.metric,
                 include_center_pairs=not args.exclude_center_pairs,
                 models=args.models,
@@ -442,9 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_is_stdout(args) -> bool:
+    """Whether --out names the file stdout is, such as /dev/stdout in a pipe."""
+    out = getattr(args, "out", None)
+    if out is None or sys.stdout is None:
+        return False
+    try:
+        return os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        # No such file yet, or a stdout without a file descriptor.
+        return False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The summary goes to stderr when the records stream to stdout, so that
+    # it never enters the stream a next stage reads.
+    summary_file = sys.stderr if _out_is_stdout(args) else sys.stdout
     try:
         summary = args.func(args)
     except (ToolkitError, OSError, UnicodeError) as e:
@@ -452,7 +466,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": name, "message": str(e)}), file=sys.stderr)
         return 1
     if summary is not None:
-        print(json.dumps(summary, ensure_ascii=False))
+        print(json.dumps(summary, ensure_ascii=False), file=summary_file)
     return 0
 
 

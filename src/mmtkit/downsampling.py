@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .hashing import DEFAULT_SEED, unit_uniform
+from .hashing import DEFAULT_SEED, unit_uniform, unit_uniforms
 from .records import DirectionalExample
 from .registry import CENTERS, Frozen, Value
 
@@ -37,6 +37,12 @@ def classify(example: DirectionalExample) -> SampleClass:
 def retained(policy: RetentionPolicy, example_id: str) -> bool:
     """Retention decision for a reverse example, by id alone."""
     return unit_uniform(policy.seed, example_id) < policy.p_reverse
+
+
+def retained_each(policy: RetentionPolicy, example_ids: list[str]) -> list[bool]:
+    """[retained(policy, i) for i in example_ids], with the coins hashed in one batch."""
+    p = policy.p_reverse
+    return [u < p for u in unit_uniforms(policy.seed, example_ids)]
 
 
 class DownsampleStats(Value):

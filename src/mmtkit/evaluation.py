@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .directions import Direction
 from .errors import DuplicateRecord, RecordParseError, UnknownLanguage
@@ -90,12 +90,14 @@ def classes_of(
 def intersect_support(
     langs_a: Iterable[str], langs_b: Iterable[str], registry: Registry
 ) -> tuple[set[str], tuple[int, int, int]]:
-    """Overlap of two supported-language sets with its (high, medium, low) counts."""
-    a, b = set(langs_a), set(langs_b)
-    for code in a | b:
+    """Overlap of two supported-language sets with its (high, medium, low) counts.
+    The codes are checked in the order given, a's then b's, so the unknown code
+    named does not depend on the hash seed."""
+    a, b = list(langs_a), list(langs_b)
+    for code in a + b:
         if code not in registry:
             raise UnknownLanguage(code)
-    overlap = a & b
+    overlap = set(a) & set(b)
     counts = {t: 0 for t in Tier}
     for code in overlap:
         counts[registry.tier_of(code)] += 1
@@ -117,7 +119,7 @@ class TierTable(Value):
 def aggregate(
     records: Iterable[EvalRecord],
     registry: Registry,
-    overlap: set[str] | None = None,
+    overlap: Collection[str] | None = None,
     metric: str = "COMET22",
     include_center_pairs: bool = True,
     models: list[str] | None = None,
@@ -126,9 +128,11 @@ def aggregate(
 
     The records are those read_eval_records returns: codes in the registry,
     one record per (model, direction, metric). Records whose direction touches
-    a language outside the overlap set are skipped (and counted). Cell order
-    and values are independent of record order: each cell's sum is
-    math.fsum's correctly rounded sum, which no order of its terms changes.
+    a language outside the overlap are skipped (and counted). The overlap's
+    codes are checked in the order given, so the unknown code named does not
+    depend on the hash seed. Cell order and values are independent of record
+    order: each cell's sum is math.fsum's correctly rounded sum, which no
+    order of its terms changes.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -138,6 +142,7 @@ def aggregate(
         for code in overlap:
             if code not in registry:
                 raise UnknownLanguage(code)
+        overlap = set(overlap)
 
     values: dict[tuple[str, Tier, str], list[float]] = {}
     seen_models: list[str] = []

@@ -6,7 +6,10 @@ descending score with id tiebreak when a score sidecar is present, corpus
 order otherwise), then, for reverse directions only, apply the hash-threshold
 retention used by the downsampler, then assign each surviving example a
 format. The format coin uses a "fmt:"-prefixed hash key so it is independent
-of the retention coin for the same id. Auxiliary sentences for PMP come from
+of the retention coin for the same id. Each direction's retention coins, and
+then its format coins, are hashed in one batch (hashing.unit_uniforms), over
+the keys the coins flipped one at a time would hash, in the same order; a
+batched coin equals the scalar one. Auxiliary sentences for PMP come from
 the same multi-way record as the pair itself; examples whose direction has no
 auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
 
@@ -27,12 +30,13 @@ independent of input shard order.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .directions import Direction, DirectionSet, covered
-from .downsampling import RetentionPolicy, retained
+from .downsampling import RetentionPolicy, retained_each
 from .errors import MissingScore, warn
-from .hashing import DEFAULT_SEED, unit_uniform
+from .hashing import DEFAULT_SEED, unit_uniform, unit_uniforms
 from .prompts import PromptedExample, PromptFormat, render_translation
 from .records import MultiWayRecord
 from .registry import Frozen, Registry, Value
@@ -158,18 +162,27 @@ def stream_sft_mixture(
                 )
             survivors = [(f"{r.id}{d.id_tag}", r) for r in chosen]
             if d.is_reverse:
-                survivors = [s for s in survivors if retained(policy, s[0])]
+                survivors = list(compress(survivors, retained_each(policy, [ex_id for ex_id, _ in survivors])))
                 pmp_share = spec.reverse_pmp_share_of_retained
             else:
                 pmp_share = spec.forward_pmp_share
             rep.retained = len(survivors)
             survivors.sort(key=lambda s: s[0])
             aux = registry.auxiliary_for(d.src, d.tgt)
+            # The format coin is flipped for each survivor with the aux
+            # sentence, in output order, so these are its keys in that order.
+            fmt_keys = [] if aux is None else [f"fmt:{ex_id}" for ex_id, r in survivors if r.sentences.get(aux)]
+            try:
+                fmt_coins = iter(unit_uniforms(spec.seed, fmt_keys))
+            except UnicodeEncodeError:
+                # A key that cannot be hashed fails at its own turn, after the
+                # prompts before it, as each coin flipped alone does.
+                fmt_coins = (unit_uniform(spec.seed, key) for key in fmt_keys)
             for ex_id, record in survivors:
                 sentences = record.sentences
                 src, tgt = sentences[d.src], sentences[d.tgt]
                 aux_text = sentences.get(aux) if aux is not None else None
-                if aux_text and unit_uniform(spec.seed, f"fmt:{ex_id}") < pmp_share:
+                if aux_text and next(fmt_coins) < pmp_share:
                     rep.pmp += 1
                     yield render_translation(PromptFormat.PMP, ex_id, d.src, d.tgt, src, tgt, registry, aux, aux_text)
                 else:

@@ -222,7 +222,15 @@ def write_jsonl(items: Iterable, stream: IO[str]) -> int:
 
 
 def _score_entry(obj: dict, is_new: Callable[[str], bool]) -> tuple[str, float]:
-    """The (id, score) of one sidecar line, whose id is_new must accept."""
+    """The (id, score) of one sidecar line, whose id is_new must accept; is_new
+    adds nothing when it refuses, so asking it twice gives the same answer.
+
+    A line with a non-empty str id and a float score in [0, 1] is taken in one
+    pass, is_new asked last; any other line goes through the checks in turn,
+    so each refusal keeps its message and its order."""
+    pair_id, raw = obj.get("id"), obj.get("qe_score")
+    if type(pair_id) is str and pair_id and type(raw) is float and 0.0 <= raw <= 1.0 and is_new(pair_id):
+        return pair_id, raw
     (pair_id,) = required_fields(obj, ("id",))
     (raw,) = required_fields(obj, ("qe_score",), object)
     if not pair_id:

@@ -995,6 +995,20 @@ def test_eval_cli(tmp_path, data_dir):
     assert out.read_text(encoding="utf-8").startswith("Model,")
 
 
+def test_eval_unknown_language_error_does_not_depend_on_the_hash_seed(data_dir):
+    # The --langs codes are checked in the order given, not in a set's order.
+    def refusal(hash_seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmtkit", "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
+             "--langs", "xx,yy,zz"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        return proc.returncode, proc.stderr
+
+    expected = json.dumps({"error": "UnknownLanguage", "message": "unknown language code: 'xx'"}) + "\n"
+    assert refusal("1") == refusal("3") == (1, expected)
+
+
 def test_eval_repeated_model_gives_one_row(data_dir):
     proc = run_cli(
         "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
@@ -1305,6 +1319,77 @@ def test_failed_run_keeps_existing_out(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mwjsonl", "o.djsonl"]
 
 
+def _stage_args(tmp, scripts_dir, stage):
+    """The arguments, without --out, of one stage that writes JSONL to --out."""
+    corpus = write_corpus(tmp / "c.mwjsonl", n=30, langs=("en", "zh", "fr", "bg", "ru"))
+    pairs = tmp / "c.djsonl"
+    if stage in ("downsample", "filter", "score"):
+        run_cli("expand", "--in", str(corpus), "--out", str(pairs))
+    inp = tmp / "in.jsonl"
+    backend = f"{sys.executable} {scripts_dir / 'toy_backend.py'}"
+    if stage == "synth direct":
+        inp.write_text("".join(json_line({"id": f"m{i}", "text": f"line {i}"}) + "\n" for i in range(5)), encoding="utf-8")
+    elif stage == "synth pivot":
+        rows = [{"id": f"p{i}", "src_lang": "en", "tgt_lang": "sw", "src": f"en {i}", "tgt": f"sw {i}"} for i in range(4)]
+        inp.write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+    elif stage == "infer-prompt":
+        rows = [{"id": "q1", "src_lang": "fr", "tgt_lang": "de", "src": "eau"},
+                {"id": "q2", "src_lang": "en", "tgt_lang": "bg", "src": "water"}]
+        inp.write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+    return {
+        "expand": ("expand", "--in", str(corpus)),
+        "downsample": ("downsample", "--in", str(pairs), "--p", "0.3"),
+        "mix": ("mix", "--in", str(corpus), "--per-direction-min", "0"),
+        "filter": ("filter", "--in", str(pairs)),
+        "score": ("score", "--in", str(pairs), "--scorer-cmd", f"{sys.executable} {scripts_dir / 'toy_scorer.py'}"),
+        "synth direct": ("synth", "--mode", "direct", "--direction", "en2sw", "--backend-cmd", backend, "--in", str(inp)),
+        "synth pivot": ("synth", "--mode", "pivot", "--backend-cmd", backend, "--in", str(inp)),
+        "infer-prompt": ("infer-prompt", "--strategy", "dt", "--in", str(inp)),
+    }[stage]
+
+
+@pytest.mark.parametrize(
+    "stage", ["expand", "downsample", "mix", "filter", "score", "synth direct", "synth pivot", "infer-prompt"]
+)
+def test_summary_never_enters_a_piped_stream(tmp_path, scripts_dir, stage):
+    # With --out /dev/stdout the records go to the pipe alone, and the
+    # summary a file output prints to stdout goes to stderr.
+    args = _stage_args(tmp_path, scripts_dir, stage)
+    out = tmp_path / "out.jsonl"
+    summary = run_cli(*args, "--out", str(out)).stdout
+    assert json.loads(summary)
+    piped = subprocess.run([sys.executable, "-m", "mmtkit", *args, "--out", "/dev/stdout"], capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == out.read_bytes() != b""
+    assert piped.stderr.decode("utf-8").splitlines()[-1] + "\n" == summary
+
+
+def test_piped_expand_into_downsample_writes_the_file_chains_bytes(tmp_path):
+    # 7,800 examples: a summary written into the pipe would be read as one more.
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=300, langs=("en", "zh", "fr", "de"))
+    expanded, kept = tmp_path / "e.djsonl", tmp_path / "k.djsonl"
+    expand_summary = run_cli("expand", "--in", str(corpus), "--out", str(expanded)).stdout
+    downsample_summary = run_cli("downsample", "--in", str(expanded), "--out", str(kept), "--p", "0.3").stdout
+
+    piped = tmp_path / "piped.djsonl"
+    with open(tmp_path / "expand.err", "w+b") as expand_err:
+        expand = subprocess.Popen(
+            [sys.executable, "-m", "mmtkit", "expand", "--in", str(corpus), "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=expand_err,
+        )
+        downsample = subprocess.run(
+            [sys.executable, "-m", "mmtkit", "downsample", "--in", "/dev/stdin", "--out", str(piped), "--p", "0.3"],
+            stdin=expand.stdout, capture_output=True, text=True,
+        )
+        expand.stdout.close()
+        assert expand.wait() == 0
+        expand_err.seek(0)
+        assert expand_err.read().decode("utf-8") == expand_summary
+    assert downsample.returncode == 0, downsample.stderr
+    assert downsample.stdout == downsample_summary
+    assert piped.read_bytes() == kept.read_bytes()
+
+
 def test_out_fifo_receives_output(tmp_path):
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=2, langs=("en", "fr"))
     fifo = tmp_path / "out.fifo"
@@ -1558,6 +1643,56 @@ def test_lone_surrogate_exits_1(tmp_path, scripts_dir, command):
     assert last_error(proc)["error"] == "UnicodeEncodeError"
     assert "surrogates not allowed" in last_error(proc)["message"]
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def _surrogate_corpus(path, n, langs, bad):
+    """n records over langs; record bad's id ends in a lone surrogate."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n):
+            rec_id = f"r{i:04d}" + ("\ud800" if i == bad else "")
+            f.write(json.dumps({"id": rec_id, "sentences": {l: f"{l} s{i}" for l in langs}}) + "\n")
+    return path
+
+
+def _surrogate_error(position):
+    return {"error": "UnicodeEncodeError",
+            "message": f"'utf-8' codec can't encode character '\\ud800' in position {position}: surrogates not allowed"}
+
+
+def test_mix_lone_surrogate_id_fails_at_its_retention_coin(tmp_path):
+    # en->fr has no auxiliary, so its prompts need no coin; fr->en's retention
+    # coin is flipped for every selected example, and fails at the key
+    # "r0003\ud800#fr2en", whose surrogate is at position 5.
+    corpus = _surrogate_corpus(tmp_path / "c.mwjsonl", 20, ("en", "fr"), bad=3)
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
+    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(5))]
+    assert not out.exists()
+
+
+def test_scored_mix_lone_surrogate_id_fails_where_each_coin_alone_fails(tmp_path):
+    # en->ru (no auxiliary, no coin) writes the bad record's prompt last, as
+    # the second line of a write batch; the sidecar keeps the record out of
+    # every reverse direction. en->bg (auxiliary ru) would flip a format coin
+    # for it last in id order, but its first 62 prompts fill that batch, whose
+    # write fails first, at position 448. Batched coins must fail no earlier.
+    langs = ("en", "bg", "ru")
+    corpus = _surrogate_corpus(tmp_path / "c.mwjsonl", 100, langs, bad=91)
+    sidecar = tmp_path / "s.jsonl"
+    with open(corpus, encoding="utf-8") as f, open(sidecar, "w", encoding="utf-8") as out:
+        for line in f:
+            rec_id = json.loads(line)["id"]
+            for x in ("bg", "ru"):
+                for src, tgt in (("en", x), (x, "en")):
+                    score = (0.0 if tgt == "en" else 1.0) if rec_id.endswith("\ud800") else 0.5
+                    out.write(json.dumps({"id": f"{rec_id}#{src}2{tgt}", "qe_score": score}) + "\n")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli(
+        "mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(out),
+        "--per-direction-min", "0", "--per-direction-max", "66", "--reverse-retention", "0", expect=1,
+    )
+    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(448))]
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from mmtkit.downsampling import (
     classify,
     downsample,
     retained,
+    retained_each,
 )
 
 ids = st.text(min_size=1, max_size=24, alphabet=st.characters(blacklist_categories=("Cs",)))
@@ -101,6 +102,12 @@ def test_monotone_in_p(ex_id, p1, p2, seed):
 @given(ex_id=ids, p=st.floats(0, 1), seed=st.integers(0, 10**6))
 def test_agrees_with_independent_oracle(oracle_unit, ex_id, p, seed):
     assert retained(RetentionPolicy(p, seed), ex_id) == (oracle_unit(seed, ex_id) < p)
+
+
+@given(ex_ids=st.lists(ids, max_size=30), p=st.floats(0, 1), seed=st.integers(0, 10**6))
+def test_batched_retention_is_each_ids_retained(ex_ids, p, seed):
+    policy = RetentionPolicy(p, seed)
+    assert retained_each(policy, ex_ids) == [retained(policy, i) for i in ex_ids]
 
 
 def test_output_preserves_input_order(mk_example):

@@ -155,6 +155,16 @@ def test_intersect_support(registry):
         intersect_support(["en", "nope"], ["en"], registry)
 
 
+def test_unknown_codes_are_named_in_the_order_given(registry):
+    # Eight unknown codes: a set's order would name the first one given by
+    # chance only.
+    unknown = [f"q{c}" for c in "abcdefgh"]
+    with pytest.raises(UnknownLanguage, match="'qa'"):
+        aggregate([], registry, overlap=["en", *unknown])
+    with pytest.raises(UnknownLanguage, match="'qd'"):
+        intersect_support(["en", *unknown[3:]], unknown[:3], registry)
+
+
 def test_render_markdown_and_csv(registry):
     records = [rec("m", "en", "fr", 80.0), rec("m", "fr", "en", 70.134)]
     table = aggregate(records, registry)

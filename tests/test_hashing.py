@@ -1,5 +1,6 @@
 """Hash primitive: published FNV-1a vectors, the digest rule, determinism,
-and the built-in digests the stages take instead of hashlib's."""
+batched coins equal to the scalar ones, and the built-in digests the stages
+take instead of hashlib's."""
 from __future__ import annotations
 
 import hashlib
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmtkit import diagnostics, filtering
-from mmtkit.hashing import FNV64_OFFSET, FNV64_PRIME, fnv1a64, unit_uniform
+from mmtkit import diagnostics, filtering, hashing
+from mmtkit.hashing import FNV64_OFFSET, FNV64_PRIME, fnv1a64, unit_uniform, unit_uniforms
 
 # Published FNV-1a 64-bit reference vectors.
 KNOWN = {
@@ -65,6 +66,44 @@ def test_equal_seeds_of_other_types_keep_their_own_prefix():
     assert unit_uniform(True, "x") == fnv1a64(b"True:x") / 2**64
     assert unit_uniform(1, "x") == fnv1a64(b"1:x") / 2**64
     assert unit_uniform(1.0, "x") == fnv1a64(b"1.0:x") / 2**64
+
+
+# Keys with a UTF-8 form: every code point but the surrogates, non-ASCII ones
+# included, and the empty key.
+_KEYS = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=24)
+
+
+@given(
+    seed=st.sampled_from([1, True, 1.0, 0, 42, -7, 2**70]),
+    keys=st.lists(_KEYS, max_size=40),
+    padding=st.sampled_from([0, hashing._BATCH + 1]),
+)
+def test_batched_coins_equal_the_scalar_ones(seed, keys, padding):
+    # padding adds one group of equal-length keys past the batch size, placed
+    # between the drawn keys, so a group is split and scattered back.
+    keys = keys[: len(keys) // 2] + [f"p{i:06d}" for i in range(padding)] + keys[len(keys) // 2 :]
+    assert unit_uniforms(seed, keys) == [unit_uniform(seed, k) for k in keys]
+
+
+@pytest.mark.parametrize("seed, prefix", [(1, b"1:"), (True, b"True:"), (1.0, b"1.0:")])
+def test_batched_coins_of_equal_seeds_of_other_types_keep_their_own_prefix(seed, prefix):
+    # Run in this order, 1 fills the seed-state cache before True and 1.0 ask.
+    keys = ["x", "", "日本", "r1#en2fr"]
+    assert unit_uniforms(seed, keys) == [fnv1a64(prefix + k.encode()) / 2**64 for k in keys]
+
+
+def test_batched_coins_of_no_keys():
+    assert unit_uniforms(42, []) == []
+
+
+def test_batched_coins_raise_the_scalar_error_of_the_first_unencodable_key():
+    keys = ["ok", "fine", "r1\ud800#en2fr", "\udfffx", "later"]
+    with pytest.raises(UnicodeEncodeError) as scalar:
+        [unit_uniform(42, k) for k in keys]
+    with pytest.raises(UnicodeEncodeError) as batched:
+        unit_uniforms(42, keys)
+    assert str(batched.value) == str(scalar.value)
+    assert batched.value.object == scalar.value.object == "r1\ud800#en2fr"
 
 
 @given(data=st.binary(max_size=200))

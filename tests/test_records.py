@@ -29,6 +29,7 @@ from mmtkit.records import (
     _SUFFIX_BITS,
     check_score,
     json_line,
+    open_score_sidecar,
     read_examples,
     read_multiway,
     read_score_sidecar,
@@ -158,6 +159,51 @@ def test_sidecar_roundtrip_and_errors():
     dup = json_line({"id": "a", "qe_score": 0.5})
     with pytest.raises(RecordParseError):
         read_score_sidecar(io.StringIO(dup + "\n" + dup + "\n"))
+
+
+# A second sidecar line after '{"id": "a", "qe_score": 0.5}' -> the score
+# read for "b", or the error type and message at line 2. The first four are
+# taken in one pass, the rest by the checks in turn, whose order picks the
+# message of a line with several faults.
+_SIDECAR_ROWS = {
+    "float": ('{"id": "b", "qe_score": 0.25}', 0.25),
+    "negative zero": ('{"id": "b", "qe_score": -0.0}', -0.0),
+    "int 0": ('{"id": "b", "qe_score": 0}', 0.0),
+    "int 1": ('{"id": "b", "qe_score": 1}', 1.0),
+    "true": ('{"id": "b", "qe_score": true}', (InvalidScore, "score for 'b' must be a number, got True")),
+    "nan": ('{"id": "b", "qe_score": NaN}', (InvalidScore, "score for 'b' outside [0, 1]: nan")),
+    "above one": ('{"id": "b", "qe_score": 1.5}', (InvalidScore, "score for 'b' outside [0, 1]: 1.5")),
+    "repeated id": ('{"id": "a", "qe_score": 0.5}', (RecordParseError, "duplicate score entry for id 'a'")),
+    "repeated id, int score": ('{"id": "a", "qe_score": 1}', (RecordParseError, "duplicate score entry for id 'a'")),
+    "repeated id, bad score": ('{"id": "a", "qe_score": 1.5}', (RecordParseError, "duplicate score entry for id 'a'")),
+    "empty id, bad score": ('{"id": "", "qe_score": 1.5}', (RecordParseError, "field 'id' must be a non-empty string")),
+    "int id": ('{"id": 7, "qe_score": 0.5}', (RecordParseError, "field 'id' must be a string")),
+    "no score": ('{"id": "b"}', (RecordParseError, "missing field 'qe_score'")),
+}
+
+
+@pytest.mark.parametrize("reader", ["map", "in step"])
+@pytest.mark.parametrize("row", list(_SIDECAR_ROWS))
+def test_sidecar_row_is_read_or_refused_at_its_line(tmp_path, reader, row):
+    line, expected = _SIDECAR_ROWS[row]
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"id": "a", "qe_score": 0.5}\n' + line + "\n", encoding="utf-8")
+
+    def score_of_b():
+        if reader == "map":
+            with open(path, encoding="utf-8") as f:
+                return read_score_sidecar(f, str(path))["b"]
+        with open_score_sidecar(str(path)) as scores:
+            return scores["b"]
+
+    if isinstance(expected, float):
+        score = score_of_b()
+        assert type(score) is float and repr(score) == repr(expected)
+    else:
+        error, message = expected
+        with pytest.raises(error) as info:
+            score_of_b()
+        assert str(info.value) == f"{path}:line 2: {message}"
 
 
 def test_sidecar_accepts_full_scored_lines(mk_example):
