@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 
 from . import __version__
@@ -453,18 +454,31 @@ def _out_is_stdout(args) -> bool:
         return False
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # The summary goes to stderr when the records stream to stdout, so that
     # it never enters the stream a next stage reads.
     summary_file = sys.stderr if _out_is_stdout(args) else sys.stdout
+    # A SIGTERM becomes SystemExit(143), which unwinds the stage, so that
+    # _open_out removes its temporary file and leaves no target behind.
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # only the main thread may set a handler
+        previous = None
     try:
         summary = args.func(args)
     except (ToolkitError, OSError, UnicodeError) as e:
         name = "OSError" if isinstance(e, OSError) else type(e).__name__
         print(json.dumps({"error": name, "message": str(e)}), file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     if summary is not None:
         print(json.dumps(summary, ensure_ascii=False), file=summary_file)
     return 0

@@ -20,7 +20,10 @@ read_multiway checked them, so the prompts are not checked again.
 Selection holds at most per_direction_max candidates per direction without
 scores (corpus order, so later candidates are only counted) and at most
 2 x per_direction_max + 1 with scores, each beside its score, so the pools do
-not grow with the corpus. Each candidate's score is looked up once, in corpus
+not grow with the corpus. The pools, counts and score arrays are keyed by the
+direction's id_tag, a string made once per direction. A scored pool is cut
+to its best per_direction_max in (-score, example id) order: sorted by score
+alone, then with each run of equal scores put in id order. Each candidate's score is looked up once, in corpus
 order and each record's directions in direction-set order, the order expand
 writes examples in; a score sidecar in that order is read in step with the
 lookups (records.open_score_sidecar), so no map of the corpus's scores is
@@ -30,10 +33,10 @@ independent of input shard order.
 """
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, groupby
 from typing import Iterable, Iterator, Mapping
 
-from .directions import Direction, DirectionSet, covered
+from .directions import DirectionSet, covered
 from .downsampling import RetentionPolicy, retained_each
 from .errors import MissingScore, warn
 from .hashing import DEFAULT_SEED, unit_uniform, unit_uniforms
@@ -116,51 +119,66 @@ def stream_sft_mixture(
         # Imported here: loading the module raises unscored mix's peak RSS.
         from array import array
 
-    def cut(pool: list[MultiWayRecord], kept: "array[float]", d: Direction) -> None:
-        """Keep the pool's best cap records by (-score, example id), and their scores."""
-        order = sorted(range(len(pool)), key=lambda i: (-kept[i], f"{pool[i].id}{d.id_tag}"))
+    def cut(pool: list[MultiWayRecord], kept: "array[float]", tag: str) -> None:
+        """Keep the pool's best cap records by (-score, example id), in that
+        order, and their scores. The C-level key sorts by score alone, and the
+        sort is stable, so only runs of equal scores (0.0 equals -0.0) are
+        then put in example-id order; ids are built for those alone."""
+        order = sorted(range(len(pool)), key=kept.__getitem__, reverse=True)
+        ranked = [kept[i] for i in order]
+        if len(set(ranked)) < len(ranked):
+            start = 0
+            for _, run in groupby(ranked):
+                end = start + sum(1 for _ in run)
+                if end - start > 1:
+                    order[start:end] = sorted(order[start:end], key=lambda i: f"{pool[i].id}{tag}")
+                if end >= cap:
+                    break
+                start = end
         del order[cap:]
         pool[:] = [pool[i] for i in order]
         kept[:] = array("d", [kept[i] for i in order])
 
     def run() -> Iterator[PromptedExample]:
-        # Keyed by (src, tgt): a Direction would hash through a Python method.
-        pools: dict[tuple[str, str], list[MultiWayRecord]] = {(d.src, d.tgt): [] for d in dirset.directions}
+        # Keyed by each direction's id_tag: the string is made once, so a
+        # lookup reuses its cached hash and matches on identity.
+        pools: dict[str, list[MultiWayRecord]] = {d.id_tag: [] for d in dirset.directions}
         seen = dict.fromkeys(pools, 0)
         if scores is not None:
             # Each pooled record's score, at the record's index in its pool.
-            kept = {key: array("d") for key in pools}
+            kept = {tag: array("d") for tag in pools}
         for record in records:
             for d in covered(record, dirset):
-                key = d.src, d.tgt
-                seen[key] += 1
-                pool = pools[key]
+                tag = d.id_tag
+                seen[tag] += 1
+                pool = pools[tag]
                 if scores is None:
                     if len(pool) < cap:
                         pool.append(record)
                 else:
-                    ex_id = f"{record.id}{d.id_tag}"
+                    ex_id = f"{record.id}{tag}"
                     try:
                         score = scores[ex_id]
                     except KeyError:
                         raise MissingScore(ex_id) from None
                     pool.append(record)
-                    kept[key].append(score)
+                    kept[tag].append(score)
                     if len(pool) > 2 * cap:
-                        cut(pool, kept[key], d)
+                        cut(pool, kept[tag], tag)
 
         policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
         for d in dirset.directions:
-            chosen = pools.pop((d.src, d.tgt))
+            tag = d.id_tag
+            chosen = pools.pop(tag)
             if scores is not None:
-                cut(chosen, kept.pop((d.src, d.tgt)), d)
-            rep = report.per_direction[str(d)] = DirectionMixReport(candidates=seen[d.src, d.tgt], selected=len(chosen))
+                cut(chosen, kept.pop(tag), tag)
+            rep = report.per_direction[str(d)] = DirectionMixReport(candidates=seen[tag], selected=len(chosen))
             if rep.selected < spec.per_direction_min:
                 report.warnings.append(
                     f"direction {d}: {rep.selected} selected examples, "
                     f"below per_direction_min={spec.per_direction_min}"
                 )
-            survivors = [(f"{r.id}{d.id_tag}", r) for r in chosen]
+            survivors = [(f"{r.id}{tag}", r) for r in chosen]
             if d.is_reverse:
                 survivors = list(compress(survivors, retained_each(policy, [ex_id for ex_id, _ in survivors])))
                 pmp_share = spec.reverse_pmp_share_of_retained

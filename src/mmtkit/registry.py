@@ -89,12 +89,17 @@ class Language(Frozen):
 
 
 class Registry(Frozen):
-    """Immutable after load."""
+    """Immutable after load. _templates, the memo of prompts.render_translation
+    (each direction's fixed prompt pieces, at most one entry per source,
+    target and auxiliary of the registry's languages), is no field: it does
+    not count in == or repr, and a copy or unpickled registry starts with an
+    empty one."""
 
-    __slots__ = __match_args__ = ("languages", "auxiliaries")
+    __match_args__ = ("languages", "auxiliaries")
+    __slots__ = (*__match_args__, "_templates")
 
     def __init__(self, languages: dict[str, Language], auxiliaries: dict[str, str] | None = None):
-        self._set(languages=languages, auxiliaries={} if auxiliaries is None else auxiliaries)
+        self._set(languages=languages, auxiliaries={} if auxiliaries is None else auxiliaries, _templates={})
 
     def __contains__(self, code: str) -> bool:
         return code in self.languages
@@ -153,6 +158,9 @@ def direction_error(src: str, tgt: str) -> str | None:
 
 # Decodes one JSON value at the start of a string and says where it ended.
 _raw_decode = json.JSONDecoder().raw_decode
+# The C scanner raw_decode calls: (value, end) of the JSON value at an index,
+# raising JSONDecodeError, or StopIteration when no value starts there.
+_scan_once = json.JSONDecoder().scan_once
 # The whitespace JSON allows around a value (RFC 8259); str.strip() with no
 # argument would also strip what json.loads refuses, such as U+00A0 and U+3000.
 _JSON_WHITESPACE = " \t\n\r"
@@ -165,9 +173,23 @@ def parse_json_lines(
     blank line holds only JSON whitespace (space, tab, LF, CR). A
     RecordParseError raised for a line, by the parse or by convert, leaves
     here with path and the 1-based line number set on it. A stream that is
-    not valid UTF-8 raises at its first undecodable line."""
+    not valid UTF-8 raises at its first undecodable line.
+
+    A line that starts with "{" is decoded in place by the C scanner, with
+    no stripped copy; if the object is not all of the line but JSON
+    whitespace, or does not decode, the line takes the general path below,
+    which gives the same objects and errors for every line."""
     try:
         for line_no, raw in enumerate(stream, start=1):
+            if raw[:1] == "{":
+                try:
+                    obj, end = _scan_once(raw, 0)
+                except (json.JSONDecodeError, StopIteration):
+                    pass
+                else:
+                    if not raw[end:].strip(_JSON_WHITESPACE):
+                        yield convert(obj)
+                        continue
             line = raw.strip(_JSON_WHITESPACE)
             if not line:
                 continue

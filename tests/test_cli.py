@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 
@@ -1009,6 +1010,107 @@ def test_eval_unknown_language_error_does_not_depend_on_the_hash_seed(data_dir):
     assert refusal("1") == refusal("3") == (1, expected)
 
 
+_REFUSALS_SCRIPT = """
+import contextlib, io, json, sys
+from mmtkit.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_refusals_do_not_depend_on_the_hash_seed(tmp_path, data_dir):
+    # Refusals pinned elsewhere in this file, each run in-process through
+    # cli.main, in one interpreter per hash seed: the same exit codes and
+    # the same stderr, byte for byte.
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=4, langs=("en", "zh", "fr", "bg"))
+    pairs = tmp_path / "c.djsonl"
+    run_cli("expand", "--in", str(corpus), "--out", str(pairs))
+    files = {
+        "broken": '{"id": "broken"}\n',
+        "dup": '{"id": "a", "sentences": {"en": "x", "fr": "y"}}\n' * 2,
+        "surrogate": '{"id": "a", "sentences": {"en": "x\\ud800", "fr": "y"}}\n',
+        "unknown": '{"id": "a", "sentences": {"en": "x", "xx": "y"}}\n',
+        "langs": "".join(json.dumps({"code": c, "name": c, "script": "L", "family": "F", "tier": "High"}) + "\n"
+                         for c in ("en", "zh", "fr-ca")),
+        "rules": '[\n  {"kind": "NonEmpty"},\n  bad\n]\n',
+        "rules_object": '{"kind": "NonEmpty"}',
+        "rules_kind": '[{"kind": "Nope"}]',
+        "sidecar": json.dumps({"id": "t0000#en2zh", "qe_score": 0.5}) + "\n",
+        "sidecar_bad": json.dumps({"id": "t0000#en2zh", "qe_score": 1.5}) + "\n",
+        "mono": json.dumps({"id": "m0", "text": "eau"}) + "\n",
+        "reqs": json.dumps({"id": "q1", "src_lang": "en", "tgt_lang": "bg", "src": "eau"}) + "\n",
+        "reqs_xx": json.dumps({"id": "q1", "src_lang": "en", "tgt_lang": "xx", "src": "eau"}) + "\n",
+        "reqs_dup": (json.dumps({"id": "q1", "src_lang": "fr", "tgt_lang": "en", "src": "eau"}) + "\n") * 2,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    f = {name: str(tmp_path / name) for name in files}
+    out, c, p, ev = str(tmp_path / "o"), str(corpus), str(pairs), str(data_dir / "comet_bleu_records.jsonl")
+    usage_errors = [
+        ["unknown-command"],
+        ["expand"],
+        ["filter", "--in", p, "--out", out, "--seed", "3"],
+        ["downsample", "--in", p, "--out", out, "--p", "2"],
+        ["diagnose", "--in", p, "--p", "-0.1"],
+        ["mix", "--in", c, "--out", out, "--forward-pmp-share", "1.01"],
+        ["expand", "--in", c, "--out", out, "--workers", "0"],
+        ["eval", "--records", ev, "--langs", ","],
+        ["eval", "--records", ev, "--metric", "chrF"],
+        ["infer-prompt", "--strategy", "xx", "--in", f["reqs"], "--out", out],
+    ]
+    data_errors = [
+        ["expand", "--in", str(tmp_path / "absent"), "--out", out],
+        ["expand", "--in", f["broken"], "--out", out],
+        ["expand", "--in", f["dup"], "--out", out],
+        ["expand", "--in", f["unknown"], "--out", out],
+        ["expand", "--registry", f["langs"], "--in", c, "--out", out],
+        ["mix", "--in", c, "--out", out, "--per-direction-min", "5", "--per-direction-max", "2"],
+        ["mix", "--in", f["surrogate"], "--out", out, "--per-direction-min", "0"],
+        ["mix", "--in", c, "--scores", f["sidecar"], "--out", out],
+        ["mix", "--in", c, "--scores", f["sidecar_bad"], "--out", out],
+        ["filter", "--in", p, "--out", out, "--tau", "0.5"],
+        ["filter", "--in", p, "--rules", f["rules"], "--out", out],
+        ["filter", "--in", p, "--rules", f["rules_object"], "--out", out],
+        ["filter", "--in", p, "--rules", f["rules_kind"], "--out", out],
+        ["downsample", "--in", p, "--out", p],
+        ["eval", "--records", ev, "--langs", "xx,yy,zz"],
+        ["eval", "--records", ev, "--langs", "en,zz", "--models", "nope"],
+        ["synth", "--mode", "direct", "--backend-cmd", "true", "--in", f["mono"], "--out", out],
+        ["synth", "--mode", "direct", "--direction", "fr2de", "--backend-cmd", "true", "--in", f["mono"], "--out", out],
+        ["infer-prompt", "--strategy", "pmp-o", "--in", f["reqs"], "--out", out],
+        ["infer-prompt", "--strategy", "dt", "--in", f["reqs_xx"], "--out", out],
+        ["infer-prompt", "--strategy", "dt", "--in", f["reqs_dup"], "--out", out],
+        ["infer-prompt", "--strategy", "dt", "--backend-cmd", "true", "--in", f["reqs"], "--out", out],
+    ]
+    cases = usage_errors + data_errors
+
+    def refusals(hash_seed):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REFUSALS_SCRIPT, json.dumps(cases)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    first = refusals("1")
+    assert [code for code, _ in first] == [2] * len(usage_errors) + [1] * len(data_errors)
+    for (code, err), argv in zip(first, cases):
+        assert err.endswith("\n") and "Traceback" not in err, (argv, err)
+        if code == 1:
+            assert set(json.loads(err.splitlines()[-1])) == {"error", "message"}, (argv, err)
+    assert refusals("2") == first
+    assert not os.path.exists(out)
+
+
 def test_eval_repeated_model_gives_one_row(data_dir):
     proc = run_cli(
         "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
@@ -1317,6 +1419,33 @@ def test_failed_run_keeps_existing_out(tmp_path):
     run_cli("expand", "--in", str(corpus), "--out", str(out), expect=1)
     assert out.read_bytes() == b"previous run\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mwjsonl", "o.djsonl"]
+
+
+def test_sigterm_leaves_no_temporary_file_and_no_target(tmp_path):
+    # The stage blocks reading a FIFO that this test holds open and never
+    # finishes writing, so it is stopped with its temporary file open.
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "o.djsonl"
+    fd = os.open(fifo, os.O_RDWR)  # a writer, so the stage's open and reads block instead of seeing EOF
+    proc = subprocess.Popen([sys.executable, "-m", "mmtkit", "downsample", "--in", str(fifo), "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        os.write(fd, b'{"id": "r0#en2fr", "src_lang": "en"')
+        deadline = time.monotonic() + 30
+        while not any(p.name.endswith(".tmp") for p in tmp_path.iterdir()):
+            assert proc.poll() is None and time.monotonic() < deadline, "no temporary file appeared"
+            time.sleep(0.01)
+        proc.terminate()
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        os.close(fd)
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143, stderr
+    assert b"Traceback" not in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fifo"]
 
 
 def _stage_args(tmp, scripts_dir, stage):
@@ -1693,6 +1822,36 @@ def test_scored_mix_lone_surrogate_id_fails_where_each_coin_alone_fails(tmp_path
         "--per-direction-min", "0", "--per-direction-max", "66", "--reverse-retention", "0", expect=1,
     )
     assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(448))]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lang, position", [("en", 68), ("bg", 95), ("ru", 91)])
+def test_mix_lone_surrogate_sentence_names_its_position_in_the_prompt(tmp_path, lang, position):
+    # Record r2's sentence in lang holds a lone surrogate. The first prompt
+    # that holds the sentence fails, naming the surrogate's position in the
+    # whole prompt (the sentence alone would put it at 5).
+    corpus = tmp_path / "c.mwjsonl"
+    with open(corpus, "w", encoding="utf-8") as f:
+        for i in range(5):
+            sentences = {l: f"{l} sentence {i}" for l in ("en", "bg", "ru")}
+            if i == 2:
+                sentences[lang] = f"{lang} se\ud800ntence"
+            f.write(json.dumps({"id": f"r{i}", "sentences": sentences}) + "\n")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
+    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(position))]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, position", [("src", 67), ("aux", 82)])
+def test_infer_prompt_lone_surrogate_names_its_position_in_the_prompt(tmp_path, field, position):
+    request = {"id": "q", "src_lang": "en", "tgt_lang": "bg", "src": "water", "aux": "вода"}
+    request[field] = request[field][:2] + "\ud800" + request[field][2:]
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(json.dumps(request) + "\n", encoding="utf-8")
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "pmp-o", "--in", str(reqs), "--out", str(out), expect=1)
+    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(position))]
     assert not out.exists()
 
 

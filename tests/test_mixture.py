@@ -226,6 +226,29 @@ def test_scored_selection_past_twice_the_cap_matches_brute_force(registry, dirse
         assert (report.per_direction[name].candidates, report.per_direction[name].selected) == (40, cap)
 
 
+@settings(max_examples=60)
+@given(
+    ids=st.lists(st.text(alphabet="ab!#~", min_size=1, max_size=4), min_size=1, max_size=30, unique=True),
+    cap=st.integers(1, 4),
+    data=st.data(),
+)
+def test_scored_selection_with_tied_scores_matches_brute_force(registry, dirset, ids, cap, data):
+    # Few scores, 0.0 and -0.0 among them, so runs of ties are long and reach
+    # across the cap; ids such as "a" and "a!" order differently alone than
+    # with the direction's "#en2fr" after them, and only the example id counts.
+    recs = [MultiWayRecord(id=i, sentences={"en": f"en {i}", "fr": f"fr {i}"}) for i in ids]
+    cands = {sfx: [f"{i}#{sfx}" for i in ids] for sfx in ("en2fr", "fr2en")}
+    tie = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+    scores = {ex_id: data.draw(tie) for sfx in cands for ex_id in cands[sfx]}
+    out, report = build_sft_mixture(
+        recs, registry, dirset, spec(per_direction_max=cap, reverse_total_retention=1.0), scores=scores
+    )
+    for sfx, name in (("en2fr", "en->fr"), ("fr2en", "fr->en")):
+        best = sorted(cands[sfx], key=lambda i: (-scores[i], i))[:cap]
+        assert [pe.id for pe in out if pe.id.endswith("#" + sfx)] == sorted(best)
+        assert report.per_direction[name].selected == len(best)
+
+
 def test_unscored_selection_past_twice_the_cap_keeps_corpus_order(registry, dirset):
     # Descending ids, so corpus order differs from id order.
     recs = records(20, ["en", "fr"])[::-1]

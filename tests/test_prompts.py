@@ -4,7 +4,7 @@ from __future__ import annotations
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import any_text
@@ -20,6 +20,7 @@ from mmtkit.prompts import (
     render_cpt_mono,
     render_pmp,
     render_stp,
+    render_translation,
     write_prompted,
 )
 from mmtkit.records import json_line
@@ -260,3 +261,130 @@ def test_read_prompted_refuses_boolean_span():
     })
     with pytest.raises(RecordParseError, match="line 1: field 'loss_start' must be an integer"):
         list(read_prompted(io.StringIO(line + "\n")))
+
+
+def _reference_render(fmt, prompt_id, src_lang, tgt_lang, src, tgt, registry, aux_lang=None, aux_text=None):
+    """render_translation as the prompt was spelled out for every call before
+    the registry memoized each direction's template pieces."""
+    names = registry.languages
+    src_name, tgt_name = names[src_lang].name, names[tgt_lang].name
+    prefix = f"Translate the following text from {src_name} to {tgt_name}.\n{src_name}: {src}\n"
+    if fmt is PromptFormat.PMP:
+        prefix += f"{names[aux_lang].name}: {aux_text}\n"
+    prefix += f"{tgt_name}: "
+    text = prefix + tgt
+    return PromptedExample(
+        text, len(prefix.encode("utf-8")), len(text.encode("utf-8")), fmt, src_lang, tgt_lang, aux_lang, prompt_id
+    )
+
+
+# Sentences with a UTF-8 form, drawn often with what a template could trip
+# on: non-BMP characters, combining marks, quotes, backslashes, controls.
+_TRICKY = '"\\\x00\x07\x1f\x7f\u0301\u0308\u200d\u2028\U0001f600\U00010348'
+prompt_text = st.text(
+    alphabet=st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from(_TRICKY)), max_size=12
+)
+
+
+def _renders_as_the_reference(registry, src, aux, tgt):
+    from mmtkit.directions import enumerate_directions
+
+    for d in enumerate_directions(registry).directions:
+        prompt_id = f"p{d.id_tag}"
+        calls = [(PromptFormat.STP, prompt_id, d.src, d.tgt, src, tgt, registry)]
+        aux_lang = registry.auxiliary_for(d.src, d.tgt)
+        if aux_lang is not None:
+            calls.append((PromptFormat.PMP, prompt_id, d.src, d.tgt, src, tgt, registry, aux_lang, aux))
+        for args in calls:
+            assert render_translation(*args) == _reference_render(*args)
+
+
+@settings(max_examples=40)
+@given(src=prompt_text.filter(bool), aux=prompt_text.filter(bool), tgt=prompt_text)
+def test_render_translation_equals_the_reference_for_every_builtin_direction(registry, src, aux, tgt):
+    _renders_as_the_reference(registry, src, aux, tgt)
+
+
+def _quoted_registry():
+    """Three languages whose names hold non-ASCII characters, quotes and a
+    backslash; xx has the auxiliary yy."""
+    from mmtkit.registry import Language, Registry, Tier
+
+    names = {"en": 'Eng"lish', "zh": "中文 \\ zh", "xx": "Ελληνικά «x»", "yy": "Fran'çais \U0001f600"}
+    return Registry({code: Language(code, name, "Latn", "f", Tier.LOW) for code, name in names.items()}, {"xx": "yy"})
+
+
+@settings(max_examples=20)
+@given(src=prompt_text.filter(bool), aux=prompt_text.filter(bool), tgt=prompt_text)
+def test_render_translation_equals_the_reference_with_quoted_language_names(src, aux, tgt):
+    _renders_as_the_reference(_quoted_registry(), src, aux, tgt)
+
+
+def test_template_memo_is_no_field_of_the_registry():
+    import copy
+    import pickle
+
+    from mmtkit.directions import enumerate_directions
+    from mmtkit.registry import load_registry
+
+    used, fresh = load_registry(), load_registry()
+    directions = enumerate_directions(used).directions
+    for _ in range(2):
+        for d in directions:
+            render_translation(PromptFormat.STP, "p", d.src, d.tgt, "a", "b", used)
+            aux_lang = used.auxiliary_for(d.src, d.tgt)
+            if aux_lang is not None:
+                render_translation(PromptFormat.PMP, "p", d.src, d.tgt, "a", "b", used, aux_lang, "c")
+    # One entry per direction's STP template and one per PMP template.
+    with_aux = sum(used.auxiliary_for(d.src, d.tgt) is not None for d in directions)
+    assert len(used._templates) == len(directions) + with_aux
+    assert not fresh._templates
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+        assert twin == fresh
+        assert twin._templates == {}  # rebuilt through __init__
+    with pytest.raises(AttributeError):
+        used._templates = {}
+
+
+# A lone surrogate has no UTF-8 form. The error names its position in the
+# prompt (not in the sentence, which is 1 or 2), as the whole prompt's
+# encoding always named it.
+@pytest.mark.parametrize(
+    "render, position",
+    [
+        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "a\ud800b", "c"), r), 63),
+        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "ab", "c\ud800"), r), 74),
+        (lambda r, D: render_pmp(D("x#en2bg", "en", "bg", "a", "b"), "c\ud800", "ru", r), 77),
+    ],
+    ids=["stp-src", "stp-tgt", "pmp-aux"],
+)
+def test_lone_surrogate_error_names_its_position_in_the_prompt(registry, render, position):
+    from mmtkit.records import DirectionalExample
+
+    with pytest.raises(UnicodeEncodeError) as exc:
+        render(registry, DirectionalExample)
+    assert str(exc.value) == f"'utf-8' codec can't encode character '\\ud800' in position {position}: surrogates not allowed"
+
+
+@pytest.mark.parametrize("where", ["src", "aux", "tgt", "xx", "yy", "en"])
+def test_text_with_no_utf8_form_raises_the_reference_error(where):
+    # A lone surrogate in a sentence, or in the name of the source (xx),
+    # auxiliary (yy) or target (en) language of an xx->en PMP prompt.
+    from mmtkit.registry import Language, Registry, Tier
+
+    names = {"en": "English", "zh": "Chinese", "xx": "Xish", "yy": "Yish"}
+    texts = {"src": "source", "aux": "auxiliary", "tgt": "target"}
+    if where in names:
+        names[where] = names[where][:2] + "\ud800" + names[where][2:]
+    else:
+        texts[where] = texts[where][:2] + "\ud800" + texts[where][2:]
+    registry = Registry({code: Language(code, name, "Latn", "f", Tier.LOW) for code, name in names.items()}, {"xx": "yy"})
+    args = (PromptFormat.PMP, "p#xx2en", "xx", "en", texts["src"], texts["tgt"], registry, "yy", texts["aux"])
+    with pytest.raises(UnicodeEncodeError) as expected:
+        _reference_render(*args)
+    for _ in range(2):  # the memo's first and later uses
+        with pytest.raises(UnicodeEncodeError) as exc:
+            render_translation(*args)
+        assert str(exc.value) == str(expected.value)

@@ -8,7 +8,7 @@ import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import any_text
@@ -564,6 +564,79 @@ def test_parse_json_lines_accepts_what_json_loads_accepts(pad):
         assert str(exc.value) == f"f.jsonl:line 1: invalid JSON ({e.msg})"
     else:
         assert list(parse_json_lines([line + "\n"])) == [expected]
+
+
+def _reference_parse_json_lines(stream, path=None):
+    """parse_json_lines as it read every line before a line starting with "{"
+    was decoded in place: strip JSON whitespace, raw_decode, and json.loads
+    for the error message of a line that is not one value."""
+    raw_decode = json.JSONDecoder().raw_decode
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.strip(" \t\n\r")
+            if not line:
+                continue
+            try:
+                obj, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise RecordParseError(f"invalid JSON ({e.msg})") from None
+            if not isinstance(obj, dict):
+                raise RecordParseError("expected a JSON object")
+            yield obj
+    except RecordParseError as e:
+        if e.line_no is None:
+            e.line_no, e.path = line_no, path
+        raise
+
+
+def _parsed(parse, lines):
+    """repr of the objects parse yields before it stops, and what it raises."""
+    got = []
+    try:
+        for obj in parse(lines, "f.jsonl"):
+            got.append(obj)
+    except RecordParseError as e:
+        return repr(got), (type(e), str(e), e.line_no, e.path)
+    return repr(got), None
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(any_text, inner, max_size=3),
+    max_leaves=6,
+)
+_line_values = st.one_of(
+    st.builds(json.dumps, st.dictionaries(any_text, _json_values, max_size=3), ensure_ascii=st.booleans(),
+              indent=st.sampled_from([None, 0])),
+    st.builds(json.dumps, _json_values),
+    st.sampled_from(['{', '{"a":', '{"a": "x', '{"a" 1}', '{"a": 1,}', '{"a": [1}', "{}", "[]", "[1]", '"x"', "1",
+                     "null", "NaN", "x", "", '{"a": 1}{"b": 2}', '{"a": 1} {"b": 2}', '{"a": 1}}']),
+)
+# JSON whitespace, and padding that json.loads refuses (U+00A0, U+3000, U+001C).
+_pads = st.text(alphabet=" \t\r\u00a0\u3000\x1c", max_size=3)
+_maybe_pads = st.just("") | _pads
+_lines = st.builds(
+    lambda left, value, after, right, end: left + value + after + right + end,
+    _maybe_pads, _line_values, st.sampled_from(["", "", "", "x", "}", ",", '{"b": 2}', " 1"]), _maybe_pads,
+    st.sampled_from(["\n", "\r\n", "\n\n", ""]),
+)
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(_lines | _pads.map(lambda pad: pad + "\n"), max_size=6))
+# A value cut off after a key, which the scanner refuses with StopIteration,
+# not JSONDecodeError; an object padded with U+00A0; CRLF and no line end.
+@example(lines=['{"a": 1}\r\n', '{"a":\n'])
+@example(lines=['{"a": 1}\u00a0\n'])
+@example(lines=['{"a": 1} \t\r\n', "\r\n", '{"b": [2]}'])
+def test_parse_json_lines_reads_as_the_reference(lines):
+    # The last line may lack its line end; blank lines hold padding only.
+    assert _parsed(parse_json_lines, lines) == _parsed(_reference_parse_json_lines, lines)
 
 
 _MULTIWAY_LINE = json_line({"id": "r1", "sentences": {"en": "a", "fr": "b"}})
