@@ -11,7 +11,8 @@ waiting for more input.
   scorer request      {"id", "src_lang", "tgt_lang", "src", "tgt"}
   scorer response     {"id", "qe_score"}
 
-A client is built with its request builder, and every response is read by
+A client is built with its request builder, which returns the request's JSON
+line (fields quoted by json_line's escaper), and every response is read by
 one call, _LineProtocolClient.response(item_id, *args). It sends the request
 build(item_id, *args) first only when nothing is in flight (a lockstep call);
 a request sent ahead was built once, when sent.
@@ -19,7 +20,10 @@ a request sent ahead was built once, when sent.
 An "error" response marks a per-item failure (the caller may skip the item);
 transport problems (a command that cannot start, early exit, unparseable
 output, id mismatch, no output for RESPONSE_TIMEOUT_S) raise BackendError and
-abort the run. In-process mock backends cover tests and offline pipelines.
+abort the run. Closing a client closes both pipes and returns as soon as the
+backend exits, reaped by a thread blocked in wait(); a backend still running
+CLOSE_TIMEOUT_S after its stdin closed is killed. In-process mock backends
+cover tests and offline pipelines.
 """
 from __future__ import annotations
 
@@ -28,13 +32,17 @@ import os
 import select
 import shlex
 import subprocess
+import threading
 import time
 from collections import deque
 from itertools import islice
+# The escaper json_line uses under ensure_ascii=False: a request line quotes
+# each field with it, so the line equals json_line of the request's dict.
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import BackendError
-from .records import check_score, json_line
+from .records import check_score
 
 T = TypeVar("T")
 
@@ -44,6 +52,8 @@ WINDOW = 64
 # A backend that sends nothing for this long while a response is awaited is
 # killed. It is generous because a model may load before its first answer.
 RESPONSE_TIMEOUT_S = 300.0
+# A backend still running this long after its stdin closed is killed.
+CLOSE_TIMEOUT_S = 10.0
 _READ_SIZE = 1 << 16
 
 
@@ -115,9 +125,9 @@ class _LineProtocolClient:
     pipes.
     """
 
-    def __init__(self, cmd: str, build: Callable[..., dict]):
+    def __init__(self, cmd: str, build: Callable[..., str]):
         self.cmd = cmd
-        self._build = build  # (item_id, *args) -> request dict
+        self._build = build  # (item_id, *args) -> request line, newline included
         try:
             argv = shlex.split(cmd)
             if not argv:
@@ -147,7 +157,7 @@ class _LineProtocolClient:
                 for item in islice(items, WINDOW - len(ahead)):
                     args = to_args(item)
                     if args is not None:
-                        self._queue(self._build(*args))
+                        self._queue(args[0], self._build(*args))
                     ahead.append(item)
                 self._write()
             if not ahead:
@@ -159,7 +169,7 @@ class _LineProtocolClient:
         item_id. With none in flight, build(item_id, *args) is sent first; a
         request sent ahead was built when it was sent."""
         if not self._in_flight:
-            self._queue(self._build(item_id, *args))
+            self._queue(item_id, self._build(item_id, *args))
             self._write()
         sent = self._in_flight.popleft()
         if sent != item_id:
@@ -175,9 +185,9 @@ class _LineProtocolClient:
             raise BackendError(f"backend {self.cmd!r} response id mismatch: sent {sent!r}, got {resp!r}")
         return resp
 
-    def _queue(self, obj: dict) -> None:
-        self._unsent += (json_line(obj) + "\n").encode("utf-8")
-        self._in_flight.append(obj["id"])
+    def _queue(self, item_id: str, line: str) -> None:
+        self._unsent += line.encode("utf-8")
+        self._in_flight.append(item_id)
 
     def _write(self) -> None:
         """Write as much of the queued requests as the pipe takes without
@@ -228,23 +238,40 @@ class _LineProtocolClient:
 
     def close(self) -> None:
         """Close both pipes, so a backend blocked writing unread responses gets
-        EPIPE, then wait for it to exit (killing it after 10 s)."""
+        EPIPE, then return as soon as it exits, killing it after
+        CLOSE_TIMEOUT_S or when the wait is interrupted (a SIGTERM raises
+        SystemExit in join). A thread blocked in wait() reaps it the moment
+        it exits, where wait(timeout) would poll between sleeps of up to
+        50 ms; the thread is a daemon, so it never holds up the
+        interpreter's exit. Whether the backend was reaped is read from its
+        returncode: a join cut short by an exception can mark the thread
+        stopped while it still waits."""
         proc = self.proc
         proc.stdin.close()
         proc.stdout.close()
+        reaper = threading.Thread(target=proc.wait, daemon=True)
+        reaper.start()
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+            reaper.join(CLOSE_TIMEOUT_S)
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
 
 
-def _translation_request(item_id: str, src_lang: str, tgt_lang: str, text: str) -> dict:
-    return {"id": item_id, "src_lang": src_lang, "tgt_lang": tgt_lang, "text": text}
+def _translation_request(item_id: str, src_lang: str, tgt_lang: str, text: str) -> str:
+    """json_line({"id", "src_lang", "tgt_lang", "text"}) and a newline."""
+    q = encode_basestring
+    return f'{{"id":{q(item_id)},"src_lang":{q(src_lang)},"tgt_lang":{q(tgt_lang)},"text":{q(text)}}}\n'
 
 
-def _score_request(item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: str) -> dict:
-    return {"id": item_id, "src_lang": src_lang, "tgt_lang": tgt_lang, "src": src, "tgt": tgt}
+def _score_request(item_id: str, src_lang: str, tgt_lang: str, src: str, tgt: str) -> str:
+    """json_line({"id", "src_lang", "tgt_lang", "src", "tgt"}) and a newline."""
+    q = encode_basestring
+    return (
+        f'{{"id":{q(item_id)},"src_lang":{q(src_lang)},"tgt_lang":{q(tgt_lang)},'
+        f'"src":{q(src)},"tgt":{q(tgt)}}}\n'
+    )
 
 
 class SubprocessBackend(Backend):

@@ -92,12 +92,21 @@ def _names(text: str) -> list[str]:
 _INPUT_OPTIONS = ("infile", "records", "scores", "rules", "registry", "auxiliaries")
 
 
+def _error_line(e: BaseException) -> str:
+    """The JSON line that names e, as main prints it on stderr."""
+    name = "OSError" if isinstance(e, OSError) else type(e).__name__
+    return json.dumps({"error": name, "message": str(e)})
+
+
 @contextlib.contextmanager
 def _open_out(args):
     """Open args.out, refusing a file that one of the stage's input options
     names; a stage enters it before it reads any input. A regular file is
-    replaced only if the block succeeds, anything else (such as a FIFO) is
-    written in place."""
+    replaced only if the block succeeds. Anything else (such as a FIFO or
+    /dev/stdout) is written in place, and if the block fails, its last line
+    is "#mmtkit error: " and the error line: no JSONL reader takes it, so a
+    stage reading the stream fails at it instead of taking a clean-looking
+    truncated stream."""
     path = args.out
     for name in _INPUT_OPTIONS:
         inp = getattr(args, name, None)
@@ -107,7 +116,15 @@ def _open_out(args):
             raise RecordParseError(f"--out {path!r} is the same file as input {inp!r}")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as f:
-            yield f
+            try:
+                yield f
+            except BaseException as e:
+                # The reader may be gone; the stage's own error still wins.
+                with contextlib.suppress(OSError):
+                    f.write(f"#mmtkit error: {_error_line(e)}\n")
+                with contextlib.suppress(OSError):
+                    f.close()
+                raise
         return
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
@@ -473,8 +490,7 @@ def main(argv=None) -> int:
     try:
         summary = args.func(args)
     except (ToolkitError, OSError, UnicodeError) as e:
-        name = "OSError" if isinstance(e, OSError) else type(e).__name__
-        print(json.dumps({"error": name, "message": str(e)}), file=sys.stderr)
+        print(_error_line(e), file=sys.stderr)
         return 1
     finally:
         if previous is not None:

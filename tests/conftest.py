@@ -30,8 +30,8 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 # Every code point, with the ones a JSON string escaper treats specially drawn
 # often: quote, backslash, C0 controls, DEL, U+2028/2029, lone surrogates and
-# non-BMP characters.
-ESCAPE_CASES = '"\\\x00\x08\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600'
+# non-BMP characters; and a combining mark.
+ESCAPE_CASES = '"\\\x00\x08\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600\u0301'
 any_text = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(ESCAPE_CASES)), max_size=20)
 
 _FNV_OFFSET = 14695981039346656037

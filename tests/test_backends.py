@@ -1,11 +1,16 @@
 """Backend contracts: in-process mocks and the line-protocol subprocess."""
 from __future__ import annotations
 
+import json
+import signal
 import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import any_text
 from mmtkit import backends
 from mmtkit.backends import (
     WINDOW,
@@ -306,3 +311,56 @@ def test_close_after_abort_does_not_wait_for_a_blocked_backend(tmp_path):
     b.close()
     assert time.monotonic() - start < 5.0
     assert b.client.proc.poll() is not None
+
+
+def test_close_reaps_the_backend_when_it_exits(scripts_dir, monkeypatch):
+    # Popen.wait(timeout) polls between sleeps; close must wait on the exit itself.
+    b = SubprocessBackend(backend_cmd(scripts_dir))
+    assert b.translate("a", "en", "fr", "t") == "[fr] t"
+
+    def no_sleep(seconds):
+        raise AssertionError(f"close slept {seconds} s instead of waiting on the exit")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    b.close()
+    assert b.client.proc.returncode == 0
+
+
+def test_backend_that_ignores_eof_is_killed_at_the_close_deadline(monkeypatch):
+    monkeypatch.setattr(backends, "CLOSE_TIMEOUT_S", 0.5)
+    b = SubprocessBackend("sleep 1000")
+    start = time.monotonic()
+    b.close()
+    assert 0.5 <= time.monotonic() - start < 5.0
+    assert b.client.proc.returncode == -signal.SIGKILL
+
+
+# Reference builders: each request as a dict through the JSON encoder.
+def reference_translation_request(item_id, src_lang, tgt_lang, text):
+    obj = {"id": item_id, "src_lang": src_lang, "tgt_lang": tgt_lang, "text": text}
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def reference_score_request(item_id, src_lang, tgt_lang, src, tgt):
+    obj = {"id": item_id, "src_lang": src_lang, "tgt_lang": tgt_lang, "src": src, "tgt": tgt}
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+@given(any_text, any_text, any_text, any_text, any_text)
+def test_request_lines_equal_the_reference(item_id, src_lang, tgt_lang, src, tgt):
+    line = backends._translation_request(item_id, src_lang, tgt_lang, src)
+    assert line == reference_translation_request(item_id, src_lang, tgt_lang, src)
+    line = backends._score_request(item_id, src_lang, tgt_lang, src, tgt)
+    assert line == reference_score_request(item_id, src_lang, tgt_lang, src, tgt)
+
+
+@pytest.mark.parametrize("text", ["\ud800", "café \U0001f600 \"q\" \udfff tail"])
+def test_lone_surrogate_request_fails_at_its_position_in_the_reference_line(scripts_dir, text):
+    with pytest.raises(UnicodeEncodeError) as reference:
+        reference_translation_request("a", "en", "fr", text).encode("utf-8")
+    with SubprocessBackend(backend_cmd(scripts_dir)) as b:
+        with pytest.raises(UnicodeEncodeError) as exc:
+            b.translate("a", "en", "fr", text)
+        # Nothing was queued: the client still answers the next request.
+        assert b.translate("b", "en", "fr", "ok") == "[fr] ok"
+    assert (str(exc.value), exc.value.start) == (str(reference.value), reference.value.start)

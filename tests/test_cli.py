@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -1448,6 +1449,33 @@ def test_sigterm_leaves_no_temporary_file_and_no_target(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fifo"]
 
 
+def test_sigterm_while_closing_a_backend_kills_it(tmp_path):
+    # The backend ignores the EOF that closing sends, so the stage waits on
+    # it; a SIGTERM then must not leave it running. It shares the stage's
+    # stderr, so that pipe reaches EOF only once both have exited.
+    mono = tmp_path / "m.jsonl"
+    mono.write_text("", encoding="utf-8")
+    backend = "sh -c 'echo $$ >&2; exec sleep 1000'"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mmtkit", "synth", "--mode", "direct", "--direction", "en2fr",
+         "--backend-cmd", backend, "--in", str(mono), "--out", str(tmp_path / "o.djsonl")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    backend_pid = int(proc.stderr.readline())
+    time.sleep(0.5)  # the stage has read its empty input and waits in close
+    proc.terminate()
+    try:
+        _, stderr = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        # The backend was left running, orphaned and so not yet reaped.
+        os.kill(backend_pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 143, stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
+
 def _stage_args(tmp, scripts_dir, stage):
     """The arguments, without --out, of one stage that writes JSONL to --out."""
     corpus = write_corpus(tmp / "c.mwjsonl", n=30, langs=("en", "zh", "fr", "bg", "ru"))
@@ -1517,6 +1545,41 @@ def test_piped_expand_into_downsample_writes_the_file_chains_bytes(tmp_path):
     assert downsample.returncode == 0, downsample.stderr
     assert downsample.stdout == downsample_summary
     assert piped.read_bytes() == kept.read_bytes()
+
+
+def test_a_stage_failing_mid_pipe_fails_the_stage_behind_it(tmp_path):
+    # 300 good pairs and a bad last line: downsample fails after streaming
+    # some of its output, and ends its stream with a line no reader takes.
+    pairs = tmp_path / "p.djsonl"
+    rows = [{"id": f"r{i}#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": f"en {i}", "tgt": f"fr {i}",
+             "provenance": "human"} for i in range(300)]
+    pairs.write_text("".join(json_line(r) + "\n" for r in rows) + '{"id": 5}\n', encoding="utf-8")
+    upstream = [sys.executable, "-m", "mmtkit", "downsample", "--in", str(pairs), "--out", "/dev/stdout"]
+
+    alone = subprocess.run(upstream, capture_output=True, text=True)
+    assert alone.returncode == 1
+    error = alone.stderr.splitlines()[-1]
+    assert json.loads(error)["error"] == "RecordParseError"
+    streamed = alone.stdout.splitlines()
+    assert streamed[-1] == f"#mmtkit error: {error}"
+    assert [json.loads(line) for line in streamed[:-1]] == rows[: len(streamed) - 1]
+
+    out = tmp_path / "f.djsonl"
+    with open(tmp_path / "downsample.err", "w+b") as upstream_err:
+        downsample = subprocess.Popen(upstream, stdout=subprocess.PIPE, stderr=upstream_err)
+        filtered = subprocess.run(
+            [sys.executable, "-m", "mmtkit", "filter", "--in", "/dev/stdin", "--out", str(out)],
+            stdin=downsample.stdout, capture_output=True, text=True,
+        )
+        downsample.stdout.close()
+        assert downsample.wait() == 1
+    assert filtered.returncode == 1, filtered.stdout
+    assert filtered.stdout == ""
+    assert json.loads(filtered.stderr.splitlines()[-1]) == {
+        "error": "RecordParseError", "message": f"/dev/stdin:line {len(streamed)}: invalid JSON (Expecting value)",
+    }
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["downsample.err", "p.djsonl"]
 
 
 def test_out_fifo_receives_output(tmp_path):

@@ -161,6 +161,21 @@ def test_sidecar_roundtrip_and_errors():
         read_score_sidecar(io.StringIO(dup + "\n" + dup + "\n"))
 
 
+# Every score write_score_sidecar is given has passed check_score: 0, 1 and
+# -0.0 among them.
+_checked_score = st.one_of(st.floats(0.0, 1.0), st.just(-0.0), st.integers(0, 1)).map(lambda s: check_score(s, "x"))
+
+
+@given(st.lists(st.tuples(any_text, _checked_score), max_size=5))
+def test_sidecar_lines_equal_the_json_encoder(items):
+    buf = io.StringIO()
+    assert write_score_sidecar(items, buf) == len(items)
+    assert buf.getvalue() == "".join(
+        json.dumps({"id": pair_id, "qe_score": score}, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for pair_id, score in items
+    )
+
+
 # A second sidecar line after '{"id": "a", "qe_score": 0.5}' -> the score
 # read for "b", or the error type and message at line 2. The first four are
 # taken in one pass, the rest by the checks in turn, whose order picks the
