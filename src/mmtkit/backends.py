@@ -19,11 +19,12 @@ a request sent ahead was built once, when sent.
 
 An "error" response marks a per-item failure (the caller may skip the item);
 transport problems (a command that cannot start, early exit, unparseable
-output, id mismatch, no output for RESPONSE_TIMEOUT_S) raise BackendError and
-abort the run. Closing a client closes both pipes and returns as soon as the
-backend exits, reaped by a thread blocked in wait(); a backend still running
-CLOSE_TIMEOUT_S after its stdin closed is killed. In-process mock backends
-cover tests and offline pipelines.
+output, a \\u escape of a lone surrogate, which registry.parse_json_lines
+also refuses in a file, id mismatch, no output for RESPONSE_TIMEOUT_S) raise
+BackendError and abort the run. Closing a client closes both pipes and
+returns as soon as the backend exits, reaped by a thread blocked in wait();
+a backend still running CLOSE_TIMEOUT_S after its stdin closed is killed.
+In-process mock backends cover tests and offline pipelines.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import BackendError
 from .records import check_score
+from .registry import has_lone_surrogate_escape
 
 T = TypeVar("T")
 
@@ -176,11 +178,14 @@ class _LineProtocolClient:
             raise BackendError(f"request {item_id!r} is out of order: {sent!r} is next in flight")
         line = self._read_line(sent)
         try:
-            resp = json.loads(line.decode("utf-8"))
+            text = line.decode("utf-8")
+            resp = json.loads(text)
         except UnicodeDecodeError:
             raise BackendError(f"backend {self.cmd!r} wrote invalid UTF-8: {line[:80]!r}") from None
         except json.JSONDecodeError:
             raise BackendError(f"backend {self.cmd!r} wrote invalid JSON: {line[:80]!r}") from None
+        if b"\\" in line and has_lone_surrogate_escape(text):
+            raise BackendError(f"backend {self.cmd!r} wrote a lone surrogate escape: {line[:80]!r}")
         if not isinstance(resp, dict) or resp.get("id") != sent:
             raise BackendError(f"backend {self.cmd!r} response id mismatch: sent {sent!r}, got {resp!r}")
         return resp

@@ -5,8 +5,8 @@ through files (or stdout for tables); warnings go to stderr. Each stage returns
 its one-line JSON summary, which main prints to stdout, or to stderr when
 --out is stdout itself (None when the stage wrote a table or histogram there
 itself). Exit codes: 0 success, 1 data error (with a JSON error line on
-stderr, also for an unreadable file, one that is not UTF-8, or text that
-cannot be written as UTF-8, such as a lone surrogate), 2 usage error.
+stderr, also for an unreadable file, one that is not UTF-8, or a line with
+a lone surrogate escape, refused at path:line N), 2 usage error.
 """
 from __future__ import annotations
 

@@ -8,8 +8,10 @@ Library code raises RecordParseError without a location. The one reading
 loop, registry.parse_json_lines, sets the path and line on any
 RecordParseError raised while it reads a line, by the parse or by the
 line's converter, so it reads "path:line N: message"; only the CLI's
---rules reader passes json's lineno. A path without a line reads
-"path: message". The request refusals InvalidInput, NoAuxiliaryDefined
+--rules reader passes json's lineno. The loop also refuses a \\u escape of
+a lone surrogate (text with no UTF-8 form), so no stage fails later where
+such text is first encoded. A path without a line reads "path: message".
+The request refusals InvalidInput, NoAuxiliaryDefined
 and EmptySource are RecordParseErrors, so an infer-prompt request, judged
 in the converter, is refused at its line. Raised outside the reading loop,
 as synth raises them, they carry no location.

@@ -16,7 +16,8 @@ auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
 A candidate is a reference to the multi-way record that covers its direction;
 its prompt is rendered, straight from the record's sentences, only if it
 survives the cap and the retention coin. The records are taken as
-read_multiway checked them, so the prompts are not checked again.
+read_multiway checked them, so the prompts are not checked again; their
+reader has refused any text with no UTF-8 form, so every coin key hashes.
 Selection holds at most per_direction_max candidates per direction without
 scores (corpus order, so later candidates are only counted) and at most
 2 x per_direction_max + 1 with scores, each beside its score, so the pools do
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Mapping
 from .directions import DirectionSet, covered
 from .downsampling import RetentionPolicy, retained_each
 from .errors import MissingScore, warn
-from .hashing import DEFAULT_SEED, unit_uniform, unit_uniforms
+from .hashing import DEFAULT_SEED, unit_uniforms
 from .prompts import PromptedExample, PromptFormat, render_translation
 from .records import MultiWayRecord
 from .registry import Frozen, Registry, Value
@@ -190,12 +191,7 @@ def stream_sft_mixture(
             # The format coin is flipped for each survivor with the aux
             # sentence, in output order, so these are its keys in that order.
             fmt_keys = [] if aux is None else [f"fmt:{ex_id}" for ex_id, r in survivors if r.sentences.get(aux)]
-            try:
-                fmt_coins = iter(unit_uniforms(spec.seed, fmt_keys))
-            except UnicodeEncodeError:
-                # A key that cannot be hashed fails at its own turn, after the
-                # prompts before it, as each coin flipped alone does.
-                fmt_coins = (unit_uniform(spec.seed, key) for key in fmt_keys)
+            fmt_coins = iter(unit_uniforms(spec.seed, fmt_keys))
             for ex_id, record in survivors:
                 sentences = record.sentences
                 src, tgt = sentences[d.src], sentences[d.tgt]

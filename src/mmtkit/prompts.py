@@ -11,9 +11,11 @@ backend).
 
 STP and PMP text comes from one formatter, render_translation, which checks
 nothing; render_stp and render_pmp check their example, build_inference_prompt
-its request, and mix renders records read_multiway checked. Each direction's
-fixed template pieces are made once and kept in a memo on the registry
-(Registry._templates), which the registry's languages bound. read_prompted
+its request, and mix renders records read_multiway checked. Their texts have
+a UTF-8 form: registry.parse_json_lines, behind every file reader, refuses a
+lone surrogate escape. Each direction's fixed template pieces are made once
+and kept in a memo on the registry (Registry._templates), which the
+registry's languages bound. read_prompted
 alone checks a PromptedExample (span inside the text's UTF-8 bytes, aux_lang
 set exactly for PMP), which every renderer here meets by construction.
 """
@@ -87,19 +89,15 @@ def _spanned(prefix: str, target: str) -> tuple[str, int, int]:
     return text, start, len(text.encode("utf-8"))
 
 
-def _template(names: dict, src_lang: str, tgt_lang: str, *aux_lang: str) -> tuple[str, str, str, int | None]:
+def _template(names: dict, src_lang: str, tgt_lang: str, *aux_lang: str) -> tuple[str, str, str, int]:
     """(head, aux piece, tail, their UTF-8 bytes together) of one direction's
     prompt, which reads head + src + aux piece + aux text + tail + tgt. The
-    aux piece is "" for STP, which passes no aux_lang. The byte count is None
-    when a language name has no UTF-8 form."""
+    aux piece is "" for STP, which passes no aux_lang."""
     src_name, tgt_name = names[src_lang].name, names[tgt_lang].name
     head = f"Translate the following text from {src_name} to {tgt_name}.\n{src_name}: "
     aux = f"\n{names[aux_lang[0]].name}: " if aux_lang else ""
     tail = f"\n{tgt_name}: "
-    try:
-        return head, aux, tail, len(f"{head}{aux}{tail}".encode("utf-8"))
-    except UnicodeEncodeError:
-        return head, aux, tail, None
+    return head, aux, tail, len(f"{head}{aux}{tail}".encode("utf-8"))
 
 
 def render_translation(
@@ -134,17 +132,8 @@ def render_translation(
         text = f"{head}{src}{aux}{aux_text}{tail}{tgt}"
     else:
         text = f"{head}{src}{tail}{tgt}"
-    try:
-        if fixed is None:  # a language name has no UTF-8 form, so this raises
-            fixed = len(f"{head}{aux}{tail}".encode("utf-8"))
-        start = fixed + len(src.encode("utf-8")) + (len(aux_text.encode("utf-8")) if aux else 0)
-        end = start + len(tgt.encode("utf-8"))
-    except UnicodeEncodeError:
-        # A name or sentence with no UTF-8 form. Encoding it alone would name
-        # its own position, so the prompt's prefix and text are encoded whole,
-        # as the spans were always counted, and the error names the position
-        # in the prompt.
-        _, start, end = _spanned(text[: len(text) - len(tgt)], tgt)
+    start = fixed + len(src.encode("utf-8")) + (len(aux_text.encode("utf-8")) if aux else 0)
+    end = start + len(tgt.encode("utf-8"))
     return PromptedExample(text, start, end, fmt, src_lang, tgt_lang, aux_lang, prompt_id)
 
 

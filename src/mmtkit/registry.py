@@ -15,6 +15,7 @@ import os
 import re
 import stat
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
@@ -89,17 +90,22 @@ class Language(Frozen):
 
 
 class Registry(Frozen):
-    """Immutable after load. _templates, the memo of prompts.render_translation
-    (each direction's fixed prompt pieces, at most one entry per source,
-    target and auxiliary of the registry's languages), is no field: it does
-    not count in == or repr, and a copy or unpickled registry starts with an
-    empty one."""
+    """Immutable after load: languages and auxiliaries are read-only views
+    (types.MappingProxyType) over copies of the dicts passed in, so a registry
+    is not hashable. _templates, the memo of prompts.render_translation (each
+    direction's fixed prompt pieces, at most one entry per source, target and
+    auxiliary of the registry's languages), is no field: it does not count in
+    == or repr, and a copy or unpickled registry starts with an empty one."""
 
     __match_args__ = ("languages", "auxiliaries")
     __slots__ = (*__match_args__, "_templates")
 
     def __init__(self, languages: dict[str, Language], auxiliaries: dict[str, str] | None = None):
-        self._set(languages=languages, auxiliaries={} if auxiliaries is None else auxiliaries, _templates={})
+        self._set(languages=MappingProxyType(dict(languages)), auxiliaries=MappingProxyType(dict(auxiliaries or ())),
+                  _templates={})
+
+    def __reduce__(self):  # a mappingproxy neither copies nor pickles
+        return Registry, (dict(self.languages), dict(self.auxiliaries))
 
     def __contains__(self, code: str) -> bool:
         return code in self.languages
@@ -156,14 +162,24 @@ def direction_error(src: str, tgt: str) -> str | None:
     return None
 
 
-# Decodes one JSON value at the start of a string and says where it ended.
-_raw_decode = json.JSONDecoder().raw_decode
-# The C scanner raw_decode calls: (value, end) of the JSON value at an index,
+# The C scanner json.loads calls: (value, end) of the JSON value at an index,
 # raising JSONDecodeError, or StopIteration when no value starts there.
 _scan_once = json.JSONDecoder().scan_once
 # The whitespace JSON allows around a value (RFC 8259); str.strip() with no
 # argument would also strip what json.loads refuses, such as U+00A0 and U+3000.
 _JSON_WHITESPACE = " \t\n\r"
+# A \u escape of a surrogate (D800-DFFF), maybe not at an escape's start; and,
+# with escaped backslashes made spaces (each backslash left starts an escape),
+# a high surrogate escape no low one follows, or a low one no high one precedes.
+_SURROGATE = re.compile(r"\\u[dD][89a-fA-F]")
+_HIGH = r"\\u[dD][89abAB][0-9a-fA-F]{2}"
+_LONE_SURROGATE = re.compile(rf"{_HIGH}(?!\\u[dD][c-fC-F])|(?<!{_HIGH})\\u[dD][c-fC-F]")
+
+
+def has_lone_surrogate_escape(line: str) -> bool:
+    """Whether a line json decoded holds a \\u escape of a lone surrogate.
+    Callers first test it for a backslash, which most lines lack."""
+    return bool(_SURROGATE.search(line) and _LONE_SURROGATE.search(line.replace("\\\\", "  ")))
 
 
 def parse_json_lines(
@@ -173,40 +189,31 @@ def parse_json_lines(
     blank line holds only JSON whitespace (space, tab, LF, CR). A
     RecordParseError raised for a line, by the parse or by convert, leaves
     here with path and the 1-based line number set on it. A stream that is
-    not valid UTF-8 raises at its first undecodable line.
+    not valid UTF-8 raises at its first undecodable line; a line with a \\u
+    escape of a lone surrogate, text with no UTF-8 form, before convert.
 
     A line that starts with "{" is decoded in place by the C scanner, with
     no stripped copy; if the object is not all of the line but JSON
-    whitespace, or does not decode, the line takes the general path below,
-    which gives the same objects and errors for every line."""
+    whitespace, or does not decode, json.loads decodes the stripped line,
+    which gives the same objects, and the error messages, for every line."""
     try:
         for line_no, raw in enumerate(stream, start=1):
-            if raw[:1] == "{":
-                try:
-                    obj, end = _scan_once(raw, 0)
-                except (json.JSONDecodeError, StopIteration):
-                    pass
-                else:
-                    if not raw[end:].strip(_JSON_WHITESPACE):
-                        yield convert(obj)
-                        continue
-            line = raw.strip(_JSON_WHITESPACE)
-            if not line:
-                continue
-            # A stripped line holds no JSON whitespace at either end, so a value
-            # that spans all of it is exactly what json.loads accepts. Anything
-            # else goes through json.loads for its error message.
             try:
-                obj, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
+                obj, end = _scan_once(raw, 0) if raw[:1] == "{" else (None, 0)
+            except (json.JSONDecodeError, StopIteration):
+                obj = None
+            if obj is None or raw[end:].strip(_JSON_WHITESPACE):
+                line = raw.strip(_JSON_WHITESPACE)
+                if not line:
+                    continue
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise RecordParseError(f"invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise RecordParseError("expected a JSON object")
+                if not isinstance(obj, dict):
+                    raise RecordParseError("expected a JSON object")
+            if "\\" in raw and has_lone_surrogate_escape(raw):
+                raise RecordParseError("text with no UTF-8 form (a lone surrogate escape)")
             yield convert(obj)
     except RecordParseError as e:
         if e.line_no is None:

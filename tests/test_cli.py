@@ -1809,112 +1809,173 @@ def test_non_utf8_line_past_the_first_read_chunk_names_file_and_line(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["expand", "synth", "filter", "diagnose"])
-def test_lone_surrogate_exits_1(tmp_path, scripts_dir, command):
-    # "\ud800" is valid JSON but has no UTF-8 form, so writing or hashing it must fail cleanly.
+def _jsonl_with(path, rows):
+    """Write rows with json.dumps's default ensure_ascii=True, so a lone
+    surrogate in a row becomes a \\u escape, the one way one enters a file."""
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+def _pair(i, src=None):
+    return {"id": f"r{i:04d}#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": src or f"source words {i}",
+            "tgt": f"mots cibles {i}"}
+
+
+def _lone_surrogate_case(tmp, scripts_dir, data_dir, case):
+    """(argv without --out, path, line) of one stage run whose input file at
+    path holds a lone surrogate escape at that line."""
+    bad = "hi \ud800 there"
+    backend = f"{sys.executable} {scripts_dir / 'toy_backend.py'}"
+    records = [{"id": f"r{i:04d}", "sentences": {"en": f"en sentence {i}", "fr": f"fr phrase {i}"}} for i in range(300)]
+    corpus = _jsonl_with(tmp / "c.mwjsonl", records)
+    pairs = _jsonl_with(tmp / "p.djsonl", [_pair(i) for i in range(40)])
+
+    def with_bad(name, rows, line, bad_row):
+        rows = list(rows)
+        rows.insert(line - 1, bad_row)
+        return _jsonl_with(tmp / name, rows)
+
+    def bad_record(line):
+        return with_bad("bad.mwjsonl", records, line, {"id": "rx", "sentences": {"en": bad, "fr": "salut"}})
+
+    def bad_pairs(line, src=bad, tgt="mots"):
+        return with_bad("bad.djsonl", [_pair(i) for i in range(40)], line, {**_pair(99, src), "tgt": tgt})
+
+    def bad_sidecar(ids, line):
+        rows = [{"id": i, "qe_score": 0.5} for i in ids]
+        return with_bad("bad.sjsonl", rows, line, {"id": "r0999#en2fr", "qe_score": 0.5, "note": bad})
+
+    pair_ids = [_pair(i)["id"] for i in range(40)]
+    mix_ids = [f"r{i:04d}#{d}" for i in range(300) for d in ("en2fr", "fr2en")]
+    langs = [{"code": c, "name": n, "script": "Latn", "family": "f", "tier": "High"}
+             for c, n in (("en", "English"), ("zh", "Chinese"), ("fr", "French"))]
+    if case == "expand":
+        path = bad_record(301)  # past the first 8 KB read chunk
+        return ("expand", "--in", path), path, 301
+    if case == "downsample":
+        path = bad_pairs(7)
+        return ("downsample", "--in", path), path, 7
+    if case == "filter":
+        path = bad_pairs(41)
+        return ("filter", "--in", path), path, 41
+    if case == "filter-rejected":
+        # SrcTgtDistinct rejects this pair, so no stage would ever write it.
+        path = bad_pairs(3, src=bad, tgt=bad)
+        return ("filter", "--in", path), path, 3
+    if case == "filter-scores":
+        path = bad_sidecar(pair_ids, 41)
+        return ("filter", "--in", pairs, "--scores", path), path, 41
+    if case == "diagnose":
+        path = bad_pairs(1)
+        return ("diagnose", "--in", path), path, 1
+    if case == "mix":
+        path = bad_record(150)
+        return ("mix", "--in", path, "--per-direction-min", "0"), path, 150
+    if case == "mix-capped":
+        # Every candidate is capped out, so no prompt would ever hold the text.
+        path = bad_record(2)
+        return ("mix", "--in", path, "--per-direction-min", "0", "--per-direction-max", "0"), path, 2
+    if case == "mix-scores":
+        path = bad_sidecar(mix_ids, 601)
+        return ("mix", "--in", corpus, "--scores", path, "--per-direction-min", "0"), path, 601
+    if case == "score":
+        path = bad_pairs(20)
+        return ("score", "--in", path, "--scorer-cmd", f"{sys.executable} {scripts_dir / 'toy_scorer.py'}"), path, 20
+    if case == "synth":
+        path = with_bad("mono.jsonl", [{"id": f"m{i}", "text": f"line {i}"} for i in range(5)], 4, {"id": "mx", "text": bad})
+        return ("synth", "--mode", "direct", "--direction", "en2fr", "--backend-cmd", backend, "--in", path), path, 4
+    if case == "synth-pivot":
+        path = bad_pairs(2)
+        return ("synth", "--mode", "pivot", "--backend-cmd", backend, "--in", path), path, 2
+    if case == "infer-prompt":
+        reqs = [{"id": f"q{i}", "src_lang": "en", "tgt_lang": "bg", "src": "water", "aux": "вода"} for i in range(3)]
+        path = with_bad("reqs.jsonl", reqs, 3, {**reqs[0], "id": "qx", "aux": "в\ud800ода"})
+        return ("infer-prompt", "--strategy", "pmp-o", "--in", path), path, 3
+    if case == "eval":
+        with open(data_dir / "comet_bleu_records.jsonl", encoding="utf-8") as f:
+            rows = [json.loads(line) for line in f]
+        path = with_bad("eval.jsonl", rows, 500, {**rows[0], "model": "LMT\udc00"})
+        return ("eval", "--records", path), path, 500
+    if case == "registry":
+        path = with_bad("langs.jsonl", langs[:2], 3, {**langs[2], "name": "Fr\ud800ench"})
+        return ("expand", "--registry", path, "--in", corpus), path, 3
+    if case == "auxiliaries":
+        registry = _jsonl_with(tmp / "langs.jsonl", langs)
+        path = _jsonl_with(tmp / "aux.jsonl", [{"lang": "fr\ud800", "aux": "en"}])
+        return ("expand", "--registry", registry, "--auxiliaries", path, "--in", corpus), path, 1
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["expand", "downsample", "filter", "filter-rejected", "filter-scores", "diagnose", "mix", "mix-capped",
+     "mix-scores", "score", "synth", "synth-pivot", "infer-prompt", "eval", "registry", "auxiliaries"],
+)
+def test_lone_surrogate_exits_1(tmp_path, scripts_dir, data_dir, case):
+    # "\ud800" is valid JSON with no UTF-8 form. Every reader refuses the
+    # line at path:line N, before any output, whether or not a stage would
+    # ever have written or hashed the text.
+    args, path, line = _lone_surrogate_case(tmp_path, scripts_dir, data_dir, case)
+    before = sorted(os.listdir(tmp_path))
     out = tmp_path / "o"
-    if command == "expand":
-        inp = tmp_path / "c.mwjsonl"
-        inp.write_text('{"id": "a", "sentences": {"en": "hi \\ud800 there", "zh": "ni hao"}}\n', encoding="utf-8")
-        args = ("expand", "--in", str(inp))
-    elif command in ("filter", "diagnose"):
-        inp = tmp_path / "p.djsonl"
-        inp.write_text(
-            '{"id": "a#en2zh", "src_lang": "en", "tgt_lang": "zh", "src": "hi \\ud800 there", "tgt": "ni hao"}\n',
-            encoding="utf-8",
-        )
-        args = (command, "--in", str(inp))
-    else:
-        inp = tmp_path / "mono.jsonl"
-        inp.write_text('{"id": "m0", "text": "hi \\ud800 there"}\n', encoding="utf-8")
-        args = (
-            "synth", "--mode", "direct", "--direction", "en2fr", "--in", str(inp),
-            "--backend-cmd", f"{sys.executable} {scripts_dir / 'toy_backend.py'}",
-        )
     proc = run_cli(*args, "--out", str(out), expect=1)
-    assert last_error(proc)["error"] == "UnicodeEncodeError"
-    assert "surrogates not allowed" in last_error(proc)["message"]
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    message = f"{path}:line {line}: text with no UTF-8 form (a lone surrogate escape)"
+    assert proc.stderr.splitlines() == [json.dumps({"error": "RecordParseError", "message": message})]
+    assert proc.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
-def _surrogate_corpus(path, n, langs, bad):
-    """n records over langs; record bad's id ends in a lone surrogate."""
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(n):
-            rec_id = f"r{i:04d}" + ("\ud800" if i == bad else "")
-            f.write(json.dumps({"id": rec_id, "sentences": {l: f"{l} s{i}" for l in langs}}) + "\n")
-    return path
-
-
-def _surrogate_error(position):
-    return {"error": "UnicodeEncodeError",
-            "message": f"'utf-8' codec can't encode character '\\ud800' in position {position}: surrogates not allowed"}
-
-
-def test_mix_lone_surrogate_id_fails_at_its_retention_coin(tmp_path):
-    # en->fr has no auxiliary, so its prompts need no coin; fr->en's retention
-    # coin is flipped for every selected example, and fails at the key
-    # "r0003\ud800#fr2en", whose surrogate is at position 5.
-    corpus = _surrogate_corpus(tmp_path / "c.mwjsonl", 20, ("en", "fr"), bad=3)
-    out = tmp_path / "m.pjsonl"
-    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
-    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(5))]
-    assert not out.exists()
-
-
-def test_scored_mix_lone_surrogate_id_fails_where_each_coin_alone_fails(tmp_path):
-    # en->ru (no auxiliary, no coin) writes the bad record's prompt last, as
-    # the second line of a write batch; the sidecar keeps the record out of
-    # every reverse direction. en->bg (auxiliary ru) would flip a format coin
-    # for it last in id order, but its first 62 prompts fill that batch, whose
-    # write fails first, at position 448. Batched coins must fail no earlier.
-    langs = ("en", "bg", "ru")
-    corpus = _surrogate_corpus(tmp_path / "c.mwjsonl", 100, langs, bad=91)
-    sidecar = tmp_path / "s.jsonl"
-    with open(corpus, encoding="utf-8") as f, open(sidecar, "w", encoding="utf-8") as out:
-        for line in f:
-            rec_id = json.loads(line)["id"]
-            for x in ("bg", "ru"):
-                for src, tgt in (("en", x), (x, "en")):
-                    score = (0.0 if tgt == "en" else 1.0) if rec_id.endswith("\ud800") else 0.5
-                    out.write(json.dumps({"id": f"{rec_id}#{src}2{tgt}", "qe_score": score}) + "\n")
-    out = tmp_path / "m.pjsonl"
-    proc = run_cli(
-        "mix", "--in", str(corpus), "--scores", str(sidecar), "--out", str(out),
-        "--per-direction-min", "0", "--per-direction-max", "66", "--reverse-retention", "0", expect=1,
+def test_escaped_text_with_a_utf8_form_writes_the_bytes_of_its_literal_spelling(tmp_path):
+    # A surrogate pair, Hangul and an escaped backslash before "ud800", each
+    # spelled with ASCII escapes (ensure_ascii=True) or literally: expand,
+    # filter and mix read the same text either way and write the same bytes.
+    text = "hi \U0001f600 \ud55c \\ud800"
+    records = [{"id": f"r{i}", "sentences": {"en": f"{text} {i}", "fr": f"fr {i}", "bg": f"{text} bg {i}"}}
+               for i in range(6)]
+    outputs = {}
+    for ascii_only in (True, False):
+        tag = "a" if ascii_only else "u"
+        corpus = tmp_path / f"c{tag}.mwjsonl"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in records), encoding="utf-8")
+        pairs = tmp_path / f"p{tag}.djsonl"
+        pairs.write_text("".join(json.dumps(_pair(i, f"{text} {i}"), ensure_ascii=ascii_only) + "\n" for i in range(6)),
+                         encoding="utf-8")
+        runs = {
+            "expand": ("expand", "--in", str(corpus)),
+            "filter": ("filter", "--in", str(pairs)),
+            "mix": ("mix", "--in", str(corpus), "--per-direction-min", "0", "--reverse-retention", "1"),
+        }
+        for stage, args in runs.items():
+            out = tmp_path / f"{stage}.{tag}"
+            proc = run_cli(*args, "--out", str(out))
+            outputs.setdefault(stage, []).append((out.read_bytes(), proc.stdout, proc.stderr))
+    for stage, (escaped, literal) in outputs.items():
+        assert escaped == literal, stage
+    assert outputs["expand"][0][0].decode("utf-8").splitlines()[0] == json_line(
+        {"id": "r0#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": f"{text} 0", "tgt": "fr 0", "provenance": "human"}
     )
-    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(448))]
-    assert not out.exists()
+    kept = [json.loads(line)["src"] for line in outputs["filter"][0][0].decode("utf-8").splitlines()]
+    assert kept == [f"{text} {i}" for i in range(6)]
+    assert any(text in json.loads(line)["text"] for line in outputs["mix"][0][0].decode("utf-8").splitlines())
 
 
-@pytest.mark.parametrize("lang, position", [("en", 68), ("bg", 95), ("ru", 91)])
-def test_mix_lone_surrogate_sentence_names_its_position_in_the_prompt(tmp_path, lang, position):
-    # Record r2's sentence in lang holds a lone surrogate. The first prompt
-    # that holds the sentence fails, naming the surrogate's position in the
-    # whole prompt (the sentence alone would put it at 5).
-    corpus = tmp_path / "c.mwjsonl"
-    with open(corpus, "w", encoding="utf-8") as f:
-        for i in range(5):
-            sentences = {l: f"{l} sentence {i}" for l in ("en", "bg", "ru")}
-            if i == 2:
-                sentences[lang] = f"{lang} se\ud800ntence"
-            f.write(json.dumps({"id": f"r{i}", "sentences": sentences}) + "\n")
-    out = tmp_path / "m.pjsonl"
-    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
-    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(position))]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("field, position", [("src", 67), ("aux", 82)])
-def test_infer_prompt_lone_surrogate_names_its_position_in_the_prompt(tmp_path, field, position):
-    request = {"id": "q", "src_lang": "en", "tgt_lang": "bg", "src": "water", "aux": "вода"}
-    request[field] = request[field][:2] + "\ud800" + request[field][2:]
-    reqs = tmp_path / "reqs.jsonl"
-    reqs.write_text(json.dumps(request) + "\n", encoding="utf-8")
-    out = tmp_path / "p.pjsonl"
-    proc = run_cli("infer-prompt", "--strategy", "pmp-o", "--in", str(reqs), "--out", str(out), expect=1)
-    assert proc.stderr.splitlines() == [json.dumps(_surrogate_error(position))]
+def test_synth_backend_answering_a_lone_surrogate_escape_exits_1(tmp_path):
+    # The backend answers every request with a \ud800 escape in its text,
+    # which the client refuses as it would in a file.
+    backend = tmp_path / "backend.py"
+    backend.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'id': json.loads(line)['id'], 'text': 'x\\ud800'}), flush=True)\n",
+        encoding="utf-8",
+    )
+    mono = _jsonl_with(tmp_path / "mono.jsonl", [{"id": f"m{i}", "text": f"line {i}"} for i in range(3)])
+    out = tmp_path / "o"
+    cmd = f"{sys.executable} {backend}"
+    proc = run_cli("synth", "--mode", "direct", "--direction", "en2fr", "--backend-cmd", cmd, "--in", mono,
+                   "--out", str(out), expect=1)
+    message = f"backend {cmd!r} wrote a lone surrogate escape: " + repr(b'{"id": "m0", "text": "x\\ud800"}')
+    assert proc.stderr.splitlines() == [json.dumps({"error": "BackendError", "message": message})]
     assert not out.exists()
 
 
@@ -2227,7 +2288,8 @@ def test_filter_lone_surrogate_in_a_later_batch_exits_1(tmp_path):
         lines.append(f'{{"id": "r{i}#en2fr", "src_lang": "en", "tgt_lang": "fr", "src": "{src}", "tgt": "mots {i}"}}\n')
     inp.write_text("".join(lines), encoding="utf-8")
     proc = run_cli("filter", "--in", str(inp), "--out", str(out), expect=1)
-    assert last_error(proc)["error"] == "UnicodeEncodeError"
+    assert last_error(proc) == {"error": "RecordParseError",
+                                "message": f"{inp}:line 70: text with no UTF-8 form (a lone surrogate escape)"}
     assert "Traceback" not in proc.stderr
     assert not out.exists()
     assert os.listdir(tmp_path) == ["p.djsonl"]

@@ -348,24 +348,26 @@ def test_template_memo_is_no_field_of_the_registry():
         used._templates = {}
 
 
-# A lone surrogate has no UTF-8 form. The error names its position in the
-# prompt (not in the sentence, which is 1 or 2), as the whole prompt's
-# encoding always named it.
+# A lone surrogate has no UTF-8 form. No file reader lets one through, so a
+# renderer meets one only from a library caller: the error names the sentence
+# it is in, encoded alone, on the template memo's first use and later ones.
 @pytest.mark.parametrize(
-    "render, position",
+    "render, sentence",
     [
-        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "a\ud800b", "c"), r), 63),
-        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "ab", "c\ud800"), r), 74),
-        (lambda r, D: render_pmp(D("x#en2bg", "en", "bg", "a", "b"), "c\ud800", "ru", r), 77),
+        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "a\ud800b", "c"), r), "a\ud800b"),
+        (lambda r, D: render_stp(D("x#en2fr", "en", "fr", "ab", "c\ud800"), r), "c\ud800"),
+        (lambda r, D: render_pmp(D("x#en2bg", "en", "bg", "a", "b"), "c\ud800", "ru", r), "c\ud800"),
     ],
     ids=["stp-src", "stp-tgt", "pmp-aux"],
 )
-def test_lone_surrogate_error_names_its_position_in_the_prompt(registry, render, position):
+def test_lone_surrogate_error_names_its_sentence(registry, render, sentence):
     from mmtkit.records import DirectionalExample
 
-    with pytest.raises(UnicodeEncodeError) as exc:
-        render(registry, DirectionalExample)
-    assert str(exc.value) == f"'utf-8' codec can't encode character '\\ud800' in position {position}: surrogates not allowed"
+    for _ in range(2):
+        with pytest.raises(UnicodeEncodeError) as exc:
+            render(registry, DirectionalExample)
+        assert exc.value.object == sentence
+        assert exc.value.reason == "surrogates not allowed"
 
 
 @pytest.mark.parametrize("where", ["src", "aux", "tgt", "xx", "yy", "en"])
@@ -387,4 +389,4 @@ def test_text_with_no_utf8_form_raises_the_reference_error(where):
     for _ in range(2):  # the memo's first and later uses
         with pytest.raises(UnicodeEncodeError) as exc:
             render_translation(*args)
-        assert str(exc.value) == str(expected.value)
+        assert exc.value.reason == expected.value.reason

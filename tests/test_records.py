@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -581,10 +582,28 @@ def test_parse_json_lines_accepts_what_json_loads_accepts(pad):
         assert list(parse_json_lines([line + "\n"])) == [expected]
 
 
+def _utf8_encodable(value):
+    """Whether every string in a decoded JSON value, keys included, has a UTF-8 form."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if isinstance(value, dict):
+        return all(_utf8_encodable(k) and _utf8_encodable(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_utf8_encodable(v) for v in value)
+    return True
+
+
 def _reference_parse_json_lines(stream, path=None):
     """parse_json_lines as it read every line before a line starting with "{"
     was decoded in place: strip JSON whitespace, raw_decode, and json.loads
-    for the error message of a line that is not one value."""
+    for the error message of a line that is not one value. An object is
+    refused if, decoded again with the line's raw surrogate characters
+    replaced by U+FFFD (a file read as UTF-8 holds none), a string of it
+    still has no UTF-8 form: a \\u escape gave it a lone surrogate."""
     raw_decode = json.JSONDecoder().raw_decode
     try:
         for line_no, raw in enumerate(stream, start=1):
@@ -602,6 +621,8 @@ def _reference_parse_json_lines(stream, path=None):
                     raise RecordParseError(f"invalid JSON ({e.msg})") from None
             if not isinstance(obj, dict):
                 raise RecordParseError("expected a JSON object")
+            if not _utf8_encodable(json.loads(re.sub("[\ud800-\udfff]", "\ufffd", line))):
+                raise RecordParseError("text with no UTF-8 form (a lone surrogate escape)")
             yield obj
     except RecordParseError as e:
         if e.line_no is None:
@@ -649,6 +670,14 @@ _lines = st.builds(
 @example(lines=['{"a": 1}\r\n', '{"a":\n'])
 @example(lines=['{"a": 1}\u00a0\n'])
 @example(lines=['{"a": 1} \t\r\n', "\r\n", '{"b": [2]}'])
+# A surrogate pair, Hangul and an escaped backslash pass, and so does a raw
+# surrogate; a lone surrogate escape, in a value or a key, does not, nor do a
+# high and a low one split by an escaped backslash, nor a high one before a raw
+# low surrogate, which json does not join to it.
+@example(lines=['{"a": "\\ud83d\\ude00 \\ud55c \\\\ud800"}\n', '{"a": ["\\ud800"]}\n'])
+@example(lines=['{"\\uDFFF": 1}\n'])
+@example(lines=['{"a": "\\\\\\ud83d\\ude00"}\n', '{"a": "\\ud83d\\\\\\ude00"}\n'])
+@example(lines=['{"a": "\ud800 \\\\udc00"}\n', '{"a": "\\ud83d\ude00"}\n'])
 def test_parse_json_lines_reads_as_the_reference(lines):
     # The last line may lack its line end; blank lines hold padding only.
     assert _parsed(parse_json_lines, lines) == _parsed(_reference_parse_json_lines, lines)

@@ -201,3 +201,22 @@ def test_invalid_utf8_reports_file_and_line(tmp_path, bad_file):
     with pytest.raises(RecordParseError) as exc:
         load_registry(str(langs), str(aux))
     assert str(exc.value) == f"{bad}:line 3: invalid UTF-8"
+
+
+def test_registry_mappings_are_read_only(registry):
+    from mmtkit.registry import Language, Registry
+
+    bg = registry.language("bg")
+    with pytest.raises(TypeError):
+        registry.languages["xx"] = bg
+    with pytest.raises(TypeError):
+        registry.auxiliaries["bg"] = "uk"
+    with pytest.raises(TypeError):
+        hash(registry)
+    assert "xx" not in registry and registry.auxiliary_for("en", "bg") == "ru"
+    # A registry holds copies: the dicts it was built from stay the caller's.
+    languages = {c: registry.language(c) for c in ("en", "zh")}
+    built = Registry(languages)
+    languages["bg"] = bg
+    assert built.codes() == ["en", "zh"] and built == Registry({c: registry.language(c) for c in ("en", "zh")}, {})
+    assert isinstance(built.languages["en"], Language)
