@@ -1925,6 +1925,57 @@ def test_lone_surrogate_exits_1(tmp_path, scripts_dir, data_dir, case):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def _surrogate_error(path, line):
+    message = f"{path}:line {line}: text with no UTF-8 form (a lone surrogate escape)"
+    return json.dumps({"error": "RecordParseError", "message": message})
+
+
+def test_mix_lone_surrogate_id_fails_at_its_retention_coin(tmp_path):
+    # fr->en would flip a retention coin keyed "r0003\ud800#fr2en"; the
+    # reader refuses the record's line before any coin is flipped.
+    corpus = tmp_path / "c.mwjsonl"
+    with open(corpus, "w", encoding="utf-8") as f:
+        for i in range(20):
+            rec_id = f"r{i:04d}" + ("\ud800" if i == 3 else "")
+            f.write(json.dumps({"id": rec_id, "sentences": {l: f"{l} s{i}" for l in ("en", "fr")}}) + "\n")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
+    assert proc.stderr.splitlines() == [_surrogate_error(corpus, 4)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lang, position", [("en", 68), ("bg", 95), ("ru", 91)])
+def test_mix_lone_surrogate_sentence_names_its_position_in_the_prompt(tmp_path, lang, position):
+    # The record at line `position` holds a lone surrogate in its lang
+    # sentence. No prompt is rendered: the error names the record's line.
+    corpus = tmp_path / "c.mwjsonl"
+    with open(corpus, "w", encoding="utf-8") as f:
+        for i in range(1, position + 5):
+            sentences = {l: f"{l} sentence {i}" for l in ("en", "bg", "ru")}
+            if i == position:
+                sentences[lang] = f"{lang} se\ud800ntence"
+            f.write(json.dumps({"id": f"r{i}", "sentences": sentences}) + "\n")
+    out = tmp_path / "m.pjsonl"
+    proc = run_cli("mix", "--in", str(corpus), "--out", str(out), "--per-direction-min", "0", expect=1)
+    assert proc.stderr.splitlines() == [_surrogate_error(corpus, position)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, position", [("src", 67), ("aux", 82)])
+def test_infer_prompt_lone_surrogate_names_its_position_in_the_prompt(tmp_path, field, position):
+    # The request at line `position` holds a lone surrogate in field. No
+    # prompt is rendered: the error names the request's line.
+    requests = [{"id": f"q{i}", "src_lang": "en", "tgt_lang": "bg", "src": "water", "aux": "вода"}
+                for i in range(1, position + 5)]
+    bad = requests[position - 1]
+    bad[field] = bad[field][:2] + "\ud800" + bad[field][2:]
+    reqs = _jsonl_with(tmp_path / "reqs.jsonl", requests)
+    out = tmp_path / "p.pjsonl"
+    proc = run_cli("infer-prompt", "--strategy", "pmp-o", "--in", reqs, "--out", str(out), expect=1)
+    assert proc.stderr.splitlines() == [_surrogate_error(reqs, position)]
+    assert not out.exists()
+
+
 def test_escaped_text_with_a_utf8_form_writes_the_bytes_of_its_literal_spelling(tmp_path):
     # A surrogate pair, Hangul and an escaped backslash before "ud800", each
     # spelled with ASCII escapes (ensure_ascii=True) or literally: expand,
