@@ -147,8 +147,8 @@ def cmd_validate(args) -> None:
 
 
 def cmd_expand(args) -> dict:
-    from .directions import enumerate_directions, expand
-    from .records import read_multiway, write_jsonl
+    from .directions import enumerate_directions, expand_lines
+    from .records import read_multiway, write_lines
 
     n_records = 0
     with _open_out(args) as fout:
@@ -160,9 +160,9 @@ def cmd_expand(args) -> dict:
                 nonlocal n_records
                 for record in read_multiway(fin, registry, path=args.infile):
                     n_records += 1
-                    yield from expand(record, dirset)
+                    yield from expand_lines(record, dirset)
 
-            n_examples = write_jsonl(expanded(), fout)
+            n_examples = write_lines(expanded(), fout)
     return {"records": n_records, "examples": n_examples}
 
 

@@ -7,8 +7,9 @@ yields (n-1) + (n-2) pairs and twice as many directions.
 from __future__ import annotations
 
 from functools import total_ordering
+from json.encoder import encode_basestring
 
-from .records import DirectionalExample, MultiWayRecord, Provenance
+from .records import DirectionalExample, MultiWayRecord, Provenance, example_line
 from .registry import CENTERS, Frozen, Registry, direction_error
 
 
@@ -99,3 +100,22 @@ def expand(record: MultiWayRecord, dirset: DirectionSet) -> list[DirectionalExam
         DirectionalExample(f"{record_id}{d.id_tag}", d.src, d.tgt, sentences[d.src], sentences[d.tgt], Provenance.HUMAN)
         for d in covered(record, dirset)
     ]
+
+
+_HUMAN = encode_basestring(Provenance.HUMAN)
+
+
+def expand_lines(record: MultiWayRecord, dirset: DirectionSet) -> list[str]:
+    """[e.to_line() for e in expand(record, dirset)], with the record's id and
+    each of its sentences quoted once, not once per direction that reads it.
+    A tag (#en2fr) and a code ([a-z_]+) hold nothing to escape, so an example
+    id quoted is the record id quoted with the tag before its closing quote."""
+    q = encode_basestring
+    open_id = q(record.id)[:-1]
+    quoted = {lang: (f'"{lang}"', q(text)) for lang, text in record.sentences.items()}
+    lines = []
+    for d in covered(record, dirset):
+        src_lang, src = quoted[d.src]
+        tgt_lang, tgt = quoted[d.tgt]
+        lines.append(example_line(f'{open_id}{d.id_tag}"', src_lang, tgt_lang, src, tgt, _HUMAN))
+    return lines

@@ -3,8 +3,8 @@
 Forward examples (En/Zh -> X) are always kept. A reverse example survives iff
 its hash coordinate u(e) = fnv1a64("{seed}:{id}") / 2^64 falls below the
 retention probability. Retention is a pure function of (seed, id), so the
-kept set is identical across runs, shard orders, and worker counts, and is
-monotone in p: raising p only ever adds examples.
+kept set is identical across runs and shard orders, and is monotone in p:
+raising p only ever adds examples.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .hashing import DEFAULT_SEED, unit_uniform, unit_uniforms
-from .records import DirectionalExample
+from .records import DirectionalExample, slices
 from .registry import CENTERS, Frozen, Value
 
 
@@ -37,6 +37,12 @@ def classify(example: DirectionalExample) -> SampleClass:
 def retained(policy: RetentionPolicy, example_id: str) -> bool:
     """Retention decision for a reverse example, by id alone."""
     return unit_uniform(policy.seed, example_id) < policy.p_reverse
+
+
+# Examples downsample reads per retained_each batch, and coin keys mix takes
+# per batch: at 256 keys a batched coin costs about a third of a scalar one,
+# and a slice of examples stays a few hundred KB.
+SLICE = 256
 
 
 def retained_each(policy: RetentionPolicy, example_ids: list[str]) -> list[bool]:
@@ -64,12 +70,16 @@ def downsample(
     policy: RetentionPolicy,
     stats: DownsampleStats | None = None,
 ) -> Iterator[DirectionalExample]:
-    """Yield retained examples in input order. stats, when given, is complete
-    only after the iterator is exhausted."""
-    for ex in examples:
-        cls = classify(ex)
-        keep = cls is SampleClass.FORWARD or retained(policy, ex.id)
+    """Yield retained examples in input order. The examples are read SLICE at
+    a time, and each slice's reverse coins flipped in one retained_each call.
+    stats, when given, is complete only after the iterator is exhausted."""
+    for part in slices(examples, SLICE):
+        coins = retained_each(policy, [ex.id for ex in part if ex.tgt_lang in CENTERS])
+        flips = iter(coins)
+        kept = [ex for ex in part if ex.tgt_lang not in CENTERS or next(flips)]
         if stats is not None:
-            (stats.retained if keep else stats.dropped)[cls] += 1
-        if keep:
-            yield ex
+            n_kept = sum(coins)
+            stats.retained[SampleClass.FORWARD] += len(part) - len(coins)
+            stats.retained[SampleClass.REVERSE] += n_kept
+            stats.dropped[SampleClass.REVERSE] += len(coins) - n_kept
+        yield from kept

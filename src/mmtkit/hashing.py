@@ -2,8 +2,8 @@
 
 All sampling decisions in the toolkit are pure functions of (seed, key) built
 on FNV-1a 64-bit. That makes every probabilistic stage reproducible bit for
-bit across runs, platforms, shard orders, and worker counts: there is no
-sequential RNG state to share or synchronize.
+bit across runs, platforms and shard orders: there is no sequential RNG
+state to share or synchronize.
 
 Coins may be flipped one at a time (unit_uniform) or in batches
 (unit_uniforms), which hashes many keys at once as lanes of one integer; a

@@ -7,11 +7,13 @@ order otherwise), then, for reverse directions only, apply the hash-threshold
 retention used by the downsampler, then assign each surviving example a
 format. The format coin uses a "fmt:"-prefixed hash key so it is independent
 of the retention coin for the same id. Each direction's retention coins, and
-then its format coins, are hashed in one batch (hashing.unit_uniforms), over
-the keys the coins flipped one at a time would hash, in the same order; a
-batched coin equals the scalar one. Auxiliary sentences for PMP come from
-the same multi-way record as the pair itself; examples whose direction has no
-auxiliary, or whose record lacks the auxiliary sentence, fall back to STP.
+then its format coins, are hashed in batches of downsampling.SLICE keys
+(retained_each, hashing.unit_uniforms), over the keys the coins flipped one
+at a time would hash, in the same order; a batched coin equals the scalar
+one, and one slice of keys, bytes and coins is held at a time. Auxiliary
+sentences for PMP come from the same multi-way record as the pair itself;
+examples whose direction has no auxiliary, or whose record lacks the
+auxiliary sentence, fall back to STP.
 
 A candidate is a reference to the multi-way record that covers its direction;
 its prompt is rendered, straight from the record's sentences, only if it
@@ -37,12 +39,12 @@ from __future__ import annotations
 from itertools import compress, groupby
 from typing import Iterable, Iterator, Mapping
 
-from .directions import DirectionSet, covered
-from .downsampling import RetentionPolicy, retained_each
+from .directions import Direction, DirectionSet, covered
+from .downsampling import SLICE, RetentionPolicy, retained_each
 from .errors import MissingScore, warn
 from .hashing import DEFAULT_SEED, unit_uniforms
 from .prompts import PromptedExample, PromptFormat, render_translation
-from .records import MultiWayRecord
+from .records import MultiWayRecord, slices
 from .registry import Frozen, Registry, Value
 
 
@@ -168,9 +170,11 @@ def stream_sft_mixture(
                         cut(pool, kept[tag], tag)
 
         policy = RetentionPolicy(p_reverse=spec.reverse_total_retention, seed=spec.seed)
-        for d in dirset.directions:
+
+        def emit(d: Direction, chosen: list[MultiWayRecord]) -> Iterator[PromptedExample]:
+            """The prompts of one direction's pool. Its survivors and coins
+            are locals here, released before the next direction's are made."""
             tag = d.id_tag
-            chosen = pools.pop(tag)
             if scores is not None:
                 cut(chosen, kept.pop(tag), tag)
             rep = report.per_direction[str(d)] = DirectionMixReport(candidates=seen[tag], selected=len(chosen))
@@ -181,7 +185,8 @@ def stream_sft_mixture(
                 )
             survivors = [(f"{r.id}{tag}", r) for r in chosen]
             if d.is_reverse:
-                survivors = list(compress(survivors, retained_each(policy, [ex_id for ex_id, _ in survivors])))
+                survivors = [s for part in slices(survivors, SLICE)
+                             for s in compress(part, retained_each(policy, [ex_id for ex_id, _ in part]))]
                 pmp_share = spec.reverse_pmp_share_of_retained
             else:
                 pmp_share = spec.forward_pmp_share
@@ -189,9 +194,10 @@ def stream_sft_mixture(
             survivors.sort(key=lambda s: s[0])
             aux = registry.auxiliary_for(d.src, d.tgt)
             # The format coin is flipped for each survivor with the aux
-            # sentence, in output order, so these are its keys in that order.
-            fmt_keys = [] if aux is None else [f"fmt:{ex_id}" for ex_id, r in survivors if r.sentences.get(aux)]
-            fmt_coins = iter(unit_uniforms(spec.seed, fmt_keys))
+            # sentence, in output order, so these are its keys in that order,
+            # hashed a slice at a time as the coins are asked for.
+            fmt_keys = () if aux is None else (f"fmt:{ex_id}" for ex_id, r in survivors if r.sentences.get(aux))
+            fmt_coins = (u for part in slices(fmt_keys, SLICE) for u in unit_uniforms(spec.seed, part))
             for ex_id, record in survivors:
                 sentences = record.sentences
                 src, tgt = sentences[d.src], sentences[d.tgt]
@@ -202,6 +208,9 @@ def stream_sft_mixture(
                 else:
                     rep.stp += 1
                     yield render_translation(PromptFormat.STP, ex_id, d.src, d.tgt, src, tgt, registry)
+
+        for d in dirset.directions:
+            yield from emit(d, pools.pop(d.id_tag))
         if report.warnings:
             warn(__name__, f"{len(report.warnings)} of {len(dirset.directions)} directions below "
                            f"per_direction_min={spec.per_direction_min}; first: {report.warnings[0]}")

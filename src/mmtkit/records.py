@@ -36,7 +36,7 @@ from json.encoder import encode_basestring
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import DuplicateRecordId, InvalidScore, RecordParseError
-from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
+from .registry import Registry, T, Value, direction_error, parse_json_lines, required_fields
 
 
 class Provenance(str, Enum):
@@ -81,10 +81,17 @@ class DirectionalExample(Value):
         """json_line(self.to_json()), joined from the quoted fields. The
         provenance member is quoted itself, since its string is its value."""
         q = encode_basestring
-        return (
-            f'{{"id":{q(self.id)},"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},'
-            f'"src":{q(self.src)},"tgt":{q(self.tgt)},"provenance":{q(self.provenance)}}}'
-        )
+        return example_line(q(self.id), q(self.src_lang), q(self.tgt_lang), q(self.src), q(self.tgt), q(self.provenance))
+
+
+def example_line(id: str, src_lang: str, tgt_lang: str, src: str, tgt: str, provenance: str) -> str:
+    """The line of a directional example from its fields, each one already
+    quoted by encode_basestring: the one layout of that line, which to_line
+    and directions.expand_lines both write."""
+    return (
+        f'{{"id":{id},"src_lang":{src_lang},"tgt_lang":{tgt_lang},'
+        f'"src":{src},"tgt":{tgt},"provenance":{provenance}}}'
+    )
 
 
 class ScoredPair(Value):
@@ -205,20 +212,36 @@ def read_examples(stream: Iterable[str], path: str | None = None, validate: bool
     return parse_json_lines(stream, path, example)
 
 
-# Lines write_jsonl joins into one write: enough to save most per-line calls,
+def slices(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """Lists of the next size items, the last one shorter, each taken from
+    items only when the one before it has been used."""
+    items = iter(items)
+    while part := list(islice(items, size)):
+        yield part
+
+
+# Lines write_lines joins into one write: enough to save most per-line calls,
 # few enough that a batch stays a few tens of KB.
 _WRITE_BATCH = 64
 
 
+def write_lines(lines: Iterable[str], stream: IO[str]) -> int:
+    """Write each line and a newline, up to _WRITE_BATCH lines per write;
+    return the count."""
+    n = 0
+    for batch in slices(lines, _WRITE_BATCH):
+        n += len(batch)
+        # An empty last item ends the last line, with no second copy of the
+        # batch, as join(batch) + "\n" would make.
+        batch.append("")
+        stream.write("\n".join(batch))
+    return n
+
+
 def write_jsonl(items: Iterable, stream: IO[str]) -> int:
     """Write each item's to_line(), which equals json_line(item.to_json()),
-    as one line, up to _WRITE_BATCH lines per write; return the count."""
-    lines = (item.to_line() + "\n" for item in items)
-    n = 0
-    while batch := list(islice(lines, _WRITE_BATCH)):
-        stream.write("".join(batch))
-        n += len(batch)
-    return n
+    as one line (write_lines); return the count."""
+    return write_lines((item.to_line() for item in items), stream)
 
 
 def _score_entry(obj: dict, is_new: Callable[[str], bool]) -> tuple[str, float]:

@@ -614,6 +614,69 @@ def test_mix_holds_the_candidate_pool_not_the_output(tmp_path, capsys):
     assert peak < 2500 * n
 
 
+def test_mix_hashes_its_coins_a_slice_at_a_time(tmp_path, capsys):
+    # Short ids and sentences and a cap above the corpus: every record is a
+    # candidate in all six directions, every reverse one flips a retention
+    # coin, and zh<->fr flip a format coin (auxiliary en) too. Hashing a
+    # whole direction's keys at once holds each key, its UTF-8 bytes, its
+    # group index and its coin beside the pool, and the run peaks at about
+    # 1000 B per record; a slice at a time, at about 800 B.
+    n = 10000
+    corpus = tmp_path / "c.mwjsonl"
+    corpus.write_text("".join(
+        json_line({"id": f"{i}", "sentences": {l: f"{i}" for l in ("en", "zh", "fr")}}) + "\n" for i in range(n)
+    ), encoding="utf-8")
+    peak = _traced_peak("mix", "--in", str(corpus), "--out", str(tmp_path / "m.pjsonl"), "--per-direction-min", "0",
+                        "--per-direction-max", str(n), "--reverse-retention", "1")
+    assert json.loads(capsys.readouterr().out)["emitted"] == 6 * n
+    assert peak < 900 * n
+
+
+@pytest.mark.parametrize("stage", ["downsample", "diagnose"])
+def test_downsample_peak_does_not_grow_with_the_input(tmp_path, capsys, stage):
+    # Every record has the same twelve sentences, so diagnose counts a few
+    # dozen pairs whatever the length, and the readers' seen ids grow by one
+    # entry per record, about 3 B per example. Holding the input, or a coin
+    # per example, would grow the peak by tens to hundreds of bytes per example.
+    from mmtkit import cli
+
+    langs = ("en", "zh", "fr", "de", "ru", "ar", "ja", "es", "it", "pt", "ko", "bg")
+    sizes = (200, 800)
+    for n in sizes:
+        corpus = tmp_path / f"c{n}.mwjsonl"
+        corpus.write_text("".join(
+            json_line({"id": f"t{i:04d}", "sentences": {l: f"{l} words" for l in langs}}) + "\n" for i in range(n)
+        ), encoding="utf-8")
+        assert cli.main(["expand", "--in", str(corpus), "--out", str(tmp_path / f"e{n}.djsonl")]) == 0
+    examples = [json.loads(line)["examples"] for line in capsys.readouterr().out.splitlines()]
+    assert examples == [42 * n for n in sizes]
+    # A first run imports the stage's modules, which a traced run would count.
+    assert cli.main([stage, "--p", "0.05", "--in", str(tmp_path / "e200.djsonl"), "--out", str(tmp_path / "o")]) == 0
+    peaks = [_traced_peak(stage, "--p", "0.05", "--in", str(tmp_path / f"e{n}.djsonl"), "--out", str(tmp_path / "o"))
+             for n in sizes]
+    assert peaks[1] - peaks[0] < 10 * (examples[1] - examples[0])
+
+
+@pytest.mark.parametrize("stage", ["downsample", "diagnose"])
+def test_a_malformed_line_inside_a_slice_exits_1_at_its_line(tmp_path, stage):
+    # The bad line sits in the middle of downsample's second slice, after the
+    # first slice's kept examples have been written.
+    from mmtkit.downsampling import SLICE
+
+    inp, out = tmp_path / "p.djsonl", tmp_path / "o.out"
+    bad = SLICE + SLICE // 2
+    rows = []
+    for i in range(1, 2 * SLICE + 1):
+        a, b = ("fr", "en") if i % 2 else ("en", "fr")
+        rows.append(json_line({"id": f"r{i}#{a}2{b}", "src_lang": a, "tgt_lang": b, "src": f"{a} {i}", "tgt": f"{b} {i}"}))
+    rows[bad - 1] = '{"id": "r0#fr2en", "src_lang": "fr", "tgt_lang": "en", "src": "fr 0"}'
+    inp.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    proc = run_cli(stage, "--p", "0.5", "--in", str(inp), "--out", str(out), expect=1)
+    assert last_error(proc) == {"error": "RecordParseError", "message": f"{inp}:line {bad}: missing field 'tgt'"}
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["p.djsonl"]
+
+
 def test_scored_mix_holds_no_map_of_an_in_order_sidecar(tmp_path, capsys):
     # 10 candidates per record, so read_score_sidecar's map of the sidecar
     # takes about 1.1 KB per record. Read in step, with a cap of 5 the pools

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmtkit.directions import _COVERED_MEMO, Direction, covered, enumerate_directions, expand
+from conftest import any_text
+
+from mmtkit.directions import _COVERED_MEMO, Direction, covered, enumerate_directions, expand, expand_lines
 from mmtkit.errors import MissingCenter
 from mmtkit.records import MultiWayRecord, Provenance
 from mmtkit.registry import load_registry
@@ -152,3 +154,15 @@ def test_covered_memo_is_no_field_of_the_direction_set(registry):
         assert twin._covered == {}  # rebuilt through __init__
     with pytest.raises(AttributeError):
         dirset._covered = {}
+
+
+@given(
+    record_id=any_text.filter(bool),
+    sentences=st.dictionaries(st.sampled_from(_LANGS), any_text, max_size=len(_LANGS)),
+)
+def test_expand_lines_are_the_examples_lines(dirset, record_id, sentences):
+    # Ids and sentences draw quotes, backslashes, C0 controls, U+2028, lone
+    # surrogates and non-BMP characters; a language set may miss either
+    # center, or both, so a record may cover no direction at all.
+    record = MultiWayRecord(id=record_id, sentences=sentences)
+    assert expand_lines(record, dirset) == [e.to_line() for e in expand(record, dirset)]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmtkit.downsampling import (
+    SLICE,
     DownsampleStats,
     RetentionPolicy,
     SampleClass,
@@ -148,3 +149,26 @@ def test_an_id_that_cannot_be_encoded_raises_every_time(mk_example):
         for _ in range(2):
             with pytest.raises(UnicodeEncodeError):
                 list(downsample(examples, policy))
+
+
+@pytest.mark.parametrize("kind", ["forward", "reverse", "mixed"])
+@pytest.mark.parametrize("n", [0, 1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 7])
+def test_sliced_downsample_keeps_what_retained_keeps(mk_example, kind, n):
+    # Streams that end before, at and after a slice's end, and run over
+    # several slices; a mixed stream draws each example's class.
+    rng = random.Random(n)
+    directions = {"forward": [("en", "fr")], "reverse": [("fr", "en")], "mixed": [("en", "fr"), ("de", "zh")]}[kind]
+    examples = []
+    for i in range(n):
+        src, tgt = rng.choice(directions)
+        examples.append(mk_example(f"r{i}#{src}2{tgt}", src, tgt))
+    policy = RetentionPolicy(0.3, seed=5)
+    stats = DownsampleStats()
+    kept = list(downsample(iter(examples), policy, stats))
+    assert kept == [ex for ex in examples if classify(ex) is SampleClass.FORWARD or retained(policy, ex.id)]
+    expected = DownsampleStats()
+    for ex in examples:
+        cls = classify(ex)
+        keep = cls is SampleClass.FORWARD or retained(policy, ex.id)
+        (expected.retained if keep else expected.dropped)[cls] += 1
+    assert stats == expected
