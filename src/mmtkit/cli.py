@@ -3,7 +3,7 @@
 Subcommands wire the library into file-to-file pipeline stages. Data flows
 through files (or stdout for tables); warnings go to stderr. Each stage returns
 its one-line JSON summary, which main prints to stdout, or to stderr when
---out is stdout itself (None when the stage wrote a table or histogram there
+--out is stdout itself (None when the stage wrote a table or histogram
 itself). Exit codes: 0 success, 1 data error (with a JSON error line on
 stderr, also for an unreadable file, one that is not UTF-8, or a line with
 a lone surrogate escape, refused at path:line N), 2 usage error.
@@ -354,6 +354,9 @@ def cmd_diagnose(args) -> None:
     from .downsampling import RetentionPolicy, downsample
     from .records import read_examples
 
+    # The histogram goes where main sends a summary: to stderr when the
+    # report streams to stdout, so that it never enters the report's stream.
+    histogram_file = sys.stderr if _out_is_stdout(args) else sys.stdout
     with _open_out(args) if args.out else contextlib.nullcontext() as out:
         with open(args.infile, encoding="utf-8") as fin:
             examples = read_examples(fin, path=args.infile)
@@ -363,7 +366,7 @@ def cmd_diagnose(args) -> None:
         if out is not None:
             json.dump(stats.as_dict(), out, ensure_ascii=False, indent=2)
             out.write("\n")
-    sys.stdout.write(render_histogram(stats))
+    histogram_file.write(render_histogram(stats))
 
 
 def build_parser() -> argparse.ArgumentParser:

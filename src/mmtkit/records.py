@@ -333,11 +333,8 @@ def open_score_sidecar(path: str) -> Iterator[dict[str, float] | _InStepScores]:
 
 
 def write_score_sidecar(items: Iterable[tuple[str, float]], stream: IO[str]) -> int:
-    """Write json_line({"id", "qe_score"}) per item. Each score has passed
-    check_score, so it is a finite float, which json_line writes as its repr."""
+    """Write json_line({"id", "qe_score"}) per item (write_lines); return the
+    count. Each score has passed check_score, so it is a finite float, which
+    json_line writes as its repr."""
     q = encode_basestring
-    n = 0
-    for pair_id, score in items:
-        stream.write(f'{{"id":{q(pair_id)},"qe_score":{score!r}}}\n')
-        n += 1
-    return n
+    return write_lines((f'{{"id":{q(pair_id)},"qe_score":{score!r}}}' for pair_id, score in items), stream)

@@ -7,7 +7,9 @@ property tests draw strings from.
 """
 from __future__ import annotations
 
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -45,6 +47,22 @@ def independent_unit(seed: int, key: str) -> float:
     for byte in payload:
         acc = ((acc ^ byte) * _FNV_PRIME) % (1 << 64)
     return acc / float(1 << 64)
+
+
+def run_cli(*args, expect=0):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmtkit", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == expect, (
+        f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
+    )
+    return proc
+
+
+def last_error(proc):
+    return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

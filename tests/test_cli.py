@@ -18,19 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import last_error, run_cli
 from mmtkit.records import json_line
-
-
-def run_cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "mmtkit", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == expect, (
-        f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
-    )
-    return proc
 
 
 def write_corpus(path, n=20, langs=("en", "zh", "fr")):
@@ -1040,20 +1029,25 @@ def test_infer_prompt_pt_cli(tmp_path, scripts_dir):
     assert (rows[1]["src_lang"], rows[1]["tgt_lang"]) == ("en", "de")
 
 
-def test_eval_cli(tmp_path, data_dir):
+@pytest.mark.parametrize("metric, first_cell", [("COMET22", "89.10"), ("SacreBLEU", "34.79")],
+                         ids=["COMET22", "SacreBLEU"])
+def test_eval_cli(tmp_path, data_dir, metric, first_cell):
+    # The tier table of each metric over the 59-language overlap (the
+    # built-in registry without mn_cn): both models have a row, no cell is empty.
     proc = run_cli(
         "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
         "--langs", ",".join(sorted(set(_registry_codes()) - {"mn_cn"})),
-        "--models", "LMT-60-4B,LMT-60-8B",
+        "--models", "LMT-60-4B,LMT-60-8B", "--metric", metric,
     )
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("| Model |")
-    assert lines[2].startswith("| LMT-60-4B |")
-    assert "89.10" in lines[2]
+    assert lines[2].startswith(f"| LMT-60-4B | {first_cell} |")
+    assert lines[3].startswith("| LMT-60-8B |") and len(lines) == 4
+    assert " - |" not in proc.stdout
     out = tmp_path / "table.csv"
     proc = run_cli(
         "eval", "--records", str(data_dir / "comet_bleu_records.jsonl"),
-        "--format", "csv", "--out", str(out),
+        "--format", "csv", "--metric", metric, "--out", str(out),
     )
     summary = json.loads(proc.stdout)
     assert summary["models"] == 2
@@ -1260,6 +1254,10 @@ def test_diagnose_cli(tmp_path):
     assert report["max_repetition"] == 2  # three languages: two sources per target
     proc2 = run_cli("diagnose", "--in", str(expanded), "--p", "0.0")
     assert "sources |" in proc2.stdout
+    # With --out /dev/stdout the report goes to the pipe alone, and the
+    # histogram goes to stderr, where main sends a summary.
+    piped = run_cli("diagnose", "--in", str(expanded), "--out", "/dev/stdout")
+    assert (piped.stdout, piped.stderr) == (report_path.read_text(encoding="utf-8"), proc.stdout)
 
 
 def test_custom_registry_cli(tmp_path):
@@ -1293,10 +1291,6 @@ def test_registry_code_outside_id_grammar_refused(tmp_path, code):
         "message": f"{langs}:line 3: language code must be lowercase ASCII letters and underscores: {code!r}",
     }
     assert not out.exists()
-
-
-def last_error(proc):
-    return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
 def test_synth_direct_non_string_item_exits_1(tmp_path, scripts_dir):
