@@ -1,9 +1,9 @@
 """Prompt rendering with exact loss spans.
 
-Four formats: STP (source-only translation prompt), PMP (adds one auxiliary
-parallel sentence), CPT_BILINGUAL (tagged bitext line), CPT_MONO (raw text).
-Loss offsets are byte offsets into the UTF-8 encoding of the text; for every
-training render, text_bytes[loss_start:loss_end] is exactly the target.
+Two training formats: STP (source-only translation prompt) and PMP (adds one
+auxiliary parallel sentence). Loss offsets are byte offsets into the UTF-8
+encoding of the text; for every training render,
+text_bytes[loss_start:loss_end] is exactly the target.
 Inference prompts are the STP or PMP training prefix with an empty loss span
 at end of text, built by one of four strategies: DT (direct), PT (two-step
 pivot through en), PMP-O (gold auxiliary), PMP-S (auxiliary produced by the
@@ -15,19 +15,19 @@ its request, and mix renders records read_multiway checked. Their texts have
 a UTF-8 form: registry.parse_json_lines, behind every file reader, refuses a
 lone surrogate escape. Each direction's fixed template pieces are made once
 and kept in a memo on the registry (Registry._templates), which the
-registry's languages bound. read_prompted
-alone checks a PromptedExample (span inside the text's UTF-8 bytes, aux_lang
-set exactly for PMP), which every renderer here meets by construction.
+registry's languages bound. read_prompted alone checks a PromptedExample
+(span inside the text's UTF-8 bytes, aux_lang set exactly for PMP, an id
+non-empty and unique in its file), which every renderer here meets by
+construction.
 """
 from __future__ import annotations
 
-import re
 from enum import Enum
 from json.encoder import encode_basestring  # the escaper json_line uses
 from typing import Iterable, Iterator
 
-from .errors import BackendError, EmptySource, InvalidInput, NoAuxiliaryDefined, RecordParseError, UnknownLanguage
-from .records import DirectionalExample, fields_json, write_jsonl
+from .errors import BackendError, DuplicateRecordId, EmptySource, InvalidInput, NoAuxiliaryDefined, RecordParseError, UnknownLanguage
+from .records import DirectionalExample, SeenIds, fields_json, write_jsonl
 from .registry import Registry, Value, direction_error, parse_json_lines, required_fields
 
 PROMPT_SCHEMA = "prompt_schema_v1"
@@ -36,8 +36,6 @@ PROMPT_SCHEMA = "prompt_schema_v1"
 class PromptFormat(str, Enum):
     STP = "STP"
     PMP = "PMP"
-    CPT_BILINGUAL = "CPT_BILINGUAL"
-    CPT_MONO = "CPT_MONO"
 
 
 class InferenceStrategy(str, Enum):
@@ -81,12 +79,6 @@ class PromptedExample(Value):
             f'"src_lang":{q(self.src_lang)},"tgt_lang":{q(self.tgt_lang)},"aux_lang":{aux},'
             f'"id":{q(self.id)},"prompt_schema":{q(self.prompt_schema)}}}'
         )
-
-
-def _spanned(prefix: str, target: str) -> tuple[str, int, int]:
-    text = prefix + target
-    start = len(prefix.encode("utf-8"))
-    return text, start, len(text.encode("utf-8"))
 
 
 def _template(names: dict, src_lang: str, tgt_lang: str, *aux_lang: str) -> tuple[str, str, str, int]:
@@ -168,71 +160,6 @@ def render_pmp(example: DirectionalExample, aux_text: str, aux_lang: str, regist
     return _render_training(PromptFormat.PMP, example, registry, aux_lang, aux_text)
 
 
-def render_cpt_bilingual(
-    example: DirectionalExample, loss: str = "target"
-) -> PromptedExample:
-    """Tagged bitext line "[SRC2TGT] src [TGT] tgt". loss is "target" or "full"."""
-    if loss not in ("target", "full"):
-        raise ValueError(f"loss must be 'target' or 'full', got {loss!r}")
-    if not example.src:
-        raise EmptySource(f"example {example.id!r} has an empty source")
-    src_tag = example.src_lang.upper()
-    tgt_tag = example.tgt_lang.upper()
-    prefix = f"[{src_tag}2{tgt_tag}] {example.src} [{tgt_tag}] "
-    text, start, end = _spanned(prefix, example.tgt)
-    if loss == "full":
-        start = 0
-    return PromptedExample(
-        text=text,
-        loss_start=start,
-        loss_end=end,
-        format=PromptFormat.CPT_BILINGUAL,
-        src_lang=example.src_lang,
-        tgt_lang=example.tgt_lang,
-        aux_lang=None,
-        id=example.id,
-    )
-
-
-def render_cpt_mono(item_id: str, lang: str, text: str) -> PromptedExample:
-    """Raw monolingual text, loss over the whole sequence."""
-    if not text:
-        raise EmptySource(f"item {item_id!r} has empty text")
-    return PromptedExample(
-        text=text,
-        loss_start=0,
-        loss_end=len(text.encode("utf-8")),
-        format=PromptFormat.CPT_MONO,
-        src_lang=lang,
-        tgt_lang=lang,
-        aux_lang=None,
-        id=item_id,
-    )
-
-
-_CPT_HEADER = re.compile(r"^\[([A-Z0-9_]+)2([A-Z0-9_]+)\] ")
-
-
-def parse_cpt_bilingual(text: str) -> tuple[str, str, str, str]:
-    """Invert render_cpt_bilingual: text -> (src_lang, tgt_lang, src, tgt).
-
-    The separator is the first occurrence of " [TGT] " after the header, so
-    the parse is ambiguous only when the source text itself contains that
-    token.
-    """
-    m = _CPT_HEADER.match(text)
-    if m is None:
-        raise RecordParseError(f"no direction tag at start of {text[:40]!r}")
-    src_lang = m.group(1).lower()
-    tgt_lang = m.group(2).lower()
-    rest = text[m.end() :]
-    sep = f" [{tgt_lang.upper()}] "
-    idx = rest.find(sep)
-    if idx < 0:
-        raise RecordParseError(f"no [{tgt_lang.upper()}] separator in {text[:40]!r}")
-    return src_lang, tgt_lang, rest[:idx], rest[idx + len(sep) :]
-
-
 def build_inference_prompt(
     strategy: InferenceStrategy,
     src_lang: str,
@@ -301,6 +228,8 @@ write_prompted = write_jsonl
 
 
 def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[PromptedExample]:
+    seen = SeenIds()
+
     def prompted(obj: dict) -> PromptedExample:
         text, fmt, src_lang, tgt_lang, item_id = required_fields(obj, ("text", "format", "src_lang", "tgt_lang", "id"))
         loss_start, loss_end = required_fields(obj, ("loss_start", "loss_end"), int)
@@ -316,6 +245,10 @@ def read_prompted(stream: Iterable[str], path: str | None = None) -> Iterator[Pr
             raise RecordParseError(f"loss span [{loss_start}, {loss_end}) outside text of {n} bytes")
         if (aux_lang is not None) != (fmt is PromptFormat.PMP):
             raise RecordParseError("aux_lang must be set exactly for PMP prompts")
+        if not item_id:
+            raise RecordParseError("prompt id must be non-empty")
+        if not seen.add(item_id):
+            raise DuplicateRecordId(f"duplicate prompt id {item_id!r}")
         return PromptedExample(text, loss_start, loss_end, fmt, src_lang, tgt_lang, aux_lang, item_id, schema)
 
     return parse_json_lines(stream, path, prompted)

@@ -33,14 +33,7 @@ from mmtkit.backends import DictionaryBackend
 from mmtkit.diagnostics import target_repetition_stats
 from mmtkit.mixture import MixtureSpec, build_sft_mixture
 from mmtkit.parallel import ordered_map
-from mmtkit.prompts import (
-    build_inference_prompt,
-    parse_cpt_bilingual,
-    render_cpt_bilingual,
-    render_cpt_mono,
-    render_pmp,
-    render_stp,
-)
+from mmtkit.prompts import build_inference_prompt, render_pmp, render_stp
 from mmtkit.records import DirectionalExample, MultiWayRecord, json_line
 from mmtkit.registry import load_registry
 from mmtkit.synthesis import synth_pivot
@@ -338,16 +331,6 @@ def test_criterion_08_loss_span_bytes(registry):
         ps, pt, pa = pmp_dirs[i % len(pmp_dirs)]
         pex = DirectionalExample(id=f"b{i}#{ps}2{pt}", src_lang=ps, tgt_lang=pt, src=src, tgt=tgt)
         spans_target(render_pmp(pex, aux, pa, registry), tgt)
-
-        cpt = render_cpt_bilingual(ex, loss="target")
-        spans_target(cpt, tgt)
-        assert parse_cpt_bilingual(cpt.text) == (s, t, src, tgt)
-        full = render_cpt_bilingual(ex, loss="full")
-        assert full.loss_start == 0
-        assert full.text.encode("utf-8")[full.loss_start : full.loss_end] == full.text.encode("utf-8")
-
-        mono = render_cpt_mono(f"c{i}", "fr", src)
-        assert mono.text.encode("utf-8")[mono.loss_start : mono.loss_end] == src.encode("utf-8")
 
         (inf,) = build_inference_prompt("dt", s, t, src, registry, item_id=f"d{i}")
         assert inf.loss_start == inf.loss_end == len(inf.text.encode("utf-8"))

@@ -152,15 +152,26 @@ def paper_corpus(tmp_path_factory):
 
 
 def test_diagnose_at_paper_scale_equals_a_recount(paper_corpus, tmp_path):
-    pairs, report = tmp_path / "c.djsonl", tmp_path / "report.json"
-    run_cli("expand", "--in", str(paper_corpus), "--out", str(pairs))
+    # Records that repeat earlier records' sentences under new ids: two whole
+    # copies, and record 1 with record 2's English sentence. Some (source,
+    # target) pairs then come twice, and some targets gain a source.
+    records = [record["sentences"] for record in rows(paper_corpus)]
+    copies = [records[0], records[5], {**records[1], "en": records[2]["en"]}]
+    corpus, pairs, report = tmp_path / "c.mwjsonl", tmp_path / "c.djsonl", tmp_path / "report.json"
+    corpus.write_text(
+        paper_corpus.read_text(encoding="utf-8")
+        + "".join(json.dumps({"id": f"copy{i}", "sentences": s}) + "\n" for i, s in enumerate(copies)),
+        encoding="utf-8",
+    )
+    run_cli("expand", "--in", str(corpus), "--out", str(pairs))
     run_cli("diagnose", "--in", str(pairs), "--out", str(report))
     sources, n = {}, 0
     for ex in rows(pairs):
         tgt = (ex["tgt_lang"], unicodedata.normalize("NFC", ex["tgt"]))
         sources.setdefault(tgt, set()).add((ex["src_lang"], unicodedata.normalize("NFC", ex["src"])))
         n += 1
-    assert n == 70200
+    assert n == 70902
+    assert sum(map(len, sources.values())) < n
     repetition = {tgt: len(srcs) for tgt, srcs in sources.items()}
     histogram = Counter(repetition.values())
     by_class = {}

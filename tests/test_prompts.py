@@ -1,4 +1,4 @@
-"""Prompt templates, byte-exact loss spans, and the bitext format parser."""
+"""Prompt templates, byte-exact loss spans, and the prompted-example reader."""
 from __future__ import annotations
 
 import io
@@ -14,10 +14,7 @@ from mmtkit.prompts import (
     PromptFormat,
     PromptedExample,
     build_inference_prompt,
-    parse_cpt_bilingual,
     read_prompted,
-    render_cpt_bilingual,
-    render_cpt_mono,
     render_pmp,
     render_stp,
     render_translation,
@@ -27,12 +24,6 @@ from mmtkit.records import json_line
 
 plain_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=40
-)
-# For parser round trips: text that cannot collide with the "[TAG] " separator.
-bracket_free = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="[]"),
-    min_size=1,
-    max_size=40,
 )
 
 
@@ -102,41 +93,6 @@ def test_multibyte_spans(registry, mk_example):
     assert pe.loss_slice() == "café"
 
 
-def test_cpt_bilingual_golden(mk_example):
-    ex = mk_example("g9#en2fr", "en", "fr", "Hello.", "Bonjour.")
-    pe = render_cpt_bilingual(ex)
-    assert pe.text == "[EN2FR] Hello. [FR] Bonjour."
-    assert pe.loss_slice() == "Bonjour."
-    full = render_cpt_bilingual(ex, loss="full")
-    assert full.loss_start == 0
-    assert full.loss_slice() == full.text
-    with pytest.raises(ValueError):
-        render_cpt_bilingual(ex, loss="prefix")
-
-
-def test_cpt_bilingual_parse_roundtrip(mk_example):
-    ex = mk_example("g10#mn_cn2en", "mn_cn", "en", "text a", "text b")
-    pe = render_cpt_bilingual(ex)
-    assert parse_cpt_bilingual(pe.text) == ("mn_cn", "en", "text a", "text b")
-
-
-def test_cpt_parse_errors():
-    with pytest.raises(RecordParseError):
-        parse_cpt_bilingual("no header here")
-    with pytest.raises(RecordParseError):
-        parse_cpt_bilingual("[EN2FR] missing separator")
-
-
-def test_cpt_mono():
-    pe = render_cpt_mono("m1", "sw", "habari ya dunia")
-    assert pe.format is PromptFormat.CPT_MONO
-    assert pe.loss_start == 0
-    assert pe.loss_slice() == "habari ya dunia"
-    assert pe.src_lang == pe.tgt_lang == "sw"
-    with pytest.raises(EmptySource):
-        render_cpt_mono("m2", "sw", "")
-
-
 def test_inference_prompts_are_training_prefixes(registry, mk_example):
     ex = mk_example("q1#en2fr", "en", "fr", "Good day", "Bonjour")
     training = render_stp(ex, registry)
@@ -157,11 +113,11 @@ def test_pmp_prompt_errors(registry):
         build_inference_prompt("pmp-o", "en", "fr", "x", registry, aux_text="y")
 
 
-def test_read_prompted_refuses_bad_span_or_aux_at_its_line():
+def test_read_prompted_refuses_bad_span_or_aux_at_its_line(registry, mk_example):
     """read_prompted is a PromptedExample's one check: a span outside the
     text's bytes, or an aux_lang on any format but PMP (or none on PMP), is
     refused at path:line."""
-    good = json_line(render_cpt_mono("m1", "sw", "ab").to_json())
+    good = json_line(render_stp(mk_example("m1#en2fr", "en", "fr", "a", "b"), registry).to_json())
     base = {"text": "ab", "format": "STP", "src_lang": "en", "tgt_lang": "fr", "aux_lang": None, "id": "x"}
     cases = [
         ({"loss_start": 1, "loss_end": 5}, "loss span [1, 5) outside text of 2 bytes"),
@@ -183,7 +139,7 @@ def test_read_prompted_refuses_bad_span_or_aux_at_its_line():
 def test_prompted_io_roundtrip(registry, mk_example):
     pes = [
         render_stp(mk_example("io1#en2fr", "en", "fr", "a", "b"), registry),
-        render_cpt_mono("io2", "sw", "jambo"),
+        render_pmp(mk_example("io2#en2bg", "en", "bg", "water", "voda"), "voda-ru", "ru", registry),
     ]
     buf = io.StringIO()
     assert write_prompted(pes, buf) == 2
@@ -212,18 +168,6 @@ def test_pmp_span_property(registry, src, aux, tgt):
     ex = DirectionalExample(id="p#en2bg", src_lang="en", tgt_lang="bg", src=src, tgt=tgt)
     pe = render_pmp(ex, aux, "ru", registry)
     assert span_bytes(pe) == tgt.encode("utf-8")
-
-
-@given(src=bracket_free, tgt=bracket_free)
-def test_cpt_roundtrip_property(src, tgt):
-    from mmtkit.records import DirectionalExample
-
-    ex = DirectionalExample(id="p#fr2zh", src_lang="fr", tgt_lang="zh", src=src, tgt=tgt)
-    pe = render_cpt_bilingual(ex)
-    assert span_bytes(pe) == tgt.encode("utf-8")
-    parsed = parse_cpt_bilingual(pe.text)
-    assert parsed == ("fr", "zh", src, tgt)
-
 
 
 def _has_utf8_form(text: str) -> bool:

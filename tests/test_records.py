@@ -449,10 +449,31 @@ EVERY_READER_CASES = {
     ),
     "read_prompted": (
         _reader(read_prompted),
-        [_PROMPTED, {**_PROMPTED, "loss_start": 1, "loss_end": 1}],
-        {**_PROMPTED, "loss_end": 5},
+        [_PROMPTED, {**_PROMPTED, "loss_start": 1, "loss_end": 1, "id": "p2"}],
+        {**_PROMPTED, "loss_end": 5, "id": "p3"},
         RecordParseError,
         "loss span [0, 5) outside text of 1 bytes",
+    ),
+    "read_prompted-empty-id": (
+        _reader(read_prompted),
+        [_PROMPTED, {**_PROMPTED, "id": "p2"}],
+        {**_PROMPTED, "id": ""},
+        RecordParseError,
+        "prompt id must be non-empty",
+    ),
+    "read_prompted-duplicate-id": (
+        _reader(read_prompted),
+        [_PROMPTED, {**_PROMPTED, "id": "p2"}],
+        {**_PROMPTED, "id": "p1"},
+        DuplicateRecordId,
+        "duplicate prompt id 'p1'",
+    ),
+    "read_prompted-unknown-format": (
+        _reader(read_prompted),
+        [_PROMPTED, {**_PROMPTED, "id": "p2"}],
+        {**_PROMPTED, "id": "p3", "format": "CPT_MONO"},
+        RecordParseError,
+        "'CPT_MONO' is not a valid PromptFormat",
     ),
 }
 
