@@ -103,8 +103,14 @@ class LengthBounds(Value, FilterRule):
 
 
 class ControlCharFree(FilterRule):
+    """A printable string (str.isprintable) holds no C0 control, so the regex
+    runs only on a side that is not, such as one with a tab or newline."""
+
     def passes(self, ex: DirectionalExample) -> bool:
-        return _CONTROL_CHAR.search(ex.src) is None and _CONTROL_CHAR.search(ex.tgt) is None
+        src, tgt = ex.src, ex.tgt
+        return (src.isprintable() or _CONTROL_CHAR.search(src) is None) and (
+            tgt.isprintable() or _CONTROL_CHAR.search(tgt) is None
+        )
 
 
 class ExactDedup(FilterRule):

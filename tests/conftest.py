@@ -49,15 +49,22 @@ def independent_unit(seed: int, key: str) -> float:
     return acc / float(1 << 64)
 
 
+# Under -X dev, the stage a test runs is in development mode too, so that a
+# file or pipe it leaks fails the test, as one leaked in-process does.
+_DEV_FLAGS = ("-X", "dev", "-W", "error::ResourceWarning") if sys.flags.dev_mode else ()
+
+
 def run_cli(*args, expect=0):
     proc = subprocess.run(
-        [sys.executable, "-m", "mmtkit", *args],
+        [sys.executable, *_DEV_FLAGS, "-m", "mmtkit", *args],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
     )
+    # A warning raised in a finalizer is printed, not raised.
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
     return proc
 
 

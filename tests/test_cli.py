@@ -1866,6 +1866,64 @@ def test_non_utf8_line_past_the_first_read_chunk_names_file_and_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "stdin-pipe"])
+def test_an_error_before_an_undecodable_chunk_is_reported_first(tmp_path, piped):
+    # Lines of 100 bytes: the reader decodes the input 8 KiB at a time, line
+    # 51, whose id repeats line 50's, lies in the first chunk, and line 86's
+    # bad byte in the second. The lines read before the chunk that fails are
+    # read to their end first, so the repeated id is the error, as it is when
+    # lines are read one at a time.
+    lines = []
+    for i in range(100):
+        row = _pair(i)
+        row["src"] += " " * (99 - len(json_line(row)))
+        lines.append(json_line(row).encode("utf-8") + b"\n")
+    lines[50] = lines[50].replace(b"r0050#", b"r0049#")
+    lines[85] = lines[85].replace(b"source words", b"source \xffords")
+    data = b"".join(lines)
+    assert {len(line) for line in lines} == {100}
+    assert len(b"".join(lines[:51])) <= 8192 <= data.index(b"\xff") < 2 * 8192
+    out = tmp_path / "o.djsonl"
+    path = tmp_path / "p.djsonl"
+    args = ["downsample", "--in", "/dev/stdin" if piped else str(path), "--out", str(out), "--p", "0.3"]
+    if piped:
+        # Written whole before the stage starts, so each read takes a full chunk.
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        with open(read_end, "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-m", "mmtkit", *args], stdin=stdin, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+    else:
+        path.write_bytes(data)
+        proc = run_cli(*args, expect=1)
+    name = "/dev/stdin" if piped else str(path)
+    assert last_error(proc) == {
+        "error": "DuplicateRecordId", "message": f"{name}:line 51: duplicate example id 'r0049#en2fr'",
+    }
+    assert not out.exists()
+
+
+def test_main_freezes_the_heap_before_exit(tmp_path):
+    # An atexit hook runs after sys.exit: by then the objects left from
+    # start-up are frozen, and the stage's file and summary are whole.
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=3)
+    alone, frozen = tmp_path / "alone.djsonl", tmp_path / "frozen.djsonl"
+    summary = run_cli("expand", "--in", str(corpus), "--out", str(alone)).stdout
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['mmtkit', 'expand', '--in', {str(corpus)!r}, '--out', {str(frozen)!r}]\n"
+        "runpy.run_module('mmtkit', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == summary
+    assert frozen.read_bytes() == alone.read_bytes()
+    word, count = proc.stderr.split()
+    assert word == "frozen" and int(count) > 0
+
+
 def _jsonl_with(path, rows):
     """Write rows with json.dumps's default ensure_ascii=True, so a lone
     surrogate in a row becomes a \\u escape, the one way one enters a file."""

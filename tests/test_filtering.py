@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -89,6 +90,24 @@ def test_control_char_free(mk_example):
         clean = cp >= 0x20 or ch in "\t\n"
         assert rule.passes(mk_example(src=f"a{ch}b", tgt="t")) is clean, hex(cp)
         assert rule.passes(mk_example(src="s", tgt=f"a{ch}b")) is clean, hex(cp)
+
+
+# Every code point, with the ones isprintable and the regex split on drawn often:
+# tab, newline, other C0 controls, DEL, C1 (U+0085), U+2028, a space, a format
+# character (U+200B) and lone surrogates.
+_control_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from("\t\n\x00\x08\x0b\x1f\x7f\x85\u2028 \u200b\ud800\udfff")),
+    max_size=8,
+)
+
+
+@given(src=_control_text, tgt=_control_text)
+@example(src="tab\there", tgt="\u2028\x85\x7f")
+@example(src="\ud800", tgt="bell\x07")
+def test_control_char_free_answers_as_the_regex(mk_example, src, tgt):
+    control = re.compile(r"[\x00-\x08\x0b-\x1f]")
+    expected = control.search(src) is None and control.search(tgt) is None
+    assert ControlCharFree().passes(mk_example(src=src, tgt=tgt)) is expected
 
 
 def test_exact_dedup_and_reset(mk_example):

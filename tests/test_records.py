@@ -704,6 +704,59 @@ def test_parse_json_lines_reads_as_the_reference(lines):
     assert _parsed(parse_json_lines, lines) == _parsed(_reference_parse_json_lines, lines)
 
 
+def _flat(n, start=0):
+    """n short flat object lines."""
+    return [f'{{"i": {i}, "t": "x"}}\n' for i in range(start, start + n)]
+
+
+# Lines are read in slices of up to 64 lines or 4096 characters, and a slice
+# of flat object lines is decoded in one scanner call. A few drawn lines,
+# mostly flat objects, some long, repeated to fill several slices across both
+# bounds; any of _lines among them sends its slice line by line.
+_flat_values = (
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text
+    | st.builds(lambda ch, n: ch * n, st.characters(), st.integers(100, 1500))
+)
+_flat_lines = st.builds(
+    lambda obj, ascii, end: json.dumps(obj, ensure_ascii=ascii) + end,
+    st.dictionaries(any_text, _flat_values, max_size=3), st.booleans(), st.sampled_from(["\n", "\n", "\r\n", " \n", ""]),
+)
+_sliced_lines = st.lists(st.one_of(_flat_lines, _flat_lines, _flat_lines, _lines), min_size=1, max_size=6).flatmap(
+    lambda drawn: st.lists(st.sampled_from(drawn), min_size=60, max_size=140)
+)
+
+
+@settings(max_examples=100)
+@given(lines=_sliced_lines)
+# 63, 64 and 65 flat lines; a slice whose last line brings it to 4096 characters.
+@example(lines=_flat(63))
+@example(lines=_flat(64))
+@example(lines=_flat(65))
+@example(lines=_flat(20) + ['{"t": "' + "x" * (4096 - len("".join(_flat(20))) - 10) + '"}\n'] + _flat(5, 20))
+# A line of two values; an object spread over two lines through a string that
+# holds "{", with and without line ends; "{", "[" and "," inside strings.
+@example(lines=_flat(30) + ['{"q":1},5\n'] + _flat(40, 30))
+@example(lines=_flat(30) + ['{"a": "\n', '{"}\n'] + _flat(40, 30))
+@example(lines=_flat(30) + ['{"a": "', '{"}'] + _flat(40, 30))
+@example(lines=_flat(30) + ['{"a": "{", "b": "[1, 2]", "c": ",{"}\n'] + _flat(40, 30))
+# A line led by whitespace or a BOM; a blank line mid-slice; list input without
+# line ends; a lone surrogate escape mid-slice.
+@example(lines=_flat(30) + [' {"a": 1}\n'] + _flat(40, 30))
+@example(lines=_flat(30) + ['\ufeff{"a": 1}\n'] + _flat(40, 30))
+@example(lines=_flat(30) + ["\n"] + _flat(40, 30))
+@example(lines=[line.rstrip("\n") for line in _flat(70)])
+@example(lines=_flat(30) + ['{"a": "\\ud800"}\n'] + _flat(40, 30))
+# Slices that decode into one dict per line, but not line by line: each is
+# refused by one check of the slice path (a line that does not start with
+# "{", a second "{" on a line, a non-dict item, a "]" that ends the list early).
+@example(lines=_flat(30) + ['{"x": 1}, {"y": 2}\n', '{"a": 1\n', '"b": 2}\n'] + _flat(30, 30))
+@example(lines=_flat(30) + ['{"x": 1}, {"a": [1\n', '{"b": 2}]}\n'] + _flat(30, 30))
+@example(lines=_flat(30) + ['{"a": [1\n', '{"b": 2}]}, 5\n'] + _flat(30, 30))
+@example(lines=_flat(63) + ['{"a": 1}]\n'] + _flat(10, 63))
+def test_parse_json_lines_reads_slices_as_the_reference(lines):
+    assert _parsed(parse_json_lines, lines) == _parsed(_reference_parse_json_lines, lines)
+
+
 _MULTIWAY_LINE = json_line({"id": "r1", "sentences": {"en": "a", "fr": "b"}})
 _EXAMPLE_LINE = json_line({"id": "e1", "src_lang": "en", "tgt_lang": "fr", "src": "a", "tgt": "b"})
 _SCORE_LINE = json_line({"id": "e1", "qe_score": 0.5})
