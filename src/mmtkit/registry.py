@@ -9,7 +9,6 @@ package's record, value and report classes, live here: every stage imports it.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
@@ -182,119 +181,44 @@ def has_lone_surrogate_escape(line: str) -> bool:
     return bool(_SURROGATE.search(line) and _LONE_SURROGATE.search(line.replace("\\\\", "  ")))
 
 
-# A slice of lines read together: up to 64 lines, ending at the line that
-# brings its length to 4096 characters, so reading ahead holds little memory.
-_SLICE_LINES = 64
-_SLICE_CHARS = 4096
-
-
-def _slices(stream: Iterable[str]) -> Iterator[list[str]]:
-    """The stream's lines in lists of one slice each; the last may be empty.
-    A UnicodeDecodeError is raised after the list of the lines read before
-    it, so that those lines are read first, as they are one at a time."""
-    lines: list[str] = []
-    size = 0
-    try:
-        for raw in stream:
-            lines.append(raw)
-            size += len(raw)
-            if size >= _SLICE_CHARS or len(lines) == _SLICE_LINES:
-                yield lines
-                lines, size = [], 0
-    except UnicodeDecodeError:
-        yield lines
-        raise
-    yield lines
-
-
-def _slice_objects(lines: list[str]) -> list[dict] | None:
-    """The objects on a slice of flat object lines, decoded by one scanner
-    call over "[" + ",".join(lines) + "]"; None for any other slice, which is
-    then read line by line.
-
-    The slice must pass three checks: every line starts with "{"; the joined
-    text holds exactly one "{" per line; and it decodes, to its end, into
-    exactly as many dicts as lines. Each of those dicts opens at a "{" of its
-    own outside a string, and the text holds no other "{", so the first
-    character of line i opens dict i. Dict i closes before dict i + 1 opens,
-    so before the comma joined after line i: within line i. What follows it
-    up to that comma must be what a list allows between two items,
-    whitespace, so dict i is line i with JSON whitespace around it, which is
-    the object the scanner reads from the line alone. (A "[" needs no count:
-    a list inside a line lies within its dict.) A lone surrogate escape,
-    which a line holds exactly when the joined text does (no escape reaches
-    across the "," and "{" between two lines), sends the slice line by line
-    too, so that its line is refused after the lines before it."""
-    if not lines or lines[0].find("{", 1) >= 0:  # a nested first line: refused without a join
-        return None
-    for raw in lines:
-        if raw[:1] != "{":
-            return None
-    text = "[" + ",".join(lines) + "]"
-    if text.count("{") != len(lines) or "\\" in text and has_lone_surrogate_escape(text):
-        return None
-    try:
-        objs, end = _scan_once(text, 0)
-    except (json.JSONDecodeError, StopIteration):
-        return None
-    if end != len(text) or len(objs) != len(lines):
-        return None
-    for obj in objs:
-        if type(obj) is not dict:
-            return None
-    return objs
-
-
-def _line_object(raw: str) -> dict | None:
-    """The object on one line, or None for a blank line. A line that starts
-    with "{" is decoded in place, with no stripped copy; if the object is not
-    all of the line but JSON whitespace, or does not decode, json.loads
-    decodes the stripped line, which gives the same objects, and the error
-    messages, for every line."""
-    try:
-        obj, end = _scan_once(raw, 0) if raw[:1] == "{" else (None, 0)
-    except (json.JSONDecodeError, StopIteration):
-        obj = None
-    if obj is None or raw[end:].strip(_JSON_WHITESPACE):
-        line = raw.strip(_JSON_WHITESPACE)
-        if not line:
-            return None
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict):
-            raise RecordParseError("expected a JSON object")
-    if "\\" in raw and has_lone_surrogate_escape(raw):
-        raise RecordParseError("text with no UTF-8 form (a lone surrogate escape)")
-    return obj
-
-
 def parse_json_lines(
     stream: Iterable[str], path: str | None = None, convert: Callable[[dict], T] = lambda obj: obj
 ) -> Iterator[T]:
     """Yield convert(object) for the JSON object on each non-blank line; a
-    blank line holds only JSON whitespace (space, tab, LF, CR). A
-    RecordParseError raised for a line, by the parse or by convert, leaves
-    here with path and the 1-based line number set on it. A stream that is
-    not valid UTF-8 raises at its first undecodable line, after the lines
-    before it; a line with a \\u escape of a lone surrogate, text with no
-    UTF-8 form, before convert.
+    blank line holds only JSON whitespace (space, tab, LF, CR). Lines are
+    read one at a time: line N + 1 is taken from the stream only after line
+    N's object is converted and yielded. A RecordParseError raised for a
+    line, by the parse or by convert, leaves here with path and the 1-based
+    line number set on it. A stream that is not valid UTF-8 raises at its
+    first undecodable line; a line with a \\u escape of a lone surrogate,
+    text with no UTF-8 form, before convert.
 
-    Lines are read a slice at a time (_slices). A slice of flat object lines
-    is decoded in one call of json's C scanner (_slice_objects); any other
-    slice, such as one of nested multi-way lines, line by line
-    (_line_object). Both give the same objects, and the error messages."""
-    done = 0  # lines read to their end; an error is one of line done + 1
+    A line that starts with "{" is decoded in place by json's C scanner, with
+    no stripped copy; if the object is not all of the line but JSON
+    whitespace, or does not decode, json.loads decodes the stripped line,
+    which gives the same objects, and the error messages, for every line."""
     try:
-        for lines in _slices(stream):
-            for obj in _slice_objects(lines) or map(_line_object, lines):
-                if obj is not None:
-                    yield convert(obj)
-                done += 1
+        for line_no, raw in enumerate(stream, start=1):
+            try:
+                obj, end = _scan_once(raw, 0) if raw[:1] == "{" else (None, 0)
+            except (json.JSONDecodeError, StopIteration):
+                obj = None
+            if obj is None or raw[end:].strip(_JSON_WHITESPACE):
+                line = raw.strip(_JSON_WHITESPACE)
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise RecordParseError(f"invalid JSON ({e.msg})") from None
+                if not isinstance(obj, dict):
+                    raise RecordParseError("expected a JSON object")
+            if "\\" in raw and has_lone_surrogate_escape(raw):
+                raise RecordParseError("text with no UTF-8 form (a lone surrogate escape)")
+            yield convert(obj)
     except RecordParseError as e:
         if e.line_no is None:
-            e.line_no, e.path = done + 1, path
+            e.line_no, e.path = line_no, path
         raise
     except UnicodeDecodeError:
         # The decoder fails a whole read chunk ahead of the lines yielded so far.
@@ -386,18 +310,8 @@ def _load_auxiliaries(lines: Iterable[str], path: str | None, languages: dict[st
     return aux
 
 
-@contextlib.contextmanager
-def _registry_file(path: str | None, builtin: str):
-    """(lines, name) of a registry file; the bundled data/<builtin>.jsonl when
-    path is None."""
-    if path is None:
-        from importlib import resources  # here: loads pathlib, zipfile and tempfile
-
-        text = resources.files("mmtkit").joinpath(f"data/{builtin}.jsonl").read_text(encoding="utf-8")
-        yield text.splitlines(), f"builtin:{builtin}"
-    else:
-        with open(path, encoding="utf-8") as f:
-            yield f, path
+# The built-in registry files, beside this module (package data).
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def load_registry(lang_path: str | None = None, aux_path: str | None = None) -> Registry:
@@ -407,13 +321,17 @@ def load_registry(lang_path: str | None = None, aux_path: str | None = None) -> 
     empty (Zh-centric lookups still resolve to en by rule). The built-in
     auxiliary map is only used together with the built-in language table.
     """
-    with _registry_file(lang_path, "languages") as (lines, name):
-        languages = _load_languages(lines, name)
+    if lang_path is None:
+        lang_path = os.path.join(_DATA, "languages.jsonl")
+        if aux_path is None:
+            aux_path = os.path.join(_DATA, "auxiliaries.jsonl")
+    with open(lang_path, encoding="utf-8") as f:
+        languages = _load_languages(f, lang_path)
     for center in CENTERS:
         if center not in languages:
             raise MissingCenter(f"registry must contain center language {center!r}")
     auxiliaries: dict[str, str] = {}
-    if lang_path is None or aux_path is not None:
-        with _registry_file(aux_path, "auxiliaries") as (lines, name):
-            auxiliaries = _load_auxiliaries(lines, name, languages)
+    if aux_path is not None:
+        with open(aux_path, encoding="utf-8") as f:
+            auxiliaries = _load_auxiliaries(f, aux_path, languages)
     return Registry(languages=languages, auxiliaries=auxiliaries)

@@ -12,13 +12,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import last_error, run_cli
+from conftest import ROOT, last_error, run_cli
 from mmtkit.records import json_line
 
 
@@ -1411,7 +1410,7 @@ def test_out_same_as_input_refused(tmp_path, same_as):
     assert victim.read_bytes() == before
 
 
-_BUILTIN_DATA = resources.files("mmtkit") / "data"
+_BUILTIN_DATA = ROOT / "src" / "mmtkit" / "data"
 _AUX, _LANGS = _BUILTIN_DATA / "auxiliaries.jsonl", _BUILTIN_DATA / "languages.jsonl"
 
 # Config and registry files a stage reads besides its data input: (stage
@@ -2306,8 +2305,8 @@ def test_stage_imports_only_the_modules_it_runs(tmp_path, command):
     ours = {name.removeprefix("mmtkit.") for name in loaded if name.startswith("mmtkit.")}
     assert ours == {"cli", "errors", "hashing", "records", "registry"} | _STAGE_ONLY[command]
     assert "subprocess" not in loaded
-    # expand reads the built-in registry through importlib.resources; the others read no registry.
-    assert ("importlib.resources" in loaded) == (command == "expand")
+    # expand opens the built-in registry as a plain file; the others read no registry.
+    assert "importlib.resources" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -2329,14 +2328,16 @@ def test_stage_imports_only_the_modules_it_runs(tmp_path, command):
 )
 def test_no_stage_imports_dataclasses_or_inspect(tmp_path, scripts_dir, args):
     """The record, value and report classes are plain slots classes, so no
-    stage pays for dataclasses and the inspect, ast and tokenize it imports."""
+    stage pays for dataclasses and the inspect, ast and tokenize it imports;
+    the built-in registry is opened as a plain file, not through
+    importlib.resources, which imports inspect from Python 3.12 on."""
     src = tmp_path / "in.jsonl"
     src.write_text("", encoding="utf-8")
     swap = {"IN": str(src), "OUT": str(tmp_path / "o"),
             "SCORER": f"{sys.executable} {scripts_dir / 'toy_scorer.py'}",
             "BACKEND": f"{sys.executable} {scripts_dir / 'toy_backend.py'}"}
     loaded = _imported("-m", "mmtkit", *(swap.get(a, a) for a in args))
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & {"dataclasses", "inspect", "importlib.resources"} == set()
 
 
 @pytest.mark.parametrize(

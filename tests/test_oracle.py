@@ -76,7 +76,7 @@ def test_demo_mix_through_the_registry_files_writes_the_builtin_bytes(demo_dir, 
 
 
 def test_expand_and_mix_write_the_same_bytes_under_python_S(tmp_path):
-    # importlib.resources is imported where the registry is read, not through a site hook.
+    # The built-in registry is found beside the package's modules, with no site hook.
     corpus = toy_corpus(tmp_path / "c.mwjsonl", 300)
     for stage, *options in (("expand",), ("mix", "--per-direction-min", "0")):
         with_site, no_site = tmp_path / f"{stage}.out", tmp_path / f"{stage}-S.out"

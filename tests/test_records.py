@@ -709,10 +709,9 @@ def _flat(n, start=0):
     return [f'{{"i": {i}, "t": "x"}}\n' for i in range(start, start + n)]
 
 
-# Lines are read in slices of up to 64 lines or 4096 characters, and a slice
-# of flat object lines is decoded in one scanner call. A few drawn lines,
-# mostly flat objects, some long, repeated to fill several slices across both
-# bounds; any of _lines among them sends its slice line by line.
+# Long inputs: a few drawn lines, mostly flat objects, some long, repeated to
+# 60-140 lines, across 64-line and 4096-character bounds, where a reader that
+# decoded several lines in one call would split them; any of _lines among them.
 _flat_values = (
     st.none() | st.booleans() | st.integers() | st.floats() | any_text
     | st.builds(lambda ch, n: ch * n, st.characters(), st.integers(100, 1500))
@@ -746,15 +745,32 @@ _sliced_lines = st.lists(st.one_of(_flat_lines, _flat_lines, _flat_lines, _lines
 @example(lines=_flat(30) + ["\n"] + _flat(40, 30))
 @example(lines=[line.rstrip("\n") for line in _flat(70)])
 @example(lines=_flat(30) + ['{"a": "\\ud800"}\n'] + _flat(40, 30))
-# Slices that decode into one dict per line, but not line by line: each is
-# refused by one check of the slice path (a line that does not start with
-# "{", a second "{" on a line, a non-dict item, a "]" that ends the list early).
+# Lines that, joined into one JSON array, decode into one dict per line, but
+# not line by line: a line that does not start with "{", a second "{" on a
+# line, a non-dict item, a "]" that ends the list early.
 @example(lines=_flat(30) + ['{"x": 1}, {"y": 2}\n', '{"a": 1\n', '"b": 2}\n'] + _flat(30, 30))
 @example(lines=_flat(30) + ['{"x": 1}, {"a": [1\n', '{"b": 2}]}\n'] + _flat(30, 30))
 @example(lines=_flat(30) + ['{"a": [1\n', '{"b": 2}]}, 5\n'] + _flat(30, 30))
 @example(lines=_flat(63) + ['{"a": 1}]\n'] + _flat(10, 63))
 def test_parse_json_lines_reads_slices_as_the_reference(lines):
     assert _parsed(parse_json_lines, lines) == _parsed(_reference_parse_json_lines, lines)
+
+
+def test_parse_json_lines_takes_a_line_only_after_the_last_is_converted():
+    # Readers yield one record at a time and never buffer the file (records.py).
+    lines = _flat(100) + ["\n", ' {"a": {"b": [1]}}\n'] + _flat(100, 100)
+    pulled = 0
+
+    def stream():
+        nonlocal pulled
+        for line in lines:
+            pulled += 1
+            yield line
+
+    converted_at = []
+    for _ in parse_json_lines(stream(), "f.jsonl", lambda obj: converted_at.append(pulled)):
+        assert pulled == converted_at[-1]
+    assert converted_at == [n for n, line in enumerate(lines, start=1) if line.strip()]
 
 
 _MULTIWAY_LINE = json_line({"id": "r1", "sentences": {"en": "a", "fr": "b"}})
