@@ -2,11 +2,12 @@
 
 Subcommands wire the library into file-to-file pipeline stages. Data flows
 through files (or stdout for tables); warnings go to stderr. Each stage returns
-its one-line JSON summary, which main prints to stdout, or to stderr when
---out is stdout itself (None when the stage wrote a table or histogram
-itself). Exit codes: 0 success, 1 data error (with a JSON error line on
-stderr, also for an unreadable file, one that is not UTF-8, or a line with
-a lone surrogate escape, refused at path:line N), 2 usage error.
+its console text: a summary dict, which main prints as one JSON line, or the
+line, table or histogram itself. main writes it to stdout, or to stderr when
+--out is stdout itself. Exit codes: 0 success, 1 data error (with a JSON
+error line on stderr, also for an unreadable file or stdout, one that is not
+UTF-8, or a line with a lone surrogate escape, refused at path:line N), 2
+usage error.
 """
 from __future__ import annotations
 
@@ -129,7 +130,12 @@ def _open_out(args):
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as e:
+        # Name the file the user gave, not the hidden temporary one.
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, target)
     except BaseException:
@@ -138,31 +144,26 @@ def _open_out(args):
         raise
 
 
-def cmd_validate(args) -> None:
+def cmd_validate(args) -> str:
     from .directions import enumerate_directions
 
     registry = _load_registry(args)
     dirset = enumerate_directions(registry)
-    print(f"{len(registry)} languages, {dirset.direction_count} directions")
+    return f"{len(registry)} languages, {dirset.direction_count} directions\n"
 
 
 def cmd_expand(args) -> dict:
     from .directions import enumerate_directions, expand_lines
     from .records import read_multiway, write_lines
 
-    n_records = 0
+    n_records = n_examples = 0
     with _open_out(args) as fout:
         registry = _load_registry(args)
         dirset = enumerate_directions(registry)
         with open(args.infile, encoding="utf-8") as fin:
-
-            def expanded():
-                nonlocal n_records
-                for record in read_multiway(fin, registry, path=args.infile):
-                    n_records += 1
-                    yield from expand_lines(record, dirset)
-
-            n_examples = write_lines(expanded(), fout)
+            for record in read_multiway(fin, registry, path=args.infile):
+                n_records += 1
+                n_examples += write_lines(expand_lines(record, dirset), fout)
     return {"records": n_records, "examples": n_examples}
 
 
@@ -329,10 +330,10 @@ def cmd_infer_prompt(args) -> dict:
     return {"requests": n_req, "prompts": n_prompts}
 
 
-def cmd_eval(args) -> dict | None:
+def cmd_eval(args) -> dict | str:
     from .evaluation import aggregate, read_eval_records, render_table
 
-    with _open_out(args) if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _open_out(args) if args.out else contextlib.nullcontext() as out:
         registry = _load_registry(args)
         with open(args.records, encoding="utf-8") as f:
             table = aggregate(
@@ -343,20 +344,17 @@ def cmd_eval(args) -> dict | None:
                 include_center_pairs=not args.exclude_center_pairs,
                 models=args.models,
             )
+        if out is None:
+            return render_table(table, fmt=args.format)
         out.write(render_table(table, fmt=args.format))
-    if args.out:
-        return {"models": len(table.models), "skipped": table.skipped, "out": args.out}
-    return None
+    return {"models": len(table.models), "skipped": table.skipped, "out": args.out}
 
 
-def cmd_diagnose(args) -> None:
+def cmd_diagnose(args) -> str:
     from .diagnostics import render_histogram, target_repetition_stats
     from .downsampling import RetentionPolicy, downsample
     from .records import read_examples
 
-    # The histogram goes where main sends a summary: to stderr when the
-    # report streams to stdout, so that it never enters the report's stream.
-    histogram_file = sys.stderr if _out_is_stdout(args) else sys.stdout
     with _open_out(args) if args.out else contextlib.nullcontext() as out:
         with open(args.infile, encoding="utf-8") as fin:
             examples = read_examples(fin, path=args.infile)
@@ -366,7 +364,7 @@ def cmd_diagnose(args) -> None:
         if out is not None:
             json.dump(stats.as_dict(), out, ensure_ascii=False, indent=2)
             out.write("\n")
-    histogram_file.write(render_histogram(stats))
+    return render_histogram(stats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,6 +472,22 @@ def _out_is_stdout(args) -> bool:
         return False
 
 
+def _write_console(text: str, console) -> None:
+    """Write and flush text. If that fails, console's file descriptor is
+    pointed at /dev/null, so that the bytes left in its buffer cannot fail
+    again at the flush at exit, which would change the exit status."""
+    try:
+        console.write(text)
+        console.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):  # a stream with no file descriptor
+            fd = console.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def _terminate(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -481,9 +495,9 @@ def _terminate(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The summary goes to stderr when the records stream to stdout, so that
+    # Console text goes to stderr when the records stream to stdout, so that
     # it never enters the stream a next stage reads.
-    summary_file = sys.stderr if _out_is_stdout(args) else sys.stdout
+    console = sys.stderr if _out_is_stdout(args) else sys.stdout
     # A SIGTERM becomes SystemExit(143), which unwinds the stage, so that
     # _open_out removes its temporary file and leaves no target behind.
     try:
@@ -491,15 +505,14 @@ def main(argv=None) -> int:
     except ValueError:  # only the main thread may set a handler
         previous = None
     try:
-        summary = args.func(args)
+        text = args.func(args)
+        _write_console(text if isinstance(text, str) else json.dumps(text, ensure_ascii=False) + "\n", console)
     except (ToolkitError, OSError, UnicodeError) as e:
         print(_error_line(e), file=sys.stderr)
         return 1
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-    if summary is not None:
-        print(json.dumps(summary, ensure_ascii=False), file=summary_file)
     return 0
 
 

@@ -31,10 +31,6 @@ class Direction(Frozen):
         return self._fields() < other._fields() if other.__class__ is self.__class__ else NotImplemented
 
     @property
-    def suffix(self) -> str:
-        return f"{self.src}2{self.tgt}"
-
-    @property
     def is_reverse(self) -> bool:
         # Reverse means center-targeted; en->zh and zh->en are both reverse.
         return self.tgt in CENTERS

@@ -61,9 +61,6 @@ class PromptedExample(Value):
         self.id = id
         self.prompt_schema = prompt_schema
 
-    def loss_slice(self) -> str:
-        return self.text.encode("utf-8")[self.loss_start : self.loss_end].decode("utf-8")
-
     to_json = fields_json
 
     def to_line(self) -> str:

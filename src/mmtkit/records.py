@@ -220,21 +220,11 @@ def slices(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield part
 
 
-# Lines write_lines joins into one write: enough to save most per-line calls,
-# few enough that a batch stays a few tens of KB.
-_WRITE_BATCH = 64
-
-
 def write_lines(lines: Iterable[str], stream: IO[str]) -> int:
-    """Write each line and a newline, up to _WRITE_BATCH lines per write;
-    return the count."""
+    """Write each line and a newline, one write per line; return the count."""
     n = 0
-    for batch in slices(lines, _WRITE_BATCH):
-        n += len(batch)
-        # An empty last item ends the last line, with no second copy of the
-        # batch, as join(batch) + "\n" would make.
-        batch.append("")
-        stream.write("\n".join(batch))
+    for n, line in enumerate(lines, 1):
+        stream.write(f"{line}\n")
     return n
 
 

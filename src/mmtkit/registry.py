@@ -124,9 +124,6 @@ class Registry(Frozen):
     def tier_of(self, code: str) -> Tier:
         return self.language(code).tier
 
-    def name_of(self, code: str) -> str:
-        return self.language(code).name
-
     def auxiliary_for(self, src: str, tgt: str) -> str | None:
         """Auxiliary language for a center-involving direction, or None.
 

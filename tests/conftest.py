@@ -8,6 +8,7 @@ property tests draw strings from.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -54,11 +55,22 @@ def independent_unit(seed: int, key: str) -> float:
 _DEV_FLAGS = ("-X", "dev", "-W", "error::ResourceWarning") if sys.flags.dev_mode else ()
 
 
+def stage_env(unbuffered: str | None = None) -> dict[str, str]:
+    """The suite's environment with PYTHONUNBUFFERED set to unbuffered, or
+    unset when it is None, so that a stage's stdout is buffered as a shell
+    leaves it whatever the suite's own environment sets."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 def run_cli(*args, expect=0):
     proc = subprocess.run(
         [sys.executable, *_DEV_FLAGS, "-m", "mmtkit", *args],
         capture_output=True,
         text=True,
+        env=stage_env(),
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"

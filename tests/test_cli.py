@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, last_error, run_cli
+from conftest import ROOT, last_error, run_cli, stage_env
 from mmtkit.records import json_line
 
 
@@ -1577,6 +1577,108 @@ def test_summary_never_enters_a_piped_stream(tmp_path, scripts_dir, stage):
     assert piped.stderr.decode("utf-8").splitlines()[-1] + "\n" == summary
 
 
+def _stage(args, stdout=subprocess.PIPE, unbuffered=None):
+    """Run one stage with stdout as given and stderr captured, both as bytes."""
+    return subprocess.run([sys.executable, "-m", "mmtkit", *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=stage_env(unbuffered))
+
+
+def _with_tmp(args, tmp):
+    return [a.replace("{tmp}", str(tmp)) for a in args]
+
+
+def _console_inputs(tmp):
+    """A 2-record corpus, its expansion and a 2-row eval file."""
+    corpus = write_corpus(tmp / "c.mwjsonl", n=2)
+    run_cli("expand", "--in", str(corpus), "--out", str(tmp / "c.djsonl"))
+    rows = [{"model": "m", "src": "en", "tgt": "fr", "metric": "SacreBLEU", "value": 30.0},
+            {"model": "m", "src": "fr", "tgt": "en", "metric": "SacreBLEU", "value": 20.5}]
+    (tmp / "e.jsonl").write_text("".join(json_line(r) + "\n" for r in rows), encoding="utf-8")
+
+
+_EVAL = ("eval", "--records", "{tmp}/e.jsonl", "--metric", "SacreBLEU", "--langs", "en,fr", "--format", "csv")
+_TABLE = ("Model," + ",".join(f"{tier} {cls}" for tier in ("High", "Medium", "Low")
+                             for cls in ("En\u2192X", "X\u2192En", "Zh\u2192X", "X\u2192Zh"))
+          + "\nm,30.00,20.50," + ",".join(["-"] * 10) + "\n")
+_HISTOGRAM = "     2 sources | " + "#" * 50 + " 6\n"
+_REPORT = json.dumps({
+    "distinct_targets": 6, "max_repetition": 2, "histogram": {"2": 6},
+    "by_class": {
+        "Forward": {"distinct_targets": 2, "total_pairs": 4, "max_repetition": 2, "mean_repetition": 2.0},
+        "Reverse": {"distinct_targets": 4, "total_pairs": 8, "max_repetition": 2, "mean_repetition": 2.0},
+    },
+}, indent=2) + "\n"
+_RECORDS = object()  # stands for the bytes of expand --out FILE
+_EXPAND_SUMMARY = '{"records": 2, "examples": 12}\n'
+# Each case: the stage's arguments, its stdout, its stderr, and what --out FILE holds.
+_CONSOLE_CASES = {
+    "validate": (("validate",), "60 languages, 234 directions\n", "", None),
+    "eval": (_EVAL, _TABLE, "", None),
+    "eval --out /dev/stdout": ((*_EVAL, "--out", "/dev/stdout"), _TABLE,
+                               '{"models": 1, "skipped": 0, "out": "/dev/stdout"}\n', None),
+    "diagnose": (("diagnose", "--in", "{tmp}/c.djsonl"), _HISTOGRAM, "", None),
+    "diagnose --out FILE": (("diagnose", "--in", "{tmp}/c.djsonl", "--out", "{tmp}/out"), _HISTOGRAM, "", _REPORT),
+    "diagnose --out /dev/stdout": (("diagnose", "--in", "{tmp}/c.djsonl", "--out", "/dev/stdout"), _REPORT, _HISTOGRAM, None),
+    "expand --out FILE": (("expand", "--in", "{tmp}/c.mwjsonl", "--out", "{tmp}/out"), _EXPAND_SUMMARY, "", _RECORDS),
+    "expand --out /dev/stdout": (("expand", "--in", "{tmp}/c.mwjsonl", "--out", "/dev/stdout"), _RECORDS, _EXPAND_SUMMARY, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONSOLE_CASES))
+def test_console_text_goes_to_its_stream_byte_for_byte(tmp_path, case):
+    # A table or histogram goes where a summary goes: to stdout, or to
+    # stderr when --out is stdout itself.
+    args, stdout, stderr, out = _CONSOLE_CASES[case]
+    _console_inputs(tmp_path)
+    records = (tmp_path / "c.djsonl").read_bytes()
+
+    def expected(text):
+        return records if text is _RECORDS else text.encode("utf-8")
+
+    proc = _stage(_with_tmp(args, tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (expected(stdout), expected(stderr))
+    if out is not None:
+        assert (tmp_path / "out").read_bytes() == expected(out)
+
+
+_CONSOLE_STAGES = {
+    "validate": ("validate",),
+    "eval": _EVAL,
+    "eval --out FILE": (*_EVAL, "--out", "{tmp}/out"),
+    "diagnose": ("diagnose", "--in", "{tmp}/c.djsonl"),
+    "diagnose --out FILE": ("diagnose", "--in", "{tmp}/c.djsonl", "--out", "{tmp}/out"),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "stage", [*_CONSOLE_STAGES, "expand", "downsample", "mix", "filter", "score", "synth direct", "infer-prompt"]
+)
+def test_unwritable_stdout_exits_1(tmp_path, scripts_dir, stage, unbuffered):
+    # The console text is written and flushed inside the stage's error
+    # handling, so that no bytes are left for the flush at exit to fail on.
+    if stage in _CONSOLE_STAGES:
+        _console_inputs(tmp_path)
+        args = _with_tmp(_CONSOLE_STAGES[stage], tmp_path)
+    else:
+        args = (*_stage_args(tmp_path, scripts_dir, stage), "--out", str(tmp_path / "out"))
+    with open("/dev/full", "wb") as full:
+        proc = _stage(args, stdout=full, unbuffered=unbuffered)
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == 1, stderr
+    assert stderr.splitlines()[-1] == '{"error": "OSError", "message": "[Errno 28] No space left on device"}'
+    assert "Exception ignored" not in stderr and "Traceback" not in stderr
+
+
+def test_out_in_a_missing_directory_names_the_out_path(tmp_path):
+    corpus = write_corpus(tmp_path / "c.mwjsonl", n=2)
+    out = tmp_path / "missing" / "x.djsonl"
+    proc = run_cli("expand", "--in", str(corpus), "--out", str(out), expect=1)
+    assert proc.stderr == json.dumps({"error": "OSError", "message": f"[Errno 2] No such file or directory: {str(out)!r}"}) + "\n"
+
+
 def test_piped_expand_into_downsample_writes_the_file_chains_bytes(tmp_path):
     # 7,800 examples: a summary written into the pipe would be read as one more.
     corpus = write_corpus(tmp_path / "c.mwjsonl", n=300, langs=("en", "zh", "fr", "de"))
@@ -2447,7 +2549,7 @@ def test_mix_and_synth_warn_without_logging(tmp_path, scripts_dir):
 
 
 def test_filter_lone_surrogate_in_a_later_batch_exits_1(tmp_path):
-    # Line 70 falls in write_jsonl's second batch, after the first was written.
+    # Line 70 is read after the 69 lines before it were written.
     inp, out = tmp_path / "p.djsonl", tmp_path / "o.djsonl"
     lines = []
     for i in range(1, 101):

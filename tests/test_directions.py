@@ -51,7 +51,6 @@ def test_direction_validation():
         Direction("en", "en")
     with pytest.raises(ValueError):
         Direction("fr", "de")
-    assert Direction("en", "fr").suffix == "en2fr"
     assert str(Direction("fr", "zh")) == "fr->zh"
 
 
@@ -100,7 +99,7 @@ def test_expand_order_follows_dirset(dirset):
     out = expand(rec, dirset)
     suffixes = [ex.id.split("#", 1)[1] for ex in out]
     wanted = [
-        d.suffix
+        d.id_tag[1:]
         for d in dirset.directions
         if {d.src, d.tgt} <= {"en", "zh", "ar"}
     ]

@@ -143,7 +143,7 @@ def test_emission_grouped_by_direction_and_sorted_by_id(registry, dirset):
         sfx = pe.id.split("#", 1)[1]
         if sfx not in suffix_order:
             suffix_order.append(sfx)
-    dirset_order = [d.suffix for d in dirset.directions if d.suffix in set(suffix_order)]
+    dirset_order = [d.id_tag[1:] for d in dirset.directions if d.id_tag[1:] in set(suffix_order)]
     assert suffix_order == dirset_order
     for sfx in suffix_order:
         ids = [pe.id for pe in out if pe.id.endswith("#" + sfx)]
@@ -337,11 +337,11 @@ def test_mixture_prompts_hold_their_record_sentences(registry, dirset, recs, cap
         assert suffix == f"{pe.src_lang}2{pe.tgt_lang}"
         assert pe.text.encode("utf-8")[pe.loss_start : pe.loss_end] == sentences[pe.tgt_lang].encode("utf-8")
         assert pe.loss_end == len(pe.text.encode("utf-8"))
-        assert f"{registry.name_of(pe.src_lang)}: {sentences[pe.src_lang]}\n" in pe.text
+        assert f"{registry.language(pe.src_lang).name}: {sentences[pe.src_lang]}\n" in pe.text
         assert (pe.aux_lang is not None) == (pe.format is PromptFormat.PMP)
         if pe.format is PromptFormat.PMP:
             assert pe.aux_lang == registry.auxiliary_for(pe.src_lang, pe.tgt_lang)
-            assert f"\n{registry.name_of(pe.aux_lang)}: {sentences[pe.aux_lang]}\n" in pe.text
+            assert f"\n{registry.language(pe.aux_lang).name}: {sentences[pe.aux_lang]}\n" in pe.text
         else:
             assert pe.format is PromptFormat.STP
     buf = io.StringIO()

@@ -41,7 +41,7 @@ def test_stp_golden(registry, mk_example):
     )
     assert pe.format is PromptFormat.STP
     assert pe.aux_lang is None
-    assert pe.loss_slice() == "Bonjour."
+    assert span_bytes(pe).decode() == "Bonjour."
     assert pe.prompt_schema == PROMPT_SCHEMA
 
 
@@ -56,7 +56,7 @@ def test_pmp_golden(registry, mk_example):
     )
     assert pe.format is PromptFormat.PMP
     assert pe.aux_lang == "ru"
-    assert pe.loss_slice() == "voda"
+    assert span_bytes(pe).decode() == "voda"
 
 
 def test_pmp_zh_centric_uses_english_aux(registry, mk_example):
@@ -90,7 +90,6 @@ def test_multibyte_spans(registry, mk_example):
     ex = mk_example("g8#en2zh?", "zh", "fr", "你好🙂", "café")
     pe = render_stp(ex, registry)
     assert span_bytes(pe) == "café".encode("utf-8")
-    assert pe.loss_slice() == "café"
 
 
 def test_inference_prompts_are_training_prefixes(registry, mk_example):
@@ -99,7 +98,7 @@ def test_inference_prompts_are_training_prefixes(registry, mk_example):
     (prompt,) = build_inference_prompt("dt", "en", "fr", "Good day", registry, item_id="q1")
     assert training.text == prompt.text + "Bonjour"
     assert prompt.loss_start == prompt.loss_end == len(prompt.text.encode("utf-8"))
-    assert prompt.loss_slice() == ""
+    assert span_bytes(prompt).decode() == ""
 
     ex2 = mk_example("q2#en2bg", "en", "bg", "water", "voda")
     training2 = render_pmp(ex2, "voda-ru", "ru", registry)

